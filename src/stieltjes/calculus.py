@@ -23,7 +23,14 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .derivator import CONSTANT, Derivator, PowerProfile, TabulatedProfile
+from .derivator import (
+    CONSTANCY_POINT,
+    CONSTANT,
+    Derivator,
+    PowerProfile,
+    TabulatedProfile,
+    _groups,
+)
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -63,18 +70,16 @@ class Trajectory:
         a, b = self.governing.interval
         if self.grid[0] < a or self.grid[-1] > b:
             raise DomainError("grid extends outside the governing interval")
-        jumps = set(
-            float(j.at) for j in self.governing.jumps
-            if self.grid[0] <= j.at <= self.grid[-1]
-        )
-        grid_set = set(self.grid.tolist())
-        missing = jumps - grid_set
-        if missing:
-            raise DomainError(f"grid is missing jump times {sorted(missing)}")
+        ats = np.array([float(j.at) for j in self.governing.jumps])
+        ats = ats[(self.grid[0] <= ats) & (ats <= self.grid[-1])]
+        missing = ats[~np.isin(ats, self.grid)]
+        if missing.size:
+            raise DomainError(f"grid is missing jump times {missing.tolist()}")
         moved = self.right_values != self.left_values
-        for t in self.grid[moved]:
-            if float(t) not in jumps:
-                raise DomainError(f"right value differs from left at non-jump time {t}")
+        moved &= self.governing.jump_index(self.grid) < 0
+        if np.any(moved):
+            t = self.grid[np.argmax(moved)]
+            raise DomainError(f"right value differs from left at non-jump time {t}")
         self._g_left = None
         self._g_right = None
 
@@ -142,18 +147,16 @@ def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
     if per_segment < 8:
         raise DomainError("per_segment must be at least 8")
     bks = np.asarray(derivator.breakpoints())
-    pieces = [bks]
     u = np.linspace(0.0, 1.0, per_segment + 1)
-    for lo, hi in zip(bks, bks[1:]):
-        seg = derivator.segments[int(derivator.segment_index(0.5 * (lo + hi)))]
-        profile = seg.profile
+    lo, hi = bks[:-1], bks[1:]
+    spans = lo[:, None] + (hi - lo)[:, None] * u
+    owner = derivator.segment_index(0.5 * (lo + hi))
+    for i, k in enumerate(owner.tolist()):
+        profile = derivator.segments[k].profile
         if getattr(profile, "kind", None) == "power" and profile.exponent != 1.0:
-            pts = lo + (hi - lo) * u ** (1.0 / profile.exponent)
-            pts[-1] = hi
-        else:
-            pts = lo + (hi - lo) * u
-        pieces.append(pts)
-    return np.unique(np.concatenate(pieces))
+            spans[i] = lo[i] + (hi[i] - lo[i]) * u ** (1.0 / profile.exponent)
+            spans[i, -1] = hi[i]
+    return np.unique(np.concatenate([bks, spans.ravel()]))
 
 
 # ------------------------------------------------------------------ primitive
@@ -172,28 +175,35 @@ def primitive(m: StieltjesMeasure, v, grid_hint: int = 256) -> Trajectory:
     d = m.derivator
     grid = uniform_grid(d, grid_hint)
     cont = _cell_integrals(d, v, grid)
-    deltas = np.array([d.delta_at(t) for t in grid])
+    deltas = d.deltas_on(grid)
     atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
-    left = np.empty_like(grid)
-    right = np.empty_like(grid)
-    acc = 0.0
-    for i in range(len(grid)):
-        left[i] = acc
-        acc = acc + atom_vals[i]
-        right[i] = left[i] + atom_vals[i]
-        if i < len(grid) - 1:
-            acc = acc + cont[i]
+    left, right = _running_sums(atom_vals, cont)
     return Trajectory(grid, left, right, d)
+
+
+def _running_sums(atoms: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right values of a grid accumulation that starts at 0.0.
+
+    ``left[i]`` adds up ``atoms[:i]`` and ``cells[:i]``, and ``right[i]`` is
+    ``left[i] + atoms[i]``. One cumsum runs over the interleaved steps
+    0.0, atoms[0], cells[0], atoms[1], ..., so every partial sum rounds as in
+    the left-to-right loop ``acc = acc + atoms[i]; acc = acc + cells[i]``.
+    """
+    steps = np.empty(2 * len(atoms))
+    steps[0] = 0.0
+    steps[1::2] = atoms
+    steps[2::2] = cells
+    sums = np.cumsum(steps)
+    return sums[0::2].copy(), sums[1::2].copy()
 
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
     """Continuous part of the measure of v over each grid cell (vectorized panels)."""
     out = np.zeros(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    sid = d.segment_index(mids)
-    for k, seg in enumerate(d.segments):
-        cells = np.nonzero(sid == k)[0]
-        if cells.size == 0 or seg.direction == CONSTANT:
+    for k, cells in _groups(d.segment_index(mids)):
+        seg = d.segments[k]
+        if seg.direction == CONSTANT:
             continue
         edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
         profile = seg.profile
@@ -241,12 +251,13 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
     gl, gr = h.g_values()
     hl, hr = h.left_values, h.right_values
 
-    deltas = np.array([d.delta_at(t) for t in grid])
+    deltas = d.deltas_on(grid)
     is_jump = deltas != 0.0
 
     mids = 0.5 * (grid[:-1] + grid[1:])
     cell_sid = d.segment_index(mids)
-    cell_const = np.array([d.segments[k].direction == CONSTANT for k in cell_sid])
+    seg_const = np.array([seg.direction == CONSTANT for seg in d.segments])
+    cell_const = seg_const[cell_sid]
 
     def quot(j: int, k: int) -> np.ndarray:
         """(h(t_{i+k}) - h(t_{i-j}+)) / (g(t_{i+k}) - g(t_{i-j}+)) per grid index i.
@@ -314,11 +325,7 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
     eligible[both | only_r | only_l] = True
 
     # classification can still veto: constancy closures and bare run boundaries
-    for i in np.nonzero(eligible & ~is_jump)[0]:
-        kind, _ = d.classify_point(float(grid[i]))
-        if kind == "excluded":
-            eligible[i] = False
-            values[i] = 0.0
+    eligible &= d.classify(grid) < CONSTANCY_POINT
     values[~eligible] = 0.0
     return _EstimateTable(values, eligible, is_jump,
                           left_est, right_est, left_ok, right_ok)
@@ -385,7 +392,7 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float,
     if kind == "excluded":
         raise UndefinedPointError(f"g-derivative undefined at {t}: {payload}")
     if kind == "jump":
-        return _extrapolate(lambda eps: _right_quotient(func, d, t, eps),
+        return _extrapolate(lambda eps: _right_quotient(func, d, t, eps, at_jump=True),
                             _right_reach(d, t), rel_tol, max_levels, even=False)
     left_idx, right_idx = d.segments_adjacent(t)
     seg_l = d.segments[left_idx] if left_idx is not None else None
@@ -425,18 +432,36 @@ def _right_reach(d: Derivator, t: float) -> float:
 def _central_quotient(func, d, t, eps):
     num = func(t + eps) - func(t - eps)
     den = d.eval(t + eps) - d.eval(t - eps)
-    return num / den
+    return _quotient(num, den, t)
 
 
-def _right_quotient(func, d, t, eps):
+def _right_quotient(func, d, t, eps, at_jump=False):
     num = func(t + eps) - func(t)
     den = d.eval(t + eps) - d.eval(t)
-    return num / den
+    return _quotient(num, den, t, at_jump)
 
 
 def _left_quotient(func, d, t, eps):
     num = func(t) - func(t - eps)
     den = d.eval(t) - d.eval(t - eps)
+    return _quotient(num, den, t)
+
+
+def _quotient(num, den, t, at_jump=False):
+    """num / den for the bracket ladder at t.
+
+    Off a jump every bracket lies inside one monotone segment, so a zero
+    denominator means g is constant on a bracket touching t: g is locally
+    constant there and has no derivative to offer. At a jump the zero is a
+    cancellation of the jump by the continuous part, and the ladder ends as
+    it does for any non-finite quotient.
+    """
+    if den == 0.0:
+        if at_jump:
+            return float("nan")
+        raise UndefinedPointError(
+            f"g-derivative undefined at {t}: g is constant on a bracket at t"
+        )
     return num / den
 
 
@@ -522,7 +547,7 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
     grid = h.grid
     gl, gr = h.g_values()
     table = _estimate_table(h)
-    deltas = np.array([d.delta_at(t) for t in grid])
+    deltas = d.deltas_on(grid)
     atom = table.values * deltas
 
     # trapezoid samples per cell: jump rows and excluded rows (say a direction

@@ -395,8 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use and kept: parsing leaves no state on the parser, and
+# building it costs more than a small subcommand does
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

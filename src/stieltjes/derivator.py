@@ -42,6 +42,39 @@ TOTAL = "total"
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
+#: point classes returned by :meth:`Derivator.classify`; the last two are the
+#: points where no derivative exists
+JUMP_POINT = 0
+RISING_POINT = 1       # strictly inside a nondecreasing run
+FALLING_POINT = 2      # strictly inside a nonincreasing run
+CONSTANCY_POINT = 3    # strictly inside a constancy run
+BOUNDARY_POINT = 4     # run boundary without a jump, interval ends included
+
+_RUN_CLASS = {NONDECREASING: RISING_POINT, NONINCREASING: FALLING_POINT,
+              CONSTANT: CONSTANCY_POINT}
+_POINT_KINDS = {
+    RISING_POINT: ("interior", NONDECREASING),
+    FALLING_POINT: ("interior", NONINCREASING),
+    CONSTANCY_POINT: ("excluded", "inside a constancy interval"),
+    BOUNDARY_POINT: ("excluded", "run boundary without a jump"),
+}
+
+
+def _groups(labels: np.ndarray):
+    """Yield (label, positions) per distinct label of an int array, labels ascending.
+
+    Positions ascend within each group: they are contiguous slices of a
+    stable argsort, so a per-label computation runs once on its points in
+    input order, whatever the number of labels.
+    """
+    if labels.size == 0:
+        return
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [ordered.size]):
+        yield int(ordered[lo]), order[lo:hi]
+
 
 @dataclass(frozen=True)
 class LinearProfile:
@@ -307,14 +340,21 @@ class Derivator:
         self.anchor = float(anchor)
 
         self._seg_lo = np.array([s.lo for s in segs])
+        self._seg_hi = np.array([s.hi for s in segs])
         self._cum_inc = np.concatenate(
             [[0.0], np.cumsum([s.total_increment for s in segs])]
         )
         self._jump_at = np.array(ats) if ats else np.empty(0)
         self._jump_delta = np.array([j.delta for j in jmps]) if jmps else np.empty(0)
         self._jump_cum = np.concatenate([[0.0], np.cumsum(self._jump_delta)])
-        self._delta_by_at = {j.at: j.delta for j in jmps}
-        self._runs = self._build_runs()
+        # one trailing entry each, read through index -1 (no jump there): the
+        # NaN location never compares equal, the padded delta is 0.0
+        self._jump_at_padded = np.append(self._jump_at, np.nan)
+        self._jump_delta_padded = np.append(self._jump_delta, 0.0)
+        self._runs = self._build_runs(set(ats))
+        self._run_lo = np.array([run["lo"] for run in self._runs])
+        self._run_hi = np.array([run["hi"] for run in self._runs])
+        self._run_class = np.array([_RUN_CLASS[run["direction"]] for run in self._runs])
 
     # ------------------------------------------------------------------ basics
 
@@ -360,33 +400,41 @@ class Derivator:
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
         arr = np.asarray(t, dtype=float)
-        self._check_domain(arr)
-        idx = self.segment_index(arr)
-        cont = np.empty_like(arr, dtype=float)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                cont[mask] = self._cum_inc[k] + seg.increment_to(arr[mask])
-        jumps_before = self._jump_cum[np.searchsorted(self._jump_at, arr, side="left")]
+        flat = arr.reshape(-1)
+        self._check_domain(flat)
+        idx = self.segment_index(flat)
+        if flat.size == 1:
+            k = int(idx[0])
+            cont = self._cum_inc[k] + self.segments[k].increment_to(flat)
+        else:
+            cont = np.empty_like(flat)
+            for k, sel in _groups(idx):
+                cont[sel] = self._cum_inc[k] + self.segments[k].increment_to(flat[sel])
+        jumps_before = self._jump_cum[np.searchsorted(self._jump_at, flat, side="left")]
         out = self.anchor + cont + jumps_before
-        return float(out) if np.isscalar(t) else out
+        return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
     def eval_right(self, t):
         """Right limit g(t+); equals ``eval(t) + delta`` at a jump, ``eval(t)`` otherwise."""
         arr = np.asarray(t, dtype=float)
         base = self.eval(arr)
         if self._jump_at.size:
-            pos = np.searchsorted(self._jump_at, arr)
-            hit = (pos < self._jump_at.size) & np.isclose(
-                self._jump_at[np.minimum(pos, self._jump_at.size - 1)], arr, rtol=0, atol=0
-            )
-            extra = np.where(hit, self._jump_delta[np.minimum(pos, self._jump_at.size - 1)], 0.0)
-            base = base + extra
+            base = base + self.deltas_on(arr)
         return float(base) if np.isscalar(t) else base
+
+    def jump_index(self, times) -> np.ndarray:
+        """Index into ``jumps`` of the jump at each time, -1 where g is continuous."""
+        ts = np.asarray(times, dtype=float)
+        pos = self._jump_at.searchsorted(ts)
+        return np.where(self._jump_at_padded[pos] == ts, pos, -1)
+
+    def deltas_on(self, times) -> np.ndarray:
+        """Jump mass at each time, 0.0 where g is continuous."""
+        return self._jump_delta_padded[self.jump_index(times)]
 
     def delta_at(self, t: float) -> float:
         """Jump mass at t, 0.0 when g is continuous there."""
-        return self._delta_by_at.get(float(t), 0.0)
+        return float(self.deltas_on(t))
 
     # -------------------------------------------------------------- variation
 
@@ -448,14 +496,14 @@ class Derivator:
 
     # -------------------------------------------------------- structural sets
 
-    def _build_runs(self):
+    def _build_runs(self, jump_ats: set):
         """Group segments into maximal runs broken at jumps and direction changes."""
         runs = []
         current = None
         for seg in self.segments:
             broken = (
                 current is None
-                or seg.lo in self._delta_by_at
+                or seg.lo in jump_ats
                 or seg.direction != current["direction"]
             )
             if broken:
@@ -492,6 +540,21 @@ class Derivator:
             pts.add(run["hi"])
         return tuple(sorted(pts))
 
+    def classify(self, times) -> np.ndarray:
+        """Point class of each time for derivative purposes.
+
+        Returns ``JUMP_POINT`` at jumps; ``RISING_POINT``, ``FALLING_POINT``
+        or ``CONSTANCY_POINT`` strictly inside a run of that direction; and
+        ``BOUNDARY_POINT`` on a run boundary without a jump. The derivative
+        exists nowhere in the last two classes.
+        """
+        ts = np.asarray(times, dtype=float)
+        self._check_domain(ts)
+        run = np.searchsorted(self._run_lo, ts, side="right") - 1
+        inside = (self._run_lo[run] < ts) & (ts < self._run_hi[run])
+        codes = np.where(inside, self._run_class[run], BOUNDARY_POINT)
+        return np.where(self.jump_index(ts) >= 0, JUMP_POINT, codes)
+
     def classify_point(self, t: float) -> tuple[str, object]:
         """Where t sits for derivative purposes.
 
@@ -500,27 +563,18 @@ class Derivator:
         inside a rising/falling run, or ``("excluded", reason)`` for run
         boundaries and anything in the closure of a constancy interval.
         """
-        t = float(t)
-        self._check_domain(np.asarray(t))
-        if t in self._delta_by_at:
-            return ("jump", self._delta_by_at[t])
-        for run in self._runs:
-            if run["lo"] < t < run["hi"]:
-                if run["direction"] == CONSTANT:
-                    return ("excluded", "inside a constancy interval")
-                return ("interior", run["direction"])
-        return ("excluded", "run boundary without a jump")
+        code = int(self.classify(t))
+        if code == JUMP_POINT:
+            return ("jump", self.delta_at(t))
+        return _POINT_KINDS[code]
 
     def segments_adjacent(self, t: float) -> tuple[int | None, int | None]:
         """Indices of the segments just left and just right of t (None at a or b)."""
         t = float(t)
-        left = right = None
-        for k, seg in enumerate(self.segments):
-            if seg.lo < t <= seg.hi:
-                left = k
-            if seg.lo <= t < seg.hi:
-                right = k
-        return (left, right)
+        left = int(np.searchsorted(self._seg_lo, t, side="left")) - 1
+        right = int(np.searchsorted(self._seg_lo, t, side="right")) - 1
+        return (left if left >= 0 and t <= self._seg_hi[left] else None,
+                right if right >= 0 and t < self._seg_hi[right] else None)
 
     # ----------------------------------------------------------------- extras
 

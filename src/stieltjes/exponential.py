@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import Trajectory, _cell_integrals, uniform_grid
+from .calculus import Trajectory, _cell_integrals, _running_sums, uniform_grid
 from .derivator import Derivator
 from .errors import DegenerateCoefficientError, DomainError
 from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
@@ -78,23 +78,33 @@ class LinearCoefficient:
         else:
             self.regime = POSITIVE_FACTORS
         self._neg_ats = np.array(self.negative_factor_jumps)
-        self._factor_by_at = {f.at: f for f in factors}
+        # per jump, in the derivator's jump order, with one trailing entry
+        # for index -1 (no jump): factor 1.0, log 0.0. The logs use math.log
+        # jump by jump, and a zero factor contributes no log.
+        self._factors = np.array([f.factor for f in factors] + [1.0])
+        self._log_factors = np.array(
+            [math.log(abs(f.factor)) if f.factor != 0.0 else 0.0 for f in factors] + [0.0]
+        )
 
     @property
     def vanishing_time(self) -> float | None:
         """First time the solution is annihilated (None outside the vanishing regime)."""
         return min(self.zero_factor_jumps) if self.zero_factor_jumps else None
 
+    def factors_on(self, times) -> np.ndarray:
+        """Jump factor at each time, 1.0 where the derivator does not jump."""
+        return self._factors[self.derivator.jump_index(times)]
+
     def factor_at(self, t: float) -> float:
-        f = self._factor_by_at.get(float(t))
-        return f.factor if f is not None else 1.0
+        return float(self.factors_on(t))
 
     def transformed(self, t: float) -> float:
         """The coefficient after folding each jump's factor into a log density."""
         t = float(t)
-        f = self._factor_by_at.get(t)
-        if f is None:
+        k = int(self.derivator.jump_index(t))
+        if k < 0:
             return float(self.c(t))
+        f = self.jump_factors[k]
         if f.factor == 0.0:
             raise DegenerateCoefficientError(
                 f"jump factor vanishes at t={t}; the transformed coefficient blows up"
@@ -148,30 +158,15 @@ class GExponential:
         d = lc.derivator
         grid = uniform_grid(d, grid_hint)
         cont = _cell_integrals(d, lc.c, grid)
-        n = len(grid)
-        integral = np.empty(n)
-        sign = np.empty(n)
-        zeroed = np.zeros(n, dtype=bool)
-        acc = 0.0
-        sgn = 1.0
-        dead = False
-        integral[0] = acc
-        sign[0] = sgn
-        for i in range(n - 1):
-            f = lc._factor_by_at.get(float(grid[i]))
-            if f is not None:
-                if f.factor == 0.0:
-                    dead = True
-                else:
-                    acc += math.log(abs(f.factor))
-                    if f.factor < 0.0:
-                        sgn = -sgn
-            acc += cont[i]
-            integral[i + 1] = acc
-            sign[i + 1] = sgn
-            zeroed[i + 1] = dead
+        jump = d.jump_index(grid)
+        factors = lc._factors[jump]
+        integral, _ = _running_sums(lc._log_factors[jump], cont)
+        # the sign flips and the annihilation at grid[i] come from the jumps
+        # at grid[:i]; the factor at grid[i] itself acts on the right value
+        flips = np.concatenate([[0], np.cumsum(factors < 0.0)[:-1]])
+        zeroed = np.concatenate([[False], np.cumsum(factors == 0.0)[:-1] > 0])
+        sign = np.where(flips % 2 == 1, -1.0, 1.0)
         left = np.where(zeroed, 0.0, sign * np.exp(integral))
-        factors = np.array([lc.factor_at(t) for t in grid])
         right = left * factors
         return Trajectory(grid, left, right, d)
 
@@ -200,7 +195,7 @@ def verify_linear_solution(lc: LinearCoefficient, grid_hint: int = 1024,
     d = lc.derivator
     gl, gr = traj.g_values()
     cvals = np.asarray(lc.c(grid), dtype=float)
-    deltas = np.array([d.delta_at(t) for t in grid])
+    deltas = d.deltas_on(grid)
     f_left = cvals * traj.left_values
     f_right = cvals * traj.right_values
     atoms = f_left * deltas
@@ -210,12 +205,7 @@ def verify_linear_solution(lc: LinearCoefficient, grid_hint: int = 1024,
     residual = traj.left_values - 1.0 - cum
     max_res = float(np.max(np.abs(residual)))
 
-    exact = True
-    for i, t in enumerate(grid):
-        factor = lc.factor_at(float(t))
-        if traj.right_values[i] != traj.left_values[i] * factor:
-            exact = False
-            break
+    exact = bool(np.all(traj.right_values == traj.left_values * lc.factors_on(grid)))
     return LinearSolutionReport(
         max_residual=max_res,
         passed=bool(max_res < pass_tol),

@@ -143,7 +143,7 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
         if np.any(hv < 0):
             raise DomainError(f"dominator for component {j} is negative on the grid")
         cells = np.abs(_cell_integrals(d, h, grid))
-        deltas = np.array([abs(d.delta_at(float(t))) for t in grid])
+        deltas = np.abs(d.deltas_on(grid))
         atoms = hv * deltas
         cum = np.concatenate([[0.0], np.cumsum(atoms[:-1] + cells)])
         worst = np.maximum(worst, cum)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+from helpers import make_profile, random_derivator, random_polynomial_coeffs
 from stieltjes import (
+    CaratheodoryBound,
     ConstantProfile,
     ConvergenceError,
     Derivator,
     DomainError,
+    GExponential,
     Integrand,
+    Jump,
+    LinearCoefficient,
     LinearProfile,
     Segment,
     StieltjesMeasure,
+    SystemSpec,
     Trajectory,
     UndefinedPointError,
     chain_rule_check,
@@ -19,8 +25,11 @@ from stieltjes import (
     g_derivative,
     g_derivative_fn,
     primitive,
+    select_horizon,
     uniform_grid,
+    verify_linear_solution,
 )
+from stieltjes.calculus import _cell_integrals
 
 FTC_TOL = 1e-6
 
@@ -34,6 +43,34 @@ def tent(slope=1.0):
         Segment(0.0, 0.5, LinearProfile(slope)),
         Segment(0.5, 1.0, LinearProfile(-slope)),
     ], [])
+
+
+def long_derivator(rng, nseg=200):
+    """Many monotone segments of every profile kind, a jump every seventh cut."""
+    edges = np.linspace(0.0, 1.0, nseg + 1)
+    segments = [Segment(lo, hi, make_profile(rng, lo, hi))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    jumps = [Jump(float(at), float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])))
+             for at in edges[:-1:7]]
+    return Derivator((0.0, 1.0), segments, jumps, anchor=0.25)
+
+
+def reference_primitive(d, v, grid_hint):
+    """Left and right values of primitive() by its original per-point loop."""
+    grid = uniform_grid(d, grid_hint)
+    cont = _cell_integrals(d, v, grid)
+    deltas = np.array([{j.at: j.delta for j in d.jumps}.get(float(t), 0.0) for t in grid])
+    atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
+    left = np.empty_like(grid)
+    right = np.empty_like(grid)
+    acc = 0.0
+    for i in range(len(grid)):
+        left[i] = acc
+        acc = acc + atom_vals[i]
+        right[i] = left[i] + atom_vals[i]
+        if i < len(grid) - 1:
+            acc = acc + cont[i]
+    return left, right
 
 
 def record(d, fn, per_segment=128):
@@ -89,6 +126,16 @@ class TestPrimitive:
         # atom adds v(0.5) * 2 exactly at the jump
         assert h.right_values[i] - h.left_values[i] == pytest.approx(1.0, abs=1e-14)
         assert h.left_values[-1] == pytest.approx(1.5, rel=1e-9)
+
+    def test_matches_the_scalar_accumulation_loop(self):
+        rng = np.random.default_rng(41)
+        draws = [random_derivator(rng) for _ in range(20)] + [long_derivator(rng)]
+        for d in draws:
+            v = Integrand.polynomial(random_polynomial_coeffs(rng))
+            h = primitive(StieltjesMeasure(d, "signed"), v, grid_hint=64)
+            left, right = reference_primitive(d, v, 64)
+            assert np.array_equal(h.left_values, left)
+            assert np.array_equal(h.right_values, right)
 
     def test_matches_measure_integrate(self):
         d = identity_with_jump(delta=-0.7)
@@ -227,3 +274,29 @@ class TestContinuityModulus:
         vals = grid.copy()  # h moves although g does not
         h = Trajectory(grid, vals, vals, d)
         assert g_continuity_modulus(h, 0.1) == 0.0
+
+
+def test_grid_paths_make_no_per_point_queries(monkeypatch):
+    """The grid routines use the array queries; a per-point lookup would raise."""
+    from stieltjes.derivator import Derivator as DerivatorClass
+
+    rng = np.random.default_rng(42)
+    d = long_derivator(rng)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-point structure query on a grid path")
+
+    monkeypatch.setattr(DerivatorClass, "classify_point", boom)
+    monkeypatch.setattr(DerivatorClass, "delta_at", boom)
+    monkeypatch.setattr(LinearCoefficient, "factor_at", boom)
+
+    v = Integrand.polynomial([0.3, -1.0, 0.5])
+    report = ftc_roundtrip(primitive(StieltjesMeasure(d, "signed"), v, grid_hint=16))
+    assert report.excluded_points > 0
+    lc = LinearCoefficient(d, Integrand.polynomial([0.4]))
+    traj = GExponential(lc).trajectory(grid_hint=16)
+    assert len(traj.grid) > 200 * 16
+    assert verify_linear_solution(lc, grid_hint=16).jump_identity_exact
+    spec = SystemSpec([d], lambda t, x: x, [1.0])
+    bound = CaratheodoryBound(radius=1e6, dominators=[Integrand.polynomial([1.0])])
+    assert select_horizon(spec, bound, mesh=256) == 1.0

@@ -101,6 +101,33 @@ class TestDerive:
         # f(t) = t is continuous at the jump, so the jump quotient vanishes
         assert pts[1]["derivative"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_points_do_not_carry_over_between_calls(self, tmp_path, deriv_path,
+                                                    ident_integrand_path):
+        # one parser serves every call; an appended --at list must start empty
+        first = str(tmp_path / "first.json")
+        second = str(tmp_path / "second.json")
+        cli.main(["derive", deriv_path, ident_integrand_path,
+                  "--at", "0.3", "--at", "0.6", "-o", first])
+        cli.main(["derive", deriv_path, ident_integrand_path, "--at", "0.7", "-o", second])
+        assert [p["t"] for p in json.loads(open(first).read())["points"]] == [0.3, 0.6]
+        assert [p["t"] for p in json.loads(open(second).read())["points"]] == [0.7]
+
+    @pytest.mark.parametrize("at", ["0.1", "0.9"])
+    def test_flat_head_or_tail_is_an_input_error(self, tmp_path, ident_integrand_path,
+                                                capsys, at):
+        # the tabulated profile is constant before its first and after its
+        # last sample, so g is locally constant at both points
+        dpath = write(tmp_path, "tab.json", {
+            "interval": [0.0, 1.0],
+            "segments": [{"lo": 0.0, "hi": 1.0, "profile": {
+                "kind": "tabulated", "points": [[0.3, 0.0], [0.7, 1.0]]}}],
+        })
+        code = cli.main(["derive", dpath, ident_integrand_path, "--at", at])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "UndefinedPointError"
+        assert "constant" in err["error"]["message"]
+
 
 class TestFtcCheck:
     def test_passes_on_a_smooth_integrand(self, tmp_path, deriv_path):

@@ -5,6 +5,11 @@ from hypothesis import strategies as st
 
 from helpers import random_derivator, random_subinterval, variation_oracle
 from stieltjes import (
+    BOUNDARY_POINT,
+    CONSTANCY_POINT,
+    FALLING_POINT,
+    JUMP_POINT,
+    RISING_POINT,
     ConstantProfile,
     Derivator,
     DomainError,
@@ -225,3 +230,134 @@ def test_constant_constructor():
     assert d.eval(1.3) == 4.5
     assert d.variation(0, 2, "total") == 0.0
     assert d.structural_sets().constant == ((0.0, 2.0),)
+
+
+# ------------------------------------------------ array structure queries
+#
+# Per-point reference lookups: a dict of jump masses, a linear scan over the
+# maximal runs and over the segments. The array queries must agree with them
+# exactly at every breakpoint, every jump, both ends and points off the
+# breakpoints.
+
+
+def reference_delta(d, t):
+    return {j.at: j.delta for j in d.jumps}.get(float(t), 0.0)
+
+
+def reference_classify(d, t):
+    t = float(t)
+    deltas = {j.at: j.delta for j in d.jumps}
+    if t in deltas:
+        return ("jump", deltas[t])
+    sets = d.structural_sets()
+    runs = ([(iv, "nondecreasing") for iv in sets.rising]
+            + [(iv, "nonincreasing") for iv in sets.falling]
+            + [(iv, "constant") for iv in sets.constant])
+    for (lo, hi), direction in runs:
+        if lo < t < hi:
+            if direction == "constant":
+                return ("excluded", "inside a constancy interval")
+            return ("interior", direction)
+    return ("excluded", "run boundary without a jump")
+
+
+def reference_adjacent(d, t):
+    left = right = None
+    for k, seg in enumerate(d.segments):
+        if seg.lo < t <= seg.hi:
+            left = k
+        if seg.lo <= t < seg.hi:
+            right = k
+    return (left, right)
+
+
+CLASS_OF = {
+    "jump": JUMP_POINT,
+    "nondecreasing": RISING_POINT,
+    "nonincreasing": FALLING_POINT,
+    "inside a constancy interval": CONSTANCY_POINT,
+    "run boundary without a jump": BOUNDARY_POINT,
+}
+
+
+def probe_times(rng, d):
+    """Breakpoints, jumps, both ends, their float neighbours and random points."""
+    bks = np.array(d.breakpoints())
+    ats = np.array([j.at for j in d.jumps])
+    near = np.concatenate([np.nextafter(bks, -np.inf), np.nextafter(bks, np.inf)])
+    mids = 0.5 * (bks[:-1] + bks[1:])
+    ts = np.concatenate([bks, ats, [d.a, d.b], near, mids, rng.uniform(d.a, d.b, 64)])
+    ts = ts[(ts >= d.a) & (ts <= d.b)]
+    rng.shuffle(ts)
+    return ts
+
+
+def assert_queries_match_reference(rng, d):
+    ts = probe_times(rng, d)
+    deltas = d.deltas_on(ts)
+    codes = d.classify(ts)
+    for t, delta, code in zip(ts, deltas, codes):
+        want = reference_classify(d, t)
+        assert delta == reference_delta(d, t)
+        assert d.delta_at(t) == reference_delta(d, t)
+        assert code == CLASS_OF[want[0] if want[0] == "jump" else want[1]]
+        assert d.classify_point(t) == want
+        assert d.segments_adjacent(t) == reference_adjacent(d, t)
+        assert d.eval_right(float(t)) == d.eval(float(t)) + reference_delta(d, t)
+    # the array forms keep the input shape
+    assert d.classify(ts.reshape(-1, 1)).shape == (len(ts), 1)
+    np.testing.assert_array_equal(d.deltas_on(ts[:, None])[:, 0], deltas)
+
+
+class TestArrayQueries:
+    def test_corpus_matches_per_point_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            assert_queries_match_reference(rng, random_derivator(rng))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2 ** 31))
+    def test_matches_per_point_reference_property(self, seed):
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(-3.0, 0.0))
+        b = a + float(rng.uniform(0.1, 4.0))
+        assert_queries_match_reference(rng, random_derivator(rng, a, b))
+
+    def test_classify_desk_values(self):
+        d = Derivator((0.0, 1.0), [
+            Segment(0.0, 0.4, LinearProfile(1.0)),
+            Segment(0.4, 0.7, ConstantProfile()),
+            Segment(0.7, 0.8, LinearProfile(-1.0)),
+            Segment(0.8, 1.0, LinearProfile(-2.0)),
+        ], [Jump(0.7, 0.5)])
+        ts = [0.0, 0.2, 0.4, 0.5, 0.7, 0.75, 0.8, 0.9, 1.0]
+        np.testing.assert_array_equal(d.classify(ts), [
+            BOUNDARY_POINT, RISING_POINT, BOUNDARY_POINT, CONSTANCY_POINT,
+            JUMP_POINT, FALLING_POINT, FALLING_POINT, FALLING_POINT, BOUNDARY_POINT,
+        ])
+        np.testing.assert_array_equal(d.deltas_on(ts), [0, 0, 0, 0, 0.5, 0, 0, 0, 0])
+        np.testing.assert_array_equal(d.jump_index(ts), [-1, -1, -1, -1, 0, -1, -1, -1, -1])
+
+    def test_classify_enforces_the_domain(self):
+        with pytest.raises(DomainError):
+            tent().classify([0.5, 1.5])
+
+    def test_no_jumps(self):
+        d = tent()
+        ts = np.linspace(0.0, 1.0, 9)
+        np.testing.assert_array_equal(d.deltas_on(ts), np.zeros(9))
+        np.testing.assert_array_equal(d.jump_index(ts), np.full(9, -1))
+
+    def test_eval_is_pointwise_whatever_the_order(self):
+        # each point goes through the same segment increment whether it comes
+        # alone, in order or shuffled among points of other segments
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            d = random_derivator(rng)
+            ts = probe_times(rng, d)
+            vals = d.eval(ts)
+            order = np.argsort(ts)
+            np.testing.assert_array_equal(d.eval(ts[order]), vals[order])
+            np.testing.assert_array_equal(d.eval(ts.reshape(-1, 1))[:, 0], vals)
+            assert [d.eval(float(t)) for t in ts[:16]] == vals[:16].tolist()
+            assert d.eval(np.array([])).shape == (0,)

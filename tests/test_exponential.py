@@ -14,14 +14,17 @@ from stieltjes import (
     Derivator,
     DomainError,
     GExponential,
+    Integrand,
     Jump,
     LinearCoefficient,
     LinearProfile,
     Segment,
     g_exponential,
     transform_coefficient,
+    uniform_grid,
     verify_linear_solution,
 )
+from stieltjes.calculus import _cell_integrals
 
 CLOSED_FORM_RTOL = 1e-12
 VERIFY_TOL = 1e-6
@@ -29,6 +32,48 @@ VERIFY_TOL = 1e-6
 
 def identity_with_jump(delta, at=0.5):
     return Derivator.identity(0.0, 1.0, jumps=[Jump(at, delta)])
+
+
+def reference_trajectory(lc, grid_hint):
+    """Left and right values of GExponential.trajectory by its original per-point loop."""
+    d = lc.derivator
+    by_at = {f.at: f for f in lc.jump_factors}
+    grid = uniform_grid(d, grid_hint)
+    cont = _cell_integrals(d, lc.c, grid)
+    n = len(grid)
+    integral = np.empty(n)
+    sign = np.empty(n)
+    zeroed = np.zeros(n, dtype=bool)
+    acc = 0.0
+    sgn = 1.0
+    dead = False
+    integral[0] = acc
+    sign[0] = sgn
+    for i in range(n - 1):
+        f = by_at.get(float(grid[i]))
+        if f is not None:
+            if f.factor == 0.0:
+                dead = True
+            else:
+                acc += math.log(abs(f.factor))
+                if f.factor < 0.0:
+                    sgn = -sgn
+        acc += cont[i]
+        integral[i + 1] = acc
+        sign[i + 1] = sgn
+        zeroed[i + 1] = dead
+    left = np.where(zeroed, 0.0, sign * np.exp(integral))
+    factors = np.array([by_at[float(t)].factor if float(t) in by_at else 1.0 for t in grid])
+    return left, left * factors
+
+
+def many_jumps(deltas):
+    """Alternating rising and falling cuts with a jump at each interior cut."""
+    edges = np.linspace(0.0, 1.0, len(deltas) + 2)
+    segments = [Segment(lo, hi, LinearProfile(1.5 if k % 2 else -0.5))
+                for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
+    return Derivator((0.0, 1.0), segments,
+                     [Jump(float(at), dl) for at, dl in zip(edges[1:-1], deltas)])
 
 
 class TestClosedForms:
@@ -149,6 +194,30 @@ class TestTrajectory:
         assert traj.right_values[i] == 0.0
         assert np.all(traj.left_values[i + 1:] == 0.0)
         assert np.all(traj.left_values[: i + 1] > 0.0)
+
+
+    @pytest.mark.parametrize("deltas,regime", [
+        ((1.0,), POSITIVE_FACTORS),
+        ((-2.0,), SIGN_CHANGING),
+        ((-1.0,), VANISHING),
+        ((0.7, -0.3, 1.9, -0.9), POSITIVE_FACTORS),
+        ((0.7, -3.0, 1.9, -2.5, -4.0, 0.2), SIGN_CHANGING),
+        ((0.7, -3.0, -1.0, -2.5, 0.2, -1.0), VANISHING),
+    ])
+    def test_matches_the_scalar_accumulation_loop(self, deltas, regime):
+        d = identity_with_jump(deltas[0]) if len(deltas) == 1 else many_jumps(deltas)
+        lc = LinearCoefficient(d, Integrand.polynomial([1.0]))
+        assert lc.regime == regime
+        traj = GExponential(lc).trajectory(grid_hint=256)
+        left, right = reference_trajectory(lc, 256)
+        assert np.array_equal(traj.left_values, left)
+        assert np.array_equal(traj.right_values, right)
+
+    def test_factors_on_matches_factor_at(self):
+        lc = LinearCoefficient(many_jumps((0.7, -3.0, -1.0)), Integrand.polynomial([1.0]))
+        ts = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(lc.factors_on(ts), [1.0, 1.7, 1.0, -2.0, 0.0, 1.0])
+        assert [lc.factor_at(t) for t in ts] == lc.factors_on(ts).tolist()
 
 
 class TestVerification:
