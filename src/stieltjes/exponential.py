@@ -80,7 +80,8 @@ class LinearCoefficient:
         self._neg_ats = np.array(self.negative_factor_jumps)
         # per jump, in the derivator's jump order, with one trailing entry
         # for index -1 (no jump): factor 1.0, log 0.0. The logs use math.log
-        # jump by jump, and a zero factor contributes no log.
+        # jump by jump, as g_exponential does (numpy's vectorized log can
+        # differ from it by an ulp), and a zero factor contributes no log.
         self._factors = np.array([f.factor for f in factors] + [1.0])
         self._log_factors = np.array(
             [math.log(abs(f.factor)) if f.factor != 0.0 else 0.0 for f in factors] + [0.0]
