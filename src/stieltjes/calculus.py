@@ -155,7 +155,8 @@ def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
         profile = derivator.segments[k].profile
         if getattr(profile, "kind", None) == "power" and profile.exponent != 1.0:
             spans[i] = lo[i] + (hi[i] - lo[i]) * u ** (1.0 / profile.exponent)
-            spans[i, -1] = hi[i]
+    # lo + (hi - lo) * 1.0 can round past hi
+    spans[:, -1] = hi
     return np.unique(np.concatenate([bks, spans.ravel()]))
 
 

@@ -44,16 +44,17 @@ def _emit_json(doc, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _emit_csv(header, rows, out_path: str | None):
-    def cell(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return f"{float(v):.17g}"
+def _cells(column) -> list[str]:
+    """A CSV column as text: arrays with 17 significant digits; any other
+    column holds its strings already."""
+    if isinstance(column, np.ndarray):
+        return [format(v, ".17g") for v in column.tolist()]
+    return column
 
+
+def _emit_csv(header, columns, out_path: str | None):
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -146,27 +147,30 @@ def _cmd_exp(args) -> int:
         }, args.output)
         return 0
     traj = exponential.GExponential(lc).trajectory(grid_hint=args.grid_hint)
-    signs = np.sign(traj.left_values)
-    rows = [
-        (t, e, er, int(s), lc.regime)
-        for t, e, er, s in zip(traj.grid, traj.left_values, traj.right_values, signs)
-    ]
-    _emit_csv(("t", "value", "value_right", "sign", "regime"), rows, args.output)
+    signs = [str(int(s)) for s in np.sign(traj.left_values).tolist()]
+    columns = (traj.grid, traj.left_values, traj.right_values, signs,
+               [lc.regime] * len(signs))
+    _emit_csv(("t", "value", "value_right", "sign", "regime"), columns, args.output)
     return 0
 
 
-def _solution_csv_rows(report, names):
+def _sided_rows(report):
+    """Times, sides and states of the trajectory CSV: an ``L`` row per grid
+    time, followed by an ``R`` row where some component jumps."""
     deltas = solver._jump_table(
         [tr.governing for tr in report.trajectories], report.grid
     )
-    rows = []
-    for k, t in enumerate(report.grid):
-        left = [tr.left_values[k] for tr in report.trajectories]
-        rows.append((t, "L", *left))
-        if np.any(deltas[k] != 0.0):
-            right = [tr.right_values[k] for tr in report.trajectories]
-            rows.append((t, "R", *right))
-    return [("t", "side", *names)], rows
+    jumps = np.any(deltas != 0.0, axis=1)
+    per_time = 1 + jumps
+    right_rows = np.cumsum(per_time)[jumps] - 1
+    left = np.stack([tr.left_values for tr in report.trajectories], axis=1)
+    right = np.stack([tr.right_values for tr in report.trajectories], axis=1)
+    states = np.repeat(left, per_time, axis=0)
+    states[right_rows] = right[jumps]
+    sides = ["L"] * len(states)
+    for k in right_rows.tolist():
+        sides[k] = "R"
+    return np.repeat(report.grid, per_time), sides, states
 
 
 def _solve_summary(report, tau_star=None):
@@ -206,13 +210,14 @@ def _cmd_solve(args) -> int:
         safety_radius=bound.radius if (bound is not None and args.euler) else None,
     )
     report = solver.solve(spec, config)
-    names = tuple(f"x{j + 1}" for j in range(spec.dim))
-    header, rows = _solution_csv_rows(report, names)
+    header = ("t", "side", *(f"x{j + 1}" for j in range(spec.dim)))
+    times, sides, states = _sided_rows(report)
+    columns = (times, sides, *states.T)
     if args.output:
-        _emit_csv(header[0], rows, args.output)
+        _emit_csv(header, columns, args.output)
         _emit_json(_solve_summary(report, tau), None)
     else:
-        _emit_csv(header[0], rows, None)
+        _emit_csv(header, columns, None)
     if not report.converged:
         raise ConvergenceError(
             "solver did not reach tolerance; partial results were written",
@@ -271,8 +276,6 @@ def _cmd_plume(args) -> int:
     report = solver.solve(spec, config)
     audit = plume._audit_plume(params, ambient, report)
 
-    deltas = solver._jump_table([tr.governing for tr in report.trajectories], report.grid)
-
     def geometry(q, m, beta):
         if q > 0 and m > 0:
             b = q * m ** -0.25
@@ -280,16 +283,12 @@ def _cmd_plume(args) -> int:
             return b, w, beta / q
         return float("nan"), float("nan"), float("nan")
 
-    rows = []
-    for k, z in enumerate(report.grid):
-        q, m, b3 = (tr.left_values[k] for tr in report.trajectories)
-        rows.append((z, "L", q, m, b3, *geometry(q, m, b3)))
-        if np.any(deltas[k] != 0.0):
-            q, m, b3 = (tr.right_values[k] for tr in report.trajectories)
-            rows.append((z, "R", q, m, b3, *geometry(q, m, b3)))
+    heights, sides, states = _sided_rows(report)
+    geo = np.array([geometry(*x) for x in states], dtype=float).reshape(-1, 3)
+    columns = (heights, sides, *states.T, *geo.T)
     header = ("z", "side", "q", "m", "beta", "b", "w", "theta")
     if args.output:
-        _emit_csv(header, rows, args.output)
+        _emit_csv(header, columns, args.output)
         summary = _solve_summary(report)
         summary["buoyancy_jumps"] = [
             {
@@ -308,7 +307,7 @@ def _cmd_plume(args) -> int:
         summary["warnings"] = list(report.warnings) + list(audit.warnings)
         _emit_json(summary, None)
     else:
-        _emit_csv(header, rows, None)
+        _emit_csv(header, columns, None)
     if not report.converged:
         raise ConvergenceError(
             "solver did not reach tolerance; partial results were written",

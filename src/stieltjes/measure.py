@@ -64,9 +64,11 @@ class Integrand:
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         if self._vectorized is None:
+            # a scalar probe cannot tell a vectorized closure from a scalar one
+            sample = np.atleast_1d(arr)
             try:
-                probe = np.asarray(self._fn(arr), dtype=float)
-                if probe.shape != arr.shape:
+                probe = np.asarray(self._fn(sample), dtype=float)
+                if probe.shape != sample.shape:
                     raise ValueError
                 self._vectorized = True
             except Exception:

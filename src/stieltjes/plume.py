@@ -16,7 +16,9 @@ The default coefficients correspond to a top-hat entrainment constant of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +91,44 @@ class AmbientDensity:
         return cls(d, description=f"linear density, gradient {gradient}")
 
 
+def _breakdown(m, z) -> RhsEvaluationError:
+    return RhsEvaluationError(
+        f"momentum flux {m} is not positive at height {z}; "
+        "the plume model has broken down"
+    )
+
+
+def plume_rhs(A: float, B: float, C: float):
+    """The flux right-hand side (A m^(1/4), B q beta, C q) as a (scalar, batch) pair.
+
+    The batch form takes heights ``z[:]`` and states ``X[:, 3]`` and gives,
+    row for row, the bits of the scalar form: the quarter power goes through
+    ``math.pow``, the libm ``pow`` that the scalar ``m ** 0.25`` calls, since
+    numpy's array power may round differently. Both raise
+    :class:`RhsEvaluationError` when the momentum flux is not positive, the
+    batch form at its first such row.
+    """
+
+    def rhs(z: float, x: np.ndarray) -> np.ndarray:
+        q, m, beta = x
+        if m <= 0.0:
+            raise _breakdown(m, z)
+        return np.array([A * m ** 0.25, B * q * beta, C * q])
+
+    def rhs_batch(z: np.ndarray, X: np.ndarray) -> np.ndarray:
+        q, m, beta = X.T
+        bad = np.nonzero(m <= 0.0)[0]
+        if len(bad):
+            raise _breakdown(m[bad[0]], z[bad[0]])
+        out = np.empty(X.shape)
+        out[:, 0] = A * np.fromiter(map(math.pow, m.tolist(), repeat(0.25)), float, len(m))
+        out[:, 1] = B * q * beta
+        out[:, 2] = C * q
+        return out
+
+    return rhs, rhs_batch
+
+
 def build_plume_system(params: PlumeParams, ambient: AmbientDensity,
                        q0: float, m0: float, beta0: float) -> SystemSpec:
     """Assemble the three-component system in flux variables."""
@@ -96,20 +136,11 @@ def build_plume_system(params: PlumeParams, ambient: AmbientDensity,
         raise DomainError("initial volume and momentum fluxes must be positive")
     lo, hi = ambient.rho.interval
     height = Derivator.identity(lo, hi)
-    A = params.volume_coefficient
-    B = params.momentum_coefficient
-    C = params.buoyancy_coefficient
-
-    def rhs(z: float, x: np.ndarray) -> np.ndarray:
-        q, m, beta = x
-        if m <= 0.0:
-            raise RhsEvaluationError(
-                f"momentum flux {m} is not positive at height {z}; "
-                "the plume model has broken down"
-            )
-        return np.array([A * m ** 0.25, B * q * beta, C * q])
-
-    return SystemSpec([height, height, ambient.rho], rhs, [q0, m0, beta0])
+    rhs, rhs_batch = plume_rhs(params.volume_coefficient,
+                               params.momentum_coefficient,
+                               params.buoyancy_coefficient)
+    return SystemSpec([height, height, ambient.rho], rhs, [q0, m0, beta0],
+                      rhs_batch=rhs_batch)
 
 
 @dataclass(frozen=True)

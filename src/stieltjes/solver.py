@@ -8,6 +8,14 @@ between-jump increment of each derivator. The Picard route iterates the
 integral operator with a trapezoid rule in each driving function and the same
 exact atom terms.
 
+A system's right-hand side is ``rhs(t, x) -> f`` for one time and one state.
+A spec may also carry ``rhs_batch(ts, X) -> F``, the same function over many
+rows at once: ``ts`` has shape (n,), ``X`` and ``F`` have shape (n, dim), and
+row k of ``F`` must equal ``rhs(ts[k], X[k])`` bit for bit. Picard sweeps and
+the jump audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`,
+which uses the batch form when there is one and loops the scalar form when
+there is not; the checks and error messages are the scalar ones either way.
+
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
 stored left state. The residual is reported in units of the state's ulp and
@@ -21,6 +29,7 @@ radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,6 +53,7 @@ class SystemSpec:
     rhs: Callable[[float, np.ndarray], np.ndarray]
     initial: Sequence[float]
     horizon: float | None = None
+    rhs_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.derivators = tuple(self.derivators)
@@ -87,10 +97,35 @@ class SystemSpec:
             raise RhsEvaluationError(
                 f"right-hand side returned shape {out.shape}, expected ({self.dim},)"
             )
-        if not np.all(np.isfinite(out)):
+        if not all(map(math.isfinite, out.tolist())):
             raise RhsEvaluationError(
                 f"right-hand side returned a non-finite value at t={t}"
             )
+        return out
+
+    def call_rhs_many(self, ts: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Row k is ``call_rhs(ts[k], X[k])``; one batch call when the spec has one.
+
+        When the batch form raises or gives a non-finite row, the rows go
+        through :meth:`call_rhs` one by one instead, which raises the error
+        of the scalar loop: its first failing row, its text.
+        """
+        out = np.empty((len(ts), self.dim))
+        if len(ts) and self.rhs_batch is not None:
+            try:
+                batch = np.asarray(self.rhs_batch(ts, X), dtype=float)
+            except Exception:
+                pass
+            else:
+                if batch.shape != out.shape:
+                    raise RhsEvaluationError(
+                        f"batch right-hand side returned shape {batch.shape}, "
+                        f"expected {out.shape}"
+                    )
+                if np.isfinite(batch).all():
+                    return batch
+        for k in range(len(ts)):
+            out[k] = self.call_rhs(ts[k], X[k])
         return out
 
 
@@ -180,61 +215,55 @@ def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray) ->
     return inc
 
 
+def _moving_components(moved: np.ndarray) -> list[int]:
+    """Per row of a (rows, dim) mask: 0 if no component moves, 2 if all do, 1 otherwise."""
+    return (moved.any(axis=1).astype(int) + moved.all(axis=1)).tolist()
+
+
 def solve_euler(spec: SystemSpec, grid: np.ndarray,
                 safety_radius: float | None = None):
     """Forward Euler in measure. Returns (left, right, warnings).
 
     Components whose increment is exactly zero over a step keep their bits:
     the update is masked, not added, so a constant derivator propagates the
-    initial value unchanged.
+    initial value unchanged. Which components move at each row is known from
+    the grid tables before the loop starts, so the loop only steps the state.
     """
     n = len(grid)
-    dim = spec.dim
     deltas = _jump_table(spec.derivators, grid)
     cont = _continuous_increments(spec.derivators, grid)
-    left = np.empty((n, dim))
-    right = np.empty((n, dim))
+    jumps = deltas != 0.0
+    moves = cont != 0.0
+    jumping = _moving_components(jumps)
+    moving = _moving_components(moves)
+    times = grid.tolist()
+    left = np.empty((n, spec.dim))
     left[0] = spec.initial
-    warnings: list[str] = []
-    ball_left = False
-    for k in range(n - 1):
+    jumped = []
+    for k in range(n):
         x = left[k]
-        dk = deltas[k]
-        if np.any(dk != 0.0):
-            fx = spec.call_rhs(grid[k], x)
-            xr = x.copy()
-            moved = dk != 0.0
-            xr[moved] = x[moved] + fx[moved] * dk[moved]
-        else:
-            xr = x
-        right[k] = xr
-        ck = cont[k]
-        if np.any(ck != 0.0):
-            fr = spec.call_rhs(grid[k], xr)
-            xn = xr.copy()
-            moved = ck != 0.0
-            xn[moved] = xr[moved] + fr[moved] * ck[moved]
-        else:
-            xn = xr.copy()
-        left[k + 1] = xn
-        if safety_radius is not None and not ball_left:
-            drift = float(np.max(np.abs(xn - spec.initial)))
-            if drift > safety_radius:
-                ball_left = True
-                warnings.append(
-                    f"state left the safety ball (radius {safety_radius}) "
-                    f"near t={float(grid[k + 1])}; continuing anyway"
-                )
-    # final row: apply a jump at the horizon if one lands there
-    dk = deltas[n - 1]
-    if np.any(dk != 0.0):
-        fx = spec.call_rhs(grid[n - 1], left[n - 1])
-        xr = left[n - 1].copy()
-        moved = dk != 0.0
-        xr[moved] = left[n - 1][moved] + fx[moved] * dk[moved]
-        right[n - 1] = xr
-    else:
-        right[n - 1] = left[n - 1]
+        if jumping[k]:
+            step = x + spec.call_rhs(times[k], x) * deltas[k]
+            x = step if jumping[k] == 2 else np.where(jumps[k], step, x)
+            jumped.append((k, x))
+        if k == n - 1:
+            break
+        if moving[k]:
+            step = x + spec.call_rhs(times[k], x) * cont[k]
+            x = step if moving[k] == 2 else np.where(moves[k], step, x)
+        left[k + 1] = x
+    right = left.copy()
+    for k, x in jumped:
+        right[k] = x
+    warnings: list[str] = []
+    if safety_radius is not None:
+        drift = np.max(np.abs(left[1:] - spec.initial), axis=1)
+        out = np.nonzero(drift > safety_radius)[0]
+        if len(out):
+            warnings.append(
+                f"state left the safety ball (radius {safety_radius}) "
+                f"near t={times[out[0] + 1]}; continuing anyway"
+            )
     return left, right, warnings
 
 
@@ -250,7 +279,6 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     Returns (left, right, converged, iterations, last_change, warnings).
     """
     n = len(grid)
-    dim = spec.dim
     deltas = _jump_table(spec.derivators, grid)
     cont = _continuous_increments(spec.derivators, grid)
     jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
@@ -263,12 +291,9 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     iterations = 0
     for sweep in range(max_iter):
         iterations = sweep + 1
-        f_left = np.empty((n, dim))
-        for k in range(n):
-            f_left[k] = spec.call_rhs(grid[k], left[k])
+        f_left = spec.call_rhs_many(grid, left)
         f_right = f_left.copy()
-        for k in jump_rows:
-            f_right[k] = spec.call_rhs(grid[k], right[k])
+        f_right[jump_rows] = spec.call_rhs_many(grid[jump_rows], right[jump_rows])
         atoms = f_left * deltas
         cells = 0.5 * (f_right[:-1] + f_left[1:]) * cont
         increments = atoms[:-1] + cells
@@ -287,11 +312,10 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
             f"with change {last_change:.3e} (tolerance {tol:.1e})"
         )
     # exact jump resweep against the final left values
-    for k in jump_rows:
-        fx = spec.call_rhs(grid[k], left[k])
-        right[k] = left[k] + fx * deltas[k]
-    off = np.setdiff1d(np.arange(n), jump_rows)
-    right[off] = left[off]
+    right = left.copy()
+    right[jump_rows] = left[jump_rows] + (
+        spec.call_rhs_many(grid[jump_rows], left[jump_rows]) * deltas[jump_rows]
+    )
     return left, right, converged, iterations, last_change, warnings
 
 
@@ -337,9 +361,10 @@ class SolutionReport:
 def _audit_jumps(spec: SystemSpec, grid: np.ndarray,
                  left: np.ndarray, right: np.ndarray) -> tuple[JumpAuditRow, ...]:
     deltas = _jump_table(spec.derivators, grid)
+    jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
+    f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
     rows = []
-    for k in np.nonzero(np.any(deltas != 0.0, axis=1))[0]:
-        fx = spec.call_rhs(grid[k], left[k])
+    for fx, k in zip(f, jump_rows):
         for j in range(spec.dim):
             if deltas[k, j] == 0.0:
                 continue

@@ -57,8 +57,9 @@ from .derivator import (
     Segment,
     TabulatedProfile,
 )
-from .errors import RhsEvaluationError, SpecValidationError, StieltjesError
+from .errors import SpecValidationError, StieltjesError
 from .measure import Integrand
+from .plume import plume_rhs
 from .solver import CaratheodoryBound, SystemSpec
 
 RHS_CATALOG = ("zero", "linear", "polynomial", "tabulated", "plume")
@@ -231,11 +232,15 @@ def parse_integrand(obj, path: str = "integrand") -> Integrand:
 # ------------------------------------------------------------------ systems
 
 def _build_rhs(obj: dict, dim: int, path: str):
+    """The (scalar, batch) right-hand side pair of a catalog entry."""
     kind = _get(obj, "kind", path)
     if kind == "zero":
         def rhs(t, x):
             return np.zeros(dim)
-        return rhs
+
+        def rhs_batch(ts, X):
+            return np.zeros((len(ts), dim))
+        return rhs, rhs_batch
     if kind == "linear":
         coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
         if len(coeffs) != dim:
@@ -246,7 +251,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return c * x
-        return rhs
+        return rhs, rhs
     if kind == "polynomial":
         rows = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
         if len(rows) != dim:
@@ -259,7 +264,10 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys])
-        return rhs
+
+        def rhs_batch(ts, X):
+            return np.stack([np.polynomial.polynomial.polyval(ts, p) for p in polys], axis=1)
+        return rhs, rhs_batch
     if kind == "tabulated":
         rows = _expect_list(_get(obj, "points", path), f"{path}.points")
         table = []
@@ -271,28 +279,23 @@ def _build_rhs(obj: dict, dim: int, path: str):
                 )
             table.append([_num(v, f"{path}.points[{i}][{j}]") for j, v in enumerate(row)])
         arr = np.array(table)
-        ts = arr[:, 0]
-        if np.any(np.diff(ts) <= 0):
+        knots = arr[:, 0]
+        if np.any(np.diff(knots) <= 0):
             raise SpecValidationError(f"{path}.points", "times must be strictly increasing")
 
         def rhs(t, x):
-            return np.array([np.interp(t, ts, arr[:, 1 + j]) for j in range(dim)])
-        return rhs
+            return np.array([np.interp(t, knots, arr[:, 1 + j]) for j in range(dim)])
+
+        def rhs_batch(ts, X):
+            return np.stack([np.interp(ts, knots, arr[:, 1 + j]) for j in range(dim)], axis=1)
+        return rhs, rhs_batch
     if kind == "plume":
         if dim != 3:
             raise SpecValidationError(path, "the plume right-hand side needs exactly 3 components")
         A = _num(_get(obj, "A", path), f"{path}.A")
         B = _num(_get(obj, "B", path), f"{path}.B")
         C = _num(_get(obj, "C", path), f"{path}.C")
-
-        def rhs(t, x):
-            q, m, beta = x
-            if m <= 0.0:
-                raise RhsEvaluationError(
-                    f"momentum flux {m} is not positive at height {t}"
-                )
-            return np.array([A * m ** 0.25, B * q * beta, C * q])
-        return rhs
+        return plume_rhs(A, B, C)
     raise SpecValidationError(
         f"{path}.kind",
         f"unknown right-hand side {kind!r}; catalog: {', '.join(RHS_CATALOG)}",
@@ -312,12 +315,13 @@ def parse_system(obj, path: str = "system") -> tuple[SystemSpec, CaratheodoryBou
             f"{path}.initial",
             f"got {len(initial)} initial values for {len(derivs)} derivators",
         )
-    rhs = _build_rhs(_expect_dict(_get(obj, "rhs", path), f"{path}.rhs"), len(derivs), f"{path}.rhs")
+    rhs, rhs_batch = _build_rhs(_expect_dict(_get(obj, "rhs", path), f"{path}.rhs"),
+                                len(derivs), f"{path}.rhs")
     horizon = None
     if obj.get("horizon") is not None:
         horizon = _num(obj["horizon"], f"{path}.horizon")
     try:
-        spec = SystemSpec(derivs, rhs, initial, horizon=horizon)
+        spec = SystemSpec(derivs, rhs, initial, horizon=horizon, rhs_batch=rhs_batch)
     except StieltjesError as exc:
         raise SpecValidationError(path, str(exc)) from exc
     bound = None

@@ -300,3 +300,29 @@ def test_grid_paths_make_no_per_point_queries(monkeypatch):
     spec = SystemSpec([d], lambda t, x: x, [1.0])
     bound = CaratheodoryBound(radius=1e6, dominators=[Integrand.polynomial([1.0])])
     assert select_horizon(spec, bound, mesh=256) == 1.0
+
+
+class TestUniformGridEnds:
+    def test_last_point_of_each_span_is_its_breakpoint(self):
+        # lo + (hi - lo) * 1.0 rounds above hi for this draw's interval
+        rng = np.random.default_rng(5)
+        rng.random(1755)
+        a, b = rng.uniform(-2.0, 0.0), rng.uniform(0.5, 3.0)
+        assert a + (b - a) * 1.0 > b
+        d = random_derivator(rng, a, b)
+        grid = uniform_grid(d, 16)
+        assert grid[0] == a and grid[-1] == b
+        h = primitive(StieltjesMeasure(d), Integrand.constant(1.0), grid_hint=16)
+        assert h.grid[-1] == b
+        assert ftc_roundtrip(h).passed
+
+    def test_spans_hold_exactly_their_points(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            a, b = rng.uniform(-2.0, 0.0), rng.uniform(0.5, 3.0)
+            d = random_derivator(rng, a, b)
+            grid = uniform_grid(d, 16)
+            bks = np.asarray(d.breakpoints())
+            assert grid[0] == a and grid[-1] == b
+            assert np.all(np.isin(bks, grid))
+            assert len(grid) == 16 * (len(bks) - 1) + 1

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from stieltjes import cli, specio
+from stieltjes import Derivator, cli, specio
 
 
 def write(tmp_path, name, doc):
@@ -243,6 +243,30 @@ class TestSolve:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["converged"] is False
         assert json.loads(captured.err)["error"]["type"] == "ConvergenceError"
+
+
+    def test_plume_breakdown_exits_2_naming_the_model(self, tmp_path, capsys):
+        doc = {
+            "derivators": [specio.serialize_derivator(Derivator.identity(0.0, 1.0))] * 3,
+            "initial": [0.05, 0.01, -0.5],
+            "rhs": {"kind": "plume", "A": 0.1666, "B": 56.5056, "C": 2.8e-4},
+        }
+        spath = write(tmp_path, "sys.json", doc)
+        for extra in ([], ["--euler"]):
+            code = cli.main(["solve", spath, "--mesh", "64", *extra])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["type"] == "RhsEvaluationError"
+            assert err["message"].startswith("momentum flux -")
+            assert err["message"].endswith("; the plume model has broken down")
+
+
+class TestCsvCells:
+    def test_columns_format_like_single_cells(self):
+        values = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-320, 1e300, np.inf,
+                           -np.inf, np.nan, 4.0, 2.0 ** 53 + 2.0])
+        assert cli._cells(values) == [f"{float(v):.17g}" for v in values]
+        assert cli._cells(["L", "R"]) == ["L", "R"]
 
 
 class TestPlume:

@@ -19,6 +19,7 @@ from stieltjes import (
     LinearCoefficient,
     LinearProfile,
     Segment,
+    TabulatedProfile,
     g_exponential,
     transform_coefficient,
     uniform_grid,
@@ -239,3 +240,18 @@ class TestVerification:
         report = verify_linear_solution(lc)
         assert report.passed and report.jump_identity_exact
         assert report.warnings == ()
+
+
+class TestScalarClosureCoefficient:
+    def test_scalar_first_call_does_not_fool_the_probe(self):
+        # LinearCoefficient calls c at the jump with a scalar before any
+        # grid evaluation; a closure that ignores its argument must still
+        # be seen as scalar-only
+        d = Derivator((0.0, 1.0), [
+            Segment(0.0, 0.5, LinearProfile(1.0)),
+            Segment(0.5, 1.0, TabulatedProfile(((0.6, 0.0), (0.8, 0.5), (0.9, 0.7)))),
+        ], [Jump(0.5, 1.0)])
+        traj = GExponential(LinearCoefficient(d, lambda t: 0.4)).trajectory(16)
+        ref = GExponential(LinearCoefficient(d, Integrand.constant(0.4))).trajectory(16)
+        assert traj.left_values.tobytes() == ref.left_values.tobytes()
+        assert traj.right_values.tobytes() == ref.right_values.tobytes()

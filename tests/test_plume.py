@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from helpers import assert_same_outcome, outcome, reference_euler, reference_picard
 from stieltjes import (
     AmbientDensity,
     DomainError,
     PlumeParams,
     RhsEvaluationError,
     SolveConfig,
+    SystemSpec,
     build_plume_system,
     flux_to_geometry,
     run_plume,
+    solve,
+    solve_euler,
+    solve_picard,
+    system_grid,
 )
+from stieltjes.specio import parse_system, serialize_derivator
 
 RK45_TOL = 1e-4
 
@@ -142,3 +149,69 @@ class TestBreakdown:
             build_plume_system(PlumeParams(), amb, 0.0, 0.01, 0.15)
         with pytest.raises(DomainError):
             build_plume_system(PlumeParams(), amb, 0.05, -1.0, 0.15)
+
+
+class TestBatchedRhs:
+    def spec(self, beta0=0.15):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(3.0, -1.5), (7.0, -0.8)])
+        return build_plume_system(PlumeParams(), amb, 0.05, 0.01, beta0)
+
+    def test_batch_equals_scalar_row_by_row(self):
+        spec = self.spec()
+        rng = np.random.default_rng(11)
+        n = 20000
+        zs = rng.uniform(0.0, 10.0, n)
+        X = np.column_stack([rng.normal(size=n), 10.0 ** rng.uniform(-12.0, 12.0, n),
+                             rng.normal(size=n)])
+        rows = np.array([spec.rhs(z, x) for z, x in zip(zs.tolist(), X)])
+        assert spec.rhs_batch(zs, X).tobytes() == rows.tobytes()
+
+    def test_stepped_plume_keeps_the_bits_of_the_scalar_loops(self):
+        spec = self.spec()
+        grid = system_grid(spec.derivators, 10.0, 256)
+        assert_same_outcome(solve_picard(spec, grid), reference_picard(spec, grid))
+        assert_same_outcome(solve_euler(spec, grid), reference_euler(spec, grid))
+
+    def test_breakdown_mid_sweep_names_the_height_of_the_scalar_loop(self):
+        # negative buoyancy drives m through zero part-way up; the second
+        # sweep meets m <= 0 at some height inside the grid
+        spec = self.spec(beta0=-0.5)
+        scalar = SystemSpec(spec.derivators, spec.rhs, spec.initial)
+        grid = system_grid(spec.derivators, 10.0, 256)
+        want = outcome(reference_picard, spec, grid)
+        assert want.startswith("RhsEvaluationError: momentum flux -")
+        assert want.endswith("; the plume model has broken down")
+        assert outcome(solve_picard, spec, grid) == want
+        assert outcome(solve_picard, scalar, grid) == want
+        with pytest.raises(RhsEvaluationError) as exc:
+            solve(spec, SolveConfig(mesh=256))
+        assert f"RhsEvaluationError: {exc.value}" == want
+
+    def test_batch_form_names_the_first_broken_row(self):
+        spec = self.spec()
+        X = np.array([[0.05, 0.01, 0.1], [0.05, -0.0, 0.1], [0.05, -1.0, 0.1]])
+        zs = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(RhsEvaluationError) as scalar:
+            spec.rhs(2.0, X[1])
+        with pytest.raises(RhsEvaluationError) as batch:
+            spec.rhs_batch(zs, X)
+        assert str(batch.value) == str(scalar.value)
+        assert str(scalar.value) == ("momentum flux -0.0 is not positive at height 2.0; "
+                                     "the plume model has broken down")
+
+    def test_catalog_plume_is_the_same_right_hand_side(self):
+        params = PlumeParams()
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(4.0, -2.0)])
+        built = build_plume_system(params, amb, 0.05, 0.01, -0.5)
+        doc = {
+            "derivators": [serialize_derivator(d) for d in built.derivators],
+            "initial": [0.05, 0.01, -0.5],
+            "rhs": {"kind": "plume", "A": params.volume_coefficient,
+                    "B": params.momentum_coefficient, "C": params.buoyancy_coefficient},
+        }
+        parsed, _ = parse_system(doc)
+        grid = system_grid(built.derivators, 10.0, 128)
+        want = outcome(reference_euler, built, grid)
+        assert "the plume model has broken down" in want
+        assert outcome(solve_euler, parsed, grid) == want
+        assert outcome(solve_picard, parsed, grid) == outcome(solve_picard, built, grid)

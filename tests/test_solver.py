@@ -5,6 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    assert_same_outcome,
+    outcome,
+    random_derivator,
+    reference_euler,
+    reference_picard,
+)
 from stieltjes import (
     CaratheodoryBound,
     ConstantProfile,
@@ -23,6 +30,7 @@ from stieltjes import (
     solve_picard,
     system_grid,
 )
+from stieltjes.specio import RHS_CATALOG, parse_system, serialize_derivator
 
 EULER_TOL = 1e-3
 PICARD_TOL = 1e-5
@@ -253,3 +261,162 @@ class TestValidation:
         spec = SystemSpec([identity()], lambda t, x: np.array([np.inf]), [1.0])
         with pytest.raises(RhsEvaluationError):
             spec.call_rhs(0.0, spec.initial)
+
+
+# ------------------------------------------------- batched right-hand sides
+
+
+def catalog_rhs(rng, kind, dim):
+    """A random right-hand side document of the given catalog kind."""
+    if kind == "zero":
+        return {"kind": "zero"}
+    if kind == "linear":
+        return {"kind": "linear", "coefficients": rng.uniform(-2.0, 2.0, dim).tolist()}
+    if kind == "polynomial":
+        return {"kind": "polynomial", "coefficients": [
+            rng.uniform(-2.0, 2.0, int(rng.integers(1, 6))).tolist() for _ in range(dim)]}
+    if kind == "tabulated":
+        ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(-0.2, 1.2, 5)])
+        ts = np.unique(ts)
+        return {"kind": "tabulated", "points": [
+            [t, *rng.uniform(-2.0, 2.0, dim).tolist()] for t in ts.tolist()]}
+    if kind == "plume":
+        return {"kind": "plume", "A": 0.1666, "B": 56.5056, "C": 2.8e-4}
+    raise ValueError(kind)
+
+
+def catalog_system(rng, kind, horizon=None):
+    """A system of random derivators on [0, 1] driven by a catalog rhs."""
+    dim = 3 if kind == "plume" else int(rng.integers(1, 5))
+    derivators = [serialize_derivator(random_derivator(rng)) for _ in range(dim)]
+    initial = rng.uniform(-1.0, 1.0, dim).tolist()
+    if kind == "plume":
+        derivators[:2] = [serialize_derivator(Derivator.identity(0.0, 1.0))] * 2
+        initial = [0.05, 0.01, 0.15]
+    doc = {"derivators": derivators, "initial": initial,
+           "rhs": catalog_rhs(rng, kind, dim), "horizon": horizon}
+    return parse_system(doc)[0]
+
+
+def scalar_only(spec):
+    """The same system without its batch form."""
+    return SystemSpec(spec.derivators, spec.rhs, spec.initial, horizon=spec.horizon)
+
+
+class TestBatchedRhs:
+    @pytest.mark.parametrize("kind", RHS_CATALOG)
+    def test_batch_equals_scalar_row_by_row(self, kind):
+        rng = np.random.default_rng(RHS_CATALOG.index(kind))
+        for _ in range(20):
+            spec = catalog_system(rng, kind)
+            n = 500
+            ts = np.concatenate([rng.uniform(-0.2, 1.2, n - 3), [0.0, 0.5, 1.0]])
+            X = rng.normal(scale=2.0, size=(n, spec.dim))
+            if kind == "plume":
+                X[:, 1] = 10.0 ** rng.uniform(-12.0, 12.0, n)
+            batch = spec.rhs_batch(ts, X)
+            rows = np.array([spec.rhs(t, x) for t, x in zip(ts.tolist(), X)])
+            assert batch.shape == rows.shape == (n, spec.dim)
+            assert batch.tobytes() == rows.tobytes()
+
+    def test_plume_quarter_power_matches_scalar_power(self):
+        # numpy's array power may round m ** 0.25 differently from the
+        # scalar power in a few percent of draws; the batch form must not
+        spec = catalog_system(np.random.default_rng(3), "plume")
+        m = 10.0 ** np.random.default_rng(4).uniform(-12.0, 12.0, 20000)
+        X = np.column_stack([np.ones_like(m), m, np.ones_like(m)])
+        ts = np.linspace(0.0, 1.0, len(m))
+        batch = spec.rhs_batch(ts, X)[:, 0]
+        rows = np.array([spec.rhs(t, x)[0] for t, x in zip(ts.tolist(), X)])
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_without_a_batch_form_rows_go_through_call_rhs(self):
+        spec = scalar_growth(jumps=[Jump(0.5, 1.0)])
+        assert spec.rhs_batch is None
+        ts = np.linspace(0.0, 1.0, 9)
+        X = np.arange(9.0).reshape(9, 1)
+        np.testing.assert_array_equal(spec.call_rhs_many(ts, X), X)
+        assert spec.call_rhs_many(ts[:0], X[:0]).shape == (0, 1)
+
+    def test_first_non_finite_row_names_its_time(self):
+        def rhs(t, x):
+            return np.array([np.inf]) if t >= 0.5 else x
+
+        def rhs_batch(ts, X):
+            return np.where(ts[:, None] >= 0.5, np.inf, X)
+
+        ts = np.linspace(0.0, 1.0, 9)
+        X = np.ones((9, 1))
+        for batch in (rhs_batch, None):
+            spec = SystemSpec([identity()], rhs, [1.0], rhs_batch=batch)
+            with pytest.raises(RhsEvaluationError,
+                               match=r"non-finite value at t=0\.5$"):
+                spec.call_rhs_many(ts, X)
+
+    def test_errors_come_in_row_order(self):
+        # rows from t = 0.5 on are non-finite, rows from t = 0.75 on break
+        # the model; the batch form reports the model error, yet the first
+        # failing row is the non-finite one at t = 0.5
+        def rhs(t, x):
+            if t >= 0.75:
+                raise RhsEvaluationError(f"model broke at t={t}")
+            return np.array([np.nan]) if t >= 0.5 else x
+
+        def rhs_batch(ts, X):
+            if np.any(ts >= 0.75):
+                raise RhsEvaluationError(f"model broke at t={ts[ts >= 0.75][0]}")
+            return np.where(ts[:, None] >= 0.5, np.nan, X)
+
+        spec = SystemSpec([identity()], rhs, [1.0], rhs_batch=rhs_batch)
+        ts = np.linspace(0.0, 1.0, 9)
+        X = np.ones((9, 1))
+        with pytest.raises(RhsEvaluationError, match=r"non-finite value at t=0\.5$"):
+            spec.call_rhs_many(ts, X)
+        # a row that is both broken and non-finite counts once, as the error
+        # the scalar form raises for it
+        with pytest.raises(RhsEvaluationError, match=r"^model broke at t=0\.75$"):
+            spec.call_rhs_many(ts[6:], X[6:])
+
+    def test_batch_shape_is_checked(self):
+        spec = SystemSpec([identity()], lambda t, x: x, [1.0],
+                          rhs_batch=lambda ts, X: X.ravel())
+        with pytest.raises(RhsEvaluationError, match="batch right-hand side returned shape"):
+            spec.call_rhs_many(np.zeros(3), np.ones((3, 1)))
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize("kind", RHS_CATALOG)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_picard_keeps_the_bits_of_the_per_point_loop(self, kind, seed):
+        rng = np.random.default_rng(100 * seed + len(kind))
+        spec = catalog_system(rng, kind)
+        grid = system_grid(spec.derivators, 1.0, 48)
+        want = outcome(reference_picard, spec, grid)
+        assert_same_outcome(outcome(solve_picard, spec, grid), want)
+        assert_same_outcome(outcome(solve_picard, scalar_only(spec), grid), want)
+
+    @pytest.mark.parametrize("kind", RHS_CATALOG)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_euler_keeps_the_bits_of_the_per_step_loop(self, kind, seed):
+        rng = np.random.default_rng(100 * seed + len(kind))
+        spec = catalog_system(rng, kind)
+        grid = system_grid(spec.derivators, 1.0, 96)
+        for radius in (None, 0.05, 1e6):
+            want = outcome(reference_euler, spec, grid, safety_radius=radius)
+            assert_same_outcome(outcome(solve_euler, spec, grid, safety_radius=radius), want)
+
+    def test_simultaneous_jumps_and_a_flat_component(self):
+        jumps = [Jump(0.25, -0.4), Jump(0.5, 1.0)]
+        flat = Derivator((0.0, 1.0), [Segment(0.0, 0.5, ConstantProfile()),
+                                      Segment(0.5, 1.0, ConstantProfile())],
+                         [Jump(0.5, 0.3)])
+        spec = SystemSpec(
+            [identity(jumps=jumps), identity(jumps=jumps[1:]), flat],
+            lambda t, x: np.array([x[1], -x[0], math.cos(t) + x[2]]),
+            [1.0, 0.0, -0.0],
+        )
+        grid = system_grid(spec.derivators, 1.0, 128)
+        assert_same_outcome(solve_picard(spec, grid), reference_picard(spec, grid))
+        euler = solve_euler(spec, grid, safety_radius=0.5)
+        assert len(euler[2]) == 1
+        assert_same_outcome(euler, reference_euler(spec, grid, safety_radius=0.5))
