@@ -44,17 +44,13 @@ def _emit_json(doc, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _cells(column) -> list[str]:
-    """A CSV column as text: arrays with 17 significant digits; any other
-    column holds its strings already."""
-    if isinstance(column, np.ndarray):
-        return [format(v, ".17g") for v in column.tolist()]
-    return column
-
-
 def _emit_csv(header, columns, out_path: str | None):
+    """Write columns as CSV: arrays as floats with 17 significant digits, any
+    other column as the strings it holds."""
+    template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    lines.extend(template % row for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -261,12 +261,15 @@ class TestSolve:
             assert err["message"].endswith("; the plume model has broken down")
 
 
-class TestCsvCells:
-    def test_columns_format_like_single_cells(self):
+class TestCsvColumns:
+    def test_columns_format_like_single_cells(self, capsys):
         values = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-320, 1e300, np.inf,
                            -np.inf, np.nan, 4.0, 2.0 ** 53 + 2.0])
-        assert cli._cells(values) == [f"{float(v):.17g}" for v in values]
-        assert cli._cells(["L", "R"]) == ["L", "R"]
+        sides = ["L", "R"] * 5 + ["L"]
+        cli._emit_csv(("v", "side", "w"), (values, sides, values[::-1].copy()), None)
+        want = ["v,side,w"] + [f"{float(a):.17g},{s},{float(b):.17g}"
+                               for a, s, b in zip(values, sides, values[::-1])]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 class TestPlume:
