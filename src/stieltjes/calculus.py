@@ -70,11 +70,9 @@ class Trajectory:
         a, b = self.governing.interval
         if self.grid[0] < a or self.grid[-1] > b:
             raise DomainError("grid extends outside the governing interval")
-        ats = np.array([float(j.at) for j in self.governing.jumps])
-        ats = ats[(self.grid[0] <= ats) & (ats <= self.grid[-1])]
-        missing = ats[~np.isin(ats, self.grid)]
-        if missing.size:
-            raise DomainError(f"grid is missing jump times {missing.tolist()}")
+        missing = _missing_jumps(self.governing, self.grid)
+        if missing:
+            raise DomainError(f"grid is missing jump times {missing}")
         moved = self.right_values != self.left_values
         moved &= self.governing.jump_index(self.grid) < 0
         if np.any(moved):
@@ -133,6 +131,13 @@ class Trajectory:
             self.governing,
             self.interpolation,
         )
+
+
+def _missing_jumps(d: Derivator, grid: np.ndarray) -> list[float]:
+    """Jump times of d between the first and last grid time that the grid lacks."""
+    ats = np.array([j.at for j in d.jumps])
+    ats = ats[(grid[0] <= ats) & (ats <= grid[-1])]
+    return ats[grid[grid.searchsorted(ats)] != ats].tolist()
 
 
 def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
@@ -196,6 +201,28 @@ def _running_sums(atoms: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.
     steps[2::2] = cells
     sums = np.cumsum(steps)
     return sums[0::2].copy(), sums[1::2].copy()
+
+
+def _trapezoid_cells(starts: np.ndarray, ends: np.ndarray,
+                     increments: np.ndarray) -> np.ndarray:
+    """Trapezoid rule per grid cell: ``0.5 * (starts[k] + ends[k + 1]) * increments[k]``.
+
+    ``starts`` holds the integrand sampled at each cell's left end, ``ends``
+    at each cell's right end (the right and left values at a grid time).
+    """
+    return 0.5 * (starts[:-1] + ends[1:]) * increments
+
+
+def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Cumulative atoms-plus-cells sum over a grid, 0.0 at the first time.
+
+    Entry i is the running sum of ``atoms[k] + cells[k]`` over k < i, each
+    atom and its cell added together before joining the sum (unlike
+    :func:`_running_sums`, which adds them one at a time). Arrays with
+    columns are summed per column along axis 0.
+    """
+    steps = atoms[:-1] + cells
+    return np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
 
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
@@ -559,9 +586,7 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
                          np.where(table.right_ok, np.nan_to_num(table.right_est), 0.0))
     from_right = np.where(interior, table.values,
                           np.where(table.left_ok, np.nan_to_num(table.left_est), 0.0))
-    cont_inc = gl[1:] - gr[:-1]
-    cells = 0.5 * (from_left[:-1] + from_right[1:]) * cont_inc
-    cum = np.concatenate([[0.0], np.cumsum(atom[:-1] + cells)])
+    cum = _resum(atom, _trapezoid_cells(from_left, from_right, gl[1:] - gr[:-1]))
     target = h.left_values - h.left_values[0]
     deviations = np.abs(cum - target)
     max_dev = float(np.max(deviations))

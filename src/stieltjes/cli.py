@@ -258,6 +258,14 @@ def _parse_plume_doc(doc) -> tuple[plume.PlumeParams, plume.AmbientDensity, floa
     return params, ambient, q0, m0, beta0, horizon
 
 
+def _geometry(states):
+    """Radius, velocity and buoyancy of each (q, m, beta) row; nan unless q > 0 and m > 0."""
+    geo = np.full(states.shape, np.nan)
+    ok = (states[:, 0] > 0) & (states[:, 1] > 0)
+    geo[ok] = np.column_stack(plume.flux_to_geometry(*states[ok].T))
+    return geo
+
+
 def _cmd_plume(args) -> int:
     params, ambient, q0, m0, beta0, horizon = _parse_plume_doc(
         specio.load_json(args.plume, "plume")
@@ -270,18 +278,9 @@ def _cmd_plume(args) -> int:
     config = solver.SolveConfig(mesh=args.mesh, picard=True, tol=args.tol,
                                 max_iter=args.max_iter)
     report = solver.solve(spec, config)
-    audit = plume._audit_plume(params, ambient, report)
-
-    def geometry(q, m, beta):
-        if q > 0 and m > 0:
-            b = q * m ** -0.25
-            w = float(np.sqrt(m) / q)
-            return b, w, beta / q
-        return float("nan"), float("nan"), float("nan")
-
+    audit = plume._audit_plume(report)
     heights, sides, states = _sided_rows(report)
-    geo = np.array([geometry(*x) for x in states], dtype=float).reshape(-1, 3)
-    columns = (heights, sides, *states.T, *geo.T)
+    columns = (heights, sides, *states.T, *_geometry(states).T)
     header = ("z", "side", "q", "m", "beta", "b", "w", "theta")
     if args.output:
         _emit_csv(header, columns, args.output)

@@ -177,7 +177,7 @@ class TabulatedProfile:
         return np.interp(np.asarray(t, dtype=float), xs, ys) - ys[0]
 
     def density(self, lo: float, hi: float, t):
-        raise DomainError("tabulated profiles expose no density; integrate by refinement")
+        raise DomainError("tabulated profiles expose no density; integrate per knot cell")
 
     def inferred_direction(self) -> str:
         _, ys = self._arrays()
@@ -219,20 +219,6 @@ class Segment:
                 raise DomainError(
                     f"tabulated samples must lie strictly inside ({self.lo}, {self.hi})"
                 )
-        self._check_monotone_by_sampling()
-
-    def _check_monotone_by_sampling(self, n: int = 257):
-        ts = np.linspace(self.lo, self.hi, n)
-        vals = self.profile.increment(self.lo, self.hi, ts)
-        steps = np.diff(vals)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        tol = 1e-12 * scale
-        if self.direction == NONDECREASING and np.any(steps < -tol):
-            raise DomainError("profile decreases on a nondecreasing segment")
-        if self.direction == NONINCREASING and np.any(steps > tol):
-            raise DomainError("profile increases on a nonincreasing segment")
-        if self.direction == CONSTANT and np.any(np.abs(steps) > tol):
-            raise DomainError("profile moves on a constant segment")
 
     def increment_to(self, t):
         """Continuous increment accumulated from lo up to t (vectorized)."""

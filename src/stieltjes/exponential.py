@@ -25,7 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import Trajectory, _cell_integrals, _running_sums, uniform_grid
+from .calculus import (
+    Trajectory,
+    _cell_integrals,
+    _resum,
+    _running_sums,
+    _trapezoid_cells,
+    uniform_grid,
+)
 from .derivator import Derivator
 from .errors import DegenerateCoefficientError, DomainError
 from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
@@ -199,10 +206,7 @@ def verify_linear_solution(lc: LinearCoefficient, grid_hint: int = 1024,
     deltas = d.deltas_on(grid)
     f_left = cvals * traj.left_values
     f_right = cvals * traj.right_values
-    atoms = f_left * deltas
-    cont_inc = gl[1:] - gr[:-1]
-    cells = 0.5 * (f_right[:-1] + f_left[1:]) * cont_inc
-    cum = np.concatenate([[0.0], np.cumsum(atoms[:-1] + cells)])
+    cum = _resum(f_left * deltas, _trapezoid_cells(f_right, f_left, gl[1:] - gr[:-1]))
     residual = traj.left_values - 1.0 - cum
     max_res = float(np.max(np.abs(residual)))
 

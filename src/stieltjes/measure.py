@@ -11,15 +11,16 @@ Integration splits into a continuous part and an atomic part:
 * smooth profiles integrate ``f(t) * density(t)`` with adaptive Gauss-Kronrod
   panels (power profiles with exponent < 1 are first substituted so the
   density singularity disappears);
-* tabulated profiles have no usable density and are integrated by refined
-  midpoint Riemann-Stieltjes sums with one Richardson acceleration step;
+* tabulated profiles are linear between consecutive knots, so each knot
+  cell contributes its slope times an adaptive Gauss-Kronrod integral of f
+  (flat cells contribute nothing);
 * each jump in ``[lo, hi)`` contributes ``f(at)`` times its (signed, clipped,
   or absolute) mass, with f taken at its left value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .derivator import (
     TabulatedProfile,
     TOTAL,
 )
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 SIGNED = "signed"
 POSITIVE_PART = "positive_part"
@@ -60,6 +61,8 @@ class Integrand:
         self._fn = fn
         self.kind = kind
         self._vectorized = vectorized
+        # abscissae where the function may kink or jump, known for tables and pieces
+        self._kinks = np.empty(0)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -112,7 +115,9 @@ class Integrand:
                     out[m] = np.polynomial.polynomial.polyval(t[m], row)
             return out
 
-        return cls(evaluate, kind="piecewise_poly", vectorized=True)
+        out = cls(evaluate, kind="piecewise_poly", vectorized=True)
+        out._kinks = bks
+        return out
 
     @classmethod
     def tabulated(cls, points: Sequence[tuple[float, float]]) -> "Integrand":
@@ -120,8 +125,10 @@ class Integrand:
         ys = np.asarray([p[1] for p in points], dtype=float)
         if np.any(np.diff(xs) <= 0):
             raise DomainError("tabulated integrand abscissae must be strictly increasing")
-        return cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),
-                   kind="tabulated", vectorized=True)
+        out = cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),
+                  kind="tabulated", vectorized=True)
+        out._kinks = xs
+        return out
 
 
 @dataclass(frozen=True)
@@ -170,14 +177,7 @@ class StieltjesMeasure:
         a, b = d.interval
         if not (a <= t < b):
             raise DomainError(f"point {t} not inside [{a}, {b})")
-        delta = d.delta_at(t)
-        if self.signature == SIGNED:
-            return delta
-        if self.signature == POSITIVE_PART:
-            return max(delta, 0.0)
-        if self.signature == NEGATIVE_PART:
-            return max(-delta, 0.0)
-        return abs(delta)
+        return self._jump_weight(d.delta_at(t))
 
     def _jump_weight(self, delta: float) -> float:
         if self.signature == SIGNED:
@@ -325,41 +325,23 @@ def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
 
 
 def _tabulated_integral(f: Integrand, seg: Segment, lo: float, hi: float,
-                        rel_tol: float, max_levels: int = 22) -> float:
-    """Refined midpoint Riemann-Stieltjes sums with one Richardson step.
+                        rel_tol: float) -> float:
+    """Sum over the knot cells of [lo, hi] of the cell slope times the integral of f.
 
-    The profile is piecewise linear, so the midpoint sum converges at O(h^2)
-    and its Richardson pair at O(h^4); refinement doubles until the
-    accelerated value stabilizes to ``rel_tol``.
+    The profile is linear on each cell between consecutive knots, so there
+    the measure is the slope times dt and f goes to adaptive Gauss-Kronrod
+    quadrature, as in :func:`~stieltjes.calculus._cell_integrals`. The cells
+    are also cut where f itself may kink: a kink that falls between a panel's
+    outer node and its end is invisible to the Kronrod error estimate.
     """
-    knots = np.asarray([seg.lo, *seg.interior_knots(), seg.hi])
-    knots = knots[(knots > lo) & (knots < hi)]
-    base = np.unique(np.concatenate([[lo], knots, [hi]]))
-
-    def midpoint_sum(pieces_per_gap: int) -> float:
-        edges = np.unique(np.concatenate([
-            np.linspace(base[i], base[i + 1], pieces_per_gap + 1)
-            for i in range(len(base) - 1)
-        ]))
-        g_edges = seg.increment_to(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.dot(f(mids), np.diff(g_edges)))
-
-    n = 8
-    prev = midpoint_sum(n)
-    prev_rich = None
-    for _ in range(max_levels):
-        n *= 2
-        cur = midpoint_sum(n)
-        rich = (4.0 * cur - prev) / 3.0
-        if prev_rich is not None and abs(rich - prev_rich) <= rel_tol * max(abs(rich), 1e-15):
-            return rich
-        prev, prev_rich = cur, rich
-    raise QuadratureError(
-        f"Riemann-Stieltjes refinement stalled on [{lo}, {hi}]",
-        estimate=prev_rich if prev_rich is not None else prev,
-        error_estimate=abs(rich - prev_rich) if prev_rich is not None else float("inf"),
-    )
+    knots = np.concatenate([seg.interior_knots(), f._kinks])
+    edges = np.unique(np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]]))
+    slopes = np.diff(seg.increment_to(edges)) / np.diff(edges)
+    total = 0.0
+    for c, e, slope in zip(edges[:-1].tolist(), edges[1:].tolist(), slopes.tolist()):
+        if slope != 0.0:
+            total += slope * quadrature.integrate_adaptive(f, c, e, rel_tol)
+    return total
 
 
 # ---------------------------------------------------------------- module API

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import Trajectory, _cell_integrals
+from .calculus import Trajectory, _cell_integrals, _missing_jumps, _resum, _trapezoid_cells
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -177,11 +177,8 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
         hv = np.asarray(h(grid), dtype=float)
         if np.any(hv < 0):
             raise DomainError(f"dominator for component {j} is negative on the grid")
-        cells = np.abs(_cell_integrals(d, h, grid))
-        deltas = np.abs(d.deltas_on(grid))
-        atoms = hv * deltas
-        cum = np.concatenate([[0.0], np.cumsum(atoms[:-1] + cells)])
-        worst = np.maximum(worst, cum)
+        atoms = hv * np.abs(d.deltas_on(grid))
+        worst = np.maximum(worst, _resum(atoms, np.abs(_cell_integrals(d, h, grid))))
     ok = worst <= bound.radius
     ok[0] = False
     if not np.any(ok):
@@ -196,15 +193,11 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
 
 def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
     """deltas[k, j] = jump of derivator j at grid[k] (zero off jumps)."""
-    deltas = np.zeros((len(grid), len(derivators)))
-    for j, d in enumerate(derivators):
-        for jump in d.jumps:
-            if grid[0] <= jump.at <= grid[-1]:
-                k = int(np.searchsorted(grid, jump.at))
-                if k >= len(grid) or grid[k] != jump.at:
-                    raise DomainError(f"solver grid is missing jump time {jump.at}")
-                deltas[k, j] = jump.delta
-    return deltas
+    for d in derivators:
+        missing = _missing_jumps(d, grid)
+        if missing:
+            raise DomainError(f"solver grid is missing jump time {missing[0]}")
+    return np.stack([d.deltas_on(grid) for d in derivators], axis=1)
 
 
 def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
@@ -295,11 +288,9 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
         f_right = f_left.copy()
         f_right[jump_rows] = spec.call_rhs_many(grid[jump_rows], right[jump_rows])
         atoms = f_left * deltas
-        cells = 0.5 * (f_right[:-1] + f_left[1:]) * cont
-        increments = atoms[:-1] + cells
-        new_left = np.empty_like(left)
+        new_left = spec.initial + _resum(atoms, _trapezoid_cells(f_right, f_left, cont))
+        # x + 0.0 turns an initial -0.0 into +0.0
         new_left[0] = spec.initial
-        new_left[1:] = spec.initial + np.cumsum(increments, axis=0)
         new_right = new_left + atoms
         last_change = float(np.max(np.abs(new_left - left)))
         left, right = new_left, new_right
@@ -383,14 +374,6 @@ def _audit_jumps(spec: SystemSpec, grid: np.ndarray,
     return tuple(rows)
 
 
-def _simultaneous_jump_times(derivators: Sequence[Derivator]) -> tuple[float, ...]:
-    seen: dict[float, int] = {}
-    for d in derivators:
-        for j in d.jumps:
-            seen[j.at] = seen.get(j.at, 0) + 1
-    return tuple(sorted(t for t, c in seen.items() if c > 1))
-
-
 def _run(spec: SystemSpec, grid: np.ndarray, config: SolveConfig):
     if config.picard:
         left, right, conv, iters, change, warns = solve_picard(
@@ -434,8 +417,8 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
         Trajectory(grid, left[:, j], right[:, j], spec.derivators[j])
         for j in range(spec.dim)
     )
-    sim = _simultaneous_jump_times(spec.derivators)
-    sim = tuple(t for t in sim if grid[0] <= t <= grid[-1])
+    together = np.count_nonzero(_jump_table(spec.derivators, grid), axis=1) >= 2
+    sim = tuple(grid[together].tolist())
     all_warns = list(warns)
     if sim:
         all_warns.append(

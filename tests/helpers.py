@@ -156,15 +156,94 @@ def rs_integral_oracle(f, d, lo, hi, signature="signed", level=16):
 #
 # The per-point Euler and Picard loops the solver ran before it batched its
 # right-hand-side evaluations, kept verbatim as references: the solver must
-# give the same bits, and raise the same errors, as these loops.
+# give the same bits, and raise the same errors, as these loops. The jump
+# table, the plume audit and the CLI's geometry inversion keep their earlier
+# per-jump and per-row loops here for the same reason.
+
+
+def reference_jump_table(derivators, grid):
+    """deltas[k, j] = jump of derivator j at grid[k], one jump at a time."""
+    from stieltjes import DomainError
+
+    deltas = np.zeros((len(grid), len(derivators)))
+    for j, d in enumerate(derivators):
+        for jump in d.jumps:
+            if grid[0] <= jump.at <= grid[-1]:
+                k = int(np.searchsorted(grid, jump.at))
+                if k >= len(grid) or grid[k] != jump.at:
+                    raise DomainError(f"solver grid is missing jump time {jump.at}")
+                deltas[k, j] = jump.delta
+    return deltas
+
+
+def reference_plume_audit(params, ambient, report):
+    """The plume audit recomputed per density jump from the trajectories."""
+    from stieltjes import BuoyancyJumpRow, PlumeAudit
+
+    q_tr, m_tr, b_tr = report.trajectories
+    C = params.buoyancy_coefficient
+    rows = []
+    for jump in ambient.rho.jumps:
+        if not (report.grid[0] <= jump.at <= report.grid[-1]):
+            continue
+        k = q_tr.index_of(jump.at)
+        q_here = q_tr.left_values[k]
+        bl = b_tr.left_values[k]
+        br = b_tr.right_values[k]
+        expected = bl + (C * q_here) * jump.delta
+        residual = br - expected
+        scale = max(abs(bl), abs(br), 1e-300)
+        rows.append(BuoyancyJumpRow(
+            height=float(jump.at),
+            beta_left=float(bl),
+            beta_right=float(br),
+            expected_jump=float((C * q_here) * jump.delta),
+            residual=float(residual),
+            residual_ulps=float(abs(residual) / np.spacing(scale)),
+        ))
+    vol_cont = bool(np.all(q_tr.right_values == q_tr.left_values))
+    mom_cont = bool(np.all(m_tr.right_values == m_tr.left_values))
+    min_m = float(np.min(m_tr.left_values))
+    warnings = []
+    if min_m < 1e-8 * m_tr.left_values[0]:
+        warnings.append(
+            f"momentum flux nearly vanishes (min {min_m:.3e}); "
+            "the plume is close to breakdown and the geometry inversion degrades"
+        )
+    return PlumeAudit(
+        buoyancy_jumps=tuple(rows),
+        volume_continuous=vol_cont,
+        momentum_continuous=mom_cont,
+        min_momentum=min_m,
+        warnings=tuple(warnings),
+    )
+
+
+def reference_geometry(states):
+    """(b, w, theta) per (q, m, beta) row, one row at a time; nan rows where
+    q <= 0 or m <= 0."""
+
+    def geometry(q, m, beta):
+        if q > 0 and m > 0:
+            b = q * m ** -0.25
+            w = float(np.sqrt(m) / q)
+            return b, w, beta / q
+        return float("nan"), float("nan"), float("nan")
+
+    return np.array([geometry(*x) for x in states], dtype=float).reshape(-1, 3)
+
+
+def same_bits(a, b):
+    """Equal values down to the bits: nan equals nan, -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def reference_euler(spec, grid, safety_radius=None):
-    from stieltjes.solver import _continuous_increments, _jump_table
+    from stieltjes.solver import _continuous_increments
 
     n = len(grid)
     dim = spec.dim
-    deltas = _jump_table(spec.derivators, grid)
+    deltas = reference_jump_table(spec.derivators, grid)
     cont = _continuous_increments(spec.derivators, grid)
     left = np.empty((n, dim))
     right = np.empty((n, dim))
@@ -212,11 +291,11 @@ def reference_euler(spec, grid, safety_radius=None):
 
 
 def reference_picard(spec, grid, tol=1e-10, max_iter=25):
-    from stieltjes.solver import _continuous_increments, _jump_table
+    from stieltjes.solver import _continuous_increments
 
     n = len(grid)
     dim = spec.dim
-    deltas = _jump_table(spec.derivators, grid)
+    deltas = reference_jump_table(spec.derivators, grid)
     cont = _continuous_increments(spec.derivators, grid)
     jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
     left = np.tile(spec.initial, (n, 1))

@@ -305,6 +305,24 @@ class TestPlume:
         assert len(r_rows) == 1
         assert float(r_rows[0].split(",")[0]) == 4.0
 
+    def test_ambient_dipping_below_zero_is_an_input_error(self, tmp_path, capsys):
+        doc = self.plume_doc()
+        doc["ambient"] = {
+            "interval": [0.0, 1.0],
+            "anchor": 1.0,
+            "segments": [
+                {"lo": 0.0, "hi": 0.301, "profile": {"kind": "constant"}},
+                {"lo": 0.301, "hi": 0.3015, "profile": {"kind": "constant"}},
+                {"lo": 0.3015, "hi": 1.0, "profile": {"kind": "constant"}},
+            ],
+            "jumps": [{"at": 0.301, "delta": -1.5}, {"at": 0.3015, "delta": 1.5}],
+        }
+        ppath = write(tmp_path, "plume.json", doc)
+        assert cli.main(["plume", ppath]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["path"] == "plume.ambient"
+        assert "positive" in err["error"]["message"]
+
     def test_unknown_param_rejected(self, tmp_path, capsys):
         doc = self.plume_doc()
         doc["params"]["viscosity"] = 1.0

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    make_profile,
     random_derivator,
     random_polynomial_coeffs,
     random_subinterval,
@@ -178,3 +181,103 @@ class TestIntegrand:
     def test_tabulated_interpolates(self):
         f = Integrand.tabulated([(0.0, 1.0), (1.0, 3.0)])
         assert f(0.5) == 2.0
+
+
+def _exact_tabulated(prof, lo, hi, antiderivative, breaks=()):
+    """Integral over [lo, hi] against a tabulated profile, in rational arithmetic.
+
+    ``antiderivative(c, e)`` gives the exact integral of the integrand over
+    [c, e] for c, e inside one piece; ``breaks`` are the integrand's own
+    piece boundaries, so no piece straddles one.
+    """
+    F = Fraction
+    total = F(0)
+    for (x0, y0), (x1, y1) in zip(prof.points, prof.points[1:]):
+        c, e = max(F(x0), F(lo)), min(F(x1), F(hi))
+        if c >= e:
+            continue
+        slope = (F(y1) - F(y0)) / (F(x1) - F(x0))
+        cuts = sorted({c, e, *(F(x) for x in breaks if c < F(x) < e)})
+        total += slope * sum(antiderivative(u, v) for u, v in zip(cuts, cuts[1:]))
+    return total
+
+
+def _poly_integral(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+
+    def integral(c, e):
+        return sum(ck * (e ** (k + 1) - c ** (k + 1)) / (k + 1) for k, ck in enumerate(cs))
+
+    return integral
+
+
+class TestTabulatedIntegral:
+    """Tabulated profiles integrate per knot cell, exactly up to rounding
+    for polynomials."""
+
+    def draw(self, rng):
+        prof = make_profile(rng, 0.0, 1.0)
+        while not isinstance(prof, TabulatedProfile):
+            prof = make_profile(rng, 0.0, 1.0)
+        d = Derivator((0.0, 1.0), [Segment(0.0, 1.0, prof)], [])
+        lo, hi = sorted(rng.uniform(0.0, 1.0, size=2))
+        return prof, d, float(lo), float(hi)
+
+    def test_polynomial_matches_the_closed_form(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            prof, d, lo, hi = self.draw(rng)
+            # positive on [0, 1], so the relative error has no cancellation to hide in
+            coeffs = [rng.uniform(0.5, 2.0), *rng.uniform(-0.3, 0.3, size=int(rng.integers(0, 5)))]
+            for a, b in ((0.0, 1.0), (lo, hi)):
+                exact = float(_exact_tabulated(prof, a, b, _poly_integral(coeffs)))
+                got = signed(d).integrate(Integrand.polynomial(coeffs), a, b)
+                assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    def test_kinked_integrands_meet_the_tolerance(self, rel_tol):
+        rng = np.random.default_rng(43)
+        F = Fraction
+        for _ in range(40):
+            prof, d, lo, hi = self.draw(rng)
+            # a tabulated integrand with kinks off the profile's knots
+            xs = np.sort(rng.uniform(0.0, 1.0, size=5)).tolist()
+            ys = rng.uniform(0.5, 2.0, size=5).tolist()
+            f = Integrand.tabulated(list(zip(xs, ys)))
+
+            def value(t):
+                if t <= F(xs[0]):
+                    return F(ys[0])
+                if t >= F(xs[-1]):
+                    return F(ys[-1])
+                i = max(k for k in range(len(xs)) if F(xs[k]) <= t)
+                w = (t - F(xs[i])) / (F(xs[i + 1]) - F(xs[i]))
+                return F(ys[i]) + w * (F(ys[i + 1]) - F(ys[i]))
+
+            exact = float(_exact_tabulated(
+                prof, lo, hi, lambda c, e: (value(c) + value(e)) / 2 * (e - c), xs))
+            got = signed(d).integrate(f, lo, hi, rel_tol=rel_tol)
+            assert abs(got - exact) <= rel_tol * abs(exact)
+
+            # a piecewise polynomial that jumps at an off-knot break
+            mid = float(rng.uniform(0.1, 0.9))
+            rows = [[1.0, 0.5], [2.0, -0.5, 0.25]]
+            g = Integrand.piecewise_polynomial([0.0, mid, 1.0], rows)
+            left, right = _poly_integral(rows[0]), _poly_integral(rows[1])
+            exact = float(_exact_tabulated(
+                prof, lo, hi, lambda c, e: left(c, e) if e <= F(mid) else right(c, e), [mid]))
+            got = signed(d).integrate(g, lo, hi, rel_tol=rel_tol)
+            assert abs(got - exact) <= rel_tol * abs(exact)
+
+    def test_flat_cells_cost_no_quadrature(self, monkeypatch):
+        from stieltjes import quadrature
+
+        calls = []
+        real = quadrature.integrate_adaptive
+        monkeypatch.setattr(quadrature, "integrate_adaptive",
+                            lambda f, lo, hi, rel_tol: calls.append((lo, hi)) or real(f, lo, hi, rel_tol))
+        prof = TabulatedProfile(((0.2, 0.0), (0.4, 0.0), (0.6, 1.0), (0.8, 1.0)))
+        d = Derivator((0.0, 1.0), [Segment(0.0, 1.0, prof)], [])
+        value = signed(d).integrate(Integrand.polynomial([0.0, 1.0]), 0.0, 1.0)
+        assert calls == [(0.4, 0.6)]
+        assert value == pytest.approx(0.5, rel=1e-15)

@@ -1,10 +1,20 @@
 """Plume rise in flux variables through layered and stratified ambients."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import assert_same_outcome, outcome, reference_euler, reference_picard
+from helpers import (
+    assert_same_outcome,
+    outcome,
+    reference_euler,
+    reference_geometry,
+    reference_picard,
+    reference_plume_audit,
+    same_bits,
+)
 from stieltjes import (
     AmbientDensity,
     DomainError,
@@ -20,6 +30,7 @@ from stieltjes import (
     solve_picard,
     system_grid,
 )
+from stieltjes import cli
 from stieltjes.specio import parse_system, serialize_derivator
 
 RK45_TOL = 1e-4
@@ -56,6 +67,16 @@ class TestAmbient:
     def test_positivity_enforced(self):
         with pytest.raises(DomainError):
             AmbientDensity.step(0.0, 10.0, 1.0, drops=[(4.0, -5.0)])
+
+    def test_a_narrow_dip_below_zero_is_rejected(self):
+        # negative on [0.301, 0.3015) only, between any two of 257 even samples
+        with pytest.raises(DomainError, match="must stay positive"):
+            AmbientDensity.step(0.0, 1.0, 1.0, drops=[(0.301, -1.5), (0.3015, 1.5)])
+
+    def test_touching_zero_at_a_segment_end_is_rejected(self):
+        with pytest.raises(DomainError):
+            AmbientDensity.linear(0.0, 2.0, 1.0, -0.5)
+        AmbientDensity.linear(0.0, 2.0, 1.0, -0.49)
 
 
 class TestInterfacePhysics:
@@ -215,3 +236,58 @@ class TestBatchedRhs:
         assert "the plume model has broken down" in want
         assert outcome(solve_euler, parsed, grid) == want
         assert outcome(solve_picard, parsed, grid) == outcome(solve_picard, built, grid)
+
+
+def random_stepped_ambient(rng):
+    lo, hi = 0.0, float(rng.uniform(2.0, 12.0))
+    heights = np.sort(rng.choice(np.arange(1, 64), size=int(rng.integers(0, 6)), replace=False))
+    drops = [(lo + (hi - lo) * z / 64.0, float(rng.uniform(-3.0, 1.0))) for z in heights.tolist()]
+    return AmbientDensity.step(lo, hi, float(rng.uniform(990.0, 1010.0)), drops)
+
+
+class TestAuditFromSolverRows:
+    def test_rows_equal_the_per_jump_recomputation(self):
+        rng = np.random.default_rng(73)
+        params = PlumeParams()
+        rows = 0
+        for _ in range(30):
+            amb = random_stepped_ambient(rng)
+            for picard in (True, False):
+                config = SolveConfig(mesh=int(rng.integers(16, 256)), picard=picard,
+                                     error_estimate=False)
+                report, audit = run_plume(params, amb, 0.05, 0.01,
+                                          float(rng.uniform(0.01, 0.3)), config)
+                want = reference_plume_audit(params, amb, report)
+                # float reprs round-trip and tell -0.0 from 0.0
+                assert repr(audit) == repr(want)
+                rows += len(want.buoyancy_jumps)
+        assert rows > 50
+
+
+class TestGeometryColumns:
+    def test_plume_csv_matches_the_per_row_inversion(self, tmp_path, capsys):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(3.0, -1.5), (7.0, -0.8)])
+        doc = {"ambient": serialize_derivator(amb.rho),
+               "initial": {"q": 0.05, "m": 0.01, "beta": 0.15}}
+        path = tmp_path / "plume.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["plume", str(path), "--mesh", "1024"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "z,side,q,m,beta,b,w,theta"
+        table = np.array([[float(c) for c in ln.split(",")[2:]] for ln in lines[1:]])
+        assert len(table) > 1000
+        assert same_bits(table[:, 3:], reference_geometry(table[:, :3]))
+
+    def test_rows_without_positive_fluxes_give_nan(self):
+        rng = np.random.default_rng(79)
+        n = 20000
+        states = np.column_stack([
+            rng.choice([1.0, -1.0, 0.0], p=[0.8, 0.1, 0.1], size=n) * 10.0 ** rng.uniform(-6, 6, n),
+            rng.choice([1.0, -1.0, -0.0], p=[0.8, 0.1, 0.1], size=n) * 10.0 ** rng.uniform(-12, 12, n),
+            rng.normal(size=n),
+        ])
+        states[:3] = [[np.nan, 1.0, 0.1], [1.0, np.nan, 0.1], [1.0, 1.0, np.nan]]
+        want = reference_geometry(states)
+        assert np.isnan(want).any(axis=1).sum() > 0.15 * n
+        assert same_bits(cli._geometry(states), want)
+        assert same_bits(cli._geometry(states[:0]), want[:0])

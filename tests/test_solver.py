@@ -10,7 +10,9 @@ from helpers import (
     outcome,
     random_derivator,
     reference_euler,
+    reference_jump_table,
     reference_picard,
+    same_bits,
 )
 from stieltjes import (
     CaratheodoryBound,
@@ -30,6 +32,7 @@ from stieltjes import (
     solve_picard,
     system_grid,
 )
+from stieltjes.solver import _jump_table
 from stieltjes.specio import RHS_CATALOG, parse_system, serialize_derivator
 
 EULER_TOL = 1e-3
@@ -420,3 +423,56 @@ class TestAgainstReferenceLoops:
         euler = solve_euler(spec, grid, safety_radius=0.5)
         assert len(euler[2]) == 1
         assert_same_outcome(euler, reference_euler(spec, grid, safety_radius=0.5))
+
+
+class TestJumpTable:
+    def test_grid_without_a_jump_time_is_rejected(self):
+        spec = scalar_growth(jumps=[Jump(0.5, 1.0)])
+        grid = np.linspace(0.0, 1.0, 8)
+        for scheme in (solve_euler, solve_picard):
+            with pytest.raises(DomainError, match="solver grid is missing jump time 0.5"):
+                scheme(spec, grid)
+
+    def test_matches_the_per_jump_loop(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            ds = [random_derivator(rng, 0.0, 2.0) for _ in range(int(rng.integers(1, 4)))]
+            grid = system_grid(ds, 2.0, int(rng.integers(2, 64)))
+            want = reference_jump_table(ds, grid)
+            assert same_bits(_jump_table(ds, grid), want)
+            # a sub-grid keeps the jumps inside its own span only
+            lo, hi = sorted(rng.choice(len(grid), size=2, replace=False))
+            sub = grid[lo:hi + 1]
+            assert same_bits(_jump_table(ds, sub), reference_jump_table(ds, sub))
+            # dropping a jump time gives the loop's error
+            inner = [j.at for d in ds for j in d.jumps if grid[0] < j.at < grid[-1]]
+            if inner:
+                holed = grid[grid != rng.choice(inner)]
+                with pytest.raises(DomainError) as want_exc:
+                    reference_jump_table(ds, holed)
+                with pytest.raises(DomainError) as got_exc:
+                    _jump_table(ds, holed)
+                assert str(got_exc.value) == str(want_exc.value)
+
+    def test_simultaneous_jumps_are_rows_with_two_or_more_jumps(self):
+        rng = np.random.default_rng(62)
+        for _ in range(40):
+            ds = [random_derivator(rng) for _ in range(3)]
+            spec = SystemSpec(ds, lambda t, x: 0.1 * x, [1.0, 2.0, 3.0], horizon=0.75)
+            report = solve(spec, SolveConfig(mesh=16, error_estimate=False))
+            counts = {}
+            for d in ds:
+                for j in d.jumps:
+                    counts[j.at] = counts.get(j.at, 0) + 1
+            want = tuple(sorted(t for t, c in counts.items() if c > 1 and t <= 0.75))
+            assert report.simultaneous_jumps == want
+            assert all(type(t) is float for t in report.simultaneous_jumps)
+
+    def test_picard_keeps_a_negative_zero_start(self):
+        d = Derivator((0.0, 1.0), [Segment(0.0, 0.5, ConstantProfile()),
+                                   Segment(0.5, 1.0, LinearProfile(1.0))], [Jump(0.5, 1.0)])
+        spec = SystemSpec([d, d], lambda t, x: np.array([1.0, x[1]]), [-0.0, -0.0])
+        grid = system_grid(spec.derivators, 1.0, 32)
+        got = solve_picard(spec, grid)
+        assert_same_outcome(got, reference_picard(spec, grid))
+        assert math.copysign(1.0, got[0][0, 0]) == -1.0
