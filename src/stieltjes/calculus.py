@@ -27,8 +27,6 @@ from .derivator import (
     CONSTANCY_POINT,
     CONSTANT,
     Derivator,
-    PowerProfile,
-    TabulatedProfile,
     _groups,
 )
 from .errors import (
@@ -226,7 +224,12 @@ def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
-    """Continuous part of the measure of v over each grid cell (vectorized panels)."""
+    """Continuous part of the measure of v over each grid cell (vectorized panels).
+
+    Each segment's cells go through one fixed panel each in the profile's
+    chart; the grid already holds every knot, and cells are not cut at the
+    kinks of v.
+    """
     out = np.zeros(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
     for k, cells in _groups(d.segment_index(mids)):
@@ -234,25 +237,8 @@ def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
         if seg.direction == CONSTANT:
             continue
         edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
-        profile = seg.profile
-        if isinstance(profile, TabulatedProfile):
-            # cells are knot-aligned, so the profile is linear on each cell and
-            # the cell integral is the cell slope times a plain panel integral
-            ginc = seg.increment_to(edges)
-            slopes = np.diff(ginc) / np.diff(edges)
-            out[cells] = slopes * quadrature.panel_integrals(v, edges)
-        elif isinstance(profile, PowerProfile) and profile.exponent < 1.0:
-            p, s = profile.exponent, profile.scale
-            u_edges = (edges - seg.lo) ** p
-            inv = 1.0 / p
-            out[cells] = s * quadrature.panel_integrals(
-                lambda u: v(seg.lo + np.maximum(u, 0.0) ** inv), u_edges
-            )
-        else:
-            out[cells] = quadrature.panel_integrals(
-                lambda t: np.asarray(v(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float),
-                edges,
-            )
+        integrand, u_edges, weight = seg.profile._chart(seg.lo, v, edges)
+        out[cells] = weight * quadrature.panel_integrals(integrand, u_edges)
     return out
 
 
@@ -420,7 +406,7 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float,
     if kind == "excluded":
         raise UndefinedPointError(f"g-derivative undefined at {t}: {payload}")
     if kind == "jump":
-        return _extrapolate(lambda eps: _right_quotient(func, d, t, eps, at_jump=True),
+        return _extrapolate(lambda eps: _quotient(func, d, t, t + eps, t, at_jump=True),
                             _right_reach(d, t), rel_tol, max_levels, even=False)
     left_idx, right_idx = d.segments_adjacent(t)
     seg_l = d.segments[left_idx] if left_idx is not None else None
@@ -429,14 +415,14 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float,
     inside_right = seg_r is not None and t < seg_r.hi
     if inside_left and inside_right and left_idx == right_idx:
         reach = min(t - seg_l.lo, seg_l.hi - t)
-        return _extrapolate(lambda eps: _central_quotient(func, d, t, eps),
+        return _extrapolate(lambda eps: _quotient(func, d, t - eps, t + eps, t),
                             reach, rel_tol, max_levels, even=True)
     estimates = []
     if inside_right:
-        estimates.append(_extrapolate(lambda eps: _right_quotient(func, d, t, eps),
+        estimates.append(_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
                                       seg_r.hi - t, rel_tol, max_levels, even=False))
     if inside_left:
-        estimates.append(_extrapolate(lambda eps: _left_quotient(func, d, t, eps),
+        estimates.append(_extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
                                       t - seg_l.lo, rel_tol, max_levels, even=False))
     if not estimates:
         raise UndefinedPointError(f"no usable bracket at {t}")
@@ -457,26 +443,8 @@ def _right_reach(d: Derivator, t: float) -> float:
     return d.segments[right_idx].hi - t
 
 
-def _central_quotient(func, d, t, eps):
-    num = func(t + eps) - func(t - eps)
-    den = d.eval(t + eps) - d.eval(t - eps)
-    return _quotient(num, den, t)
-
-
-def _right_quotient(func, d, t, eps, at_jump=False):
-    num = func(t + eps) - func(t)
-    den = d.eval(t + eps) - d.eval(t)
-    return _quotient(num, den, t, at_jump)
-
-
-def _left_quotient(func, d, t, eps):
-    num = func(t) - func(t - eps)
-    den = d.eval(t) - d.eval(t - eps)
-    return _quotient(num, den, t)
-
-
-def _quotient(num, den, t, at_jump=False):
-    """num / den for the bracket ladder at t.
+def _quotient(func, d, lo, hi, t, at_jump=False):
+    """(func(hi) - func(lo)) / (d.eval(hi) - d.eval(lo)) for the bracket ladder at t.
 
     Off a jump every bracket lies inside one monotone segment, so a zero
     denominator means g is constant on a bracket touching t: g is locally
@@ -484,6 +452,8 @@ def _quotient(num, den, t, at_jump=False):
     cancellation of the jump by the continuous part, and the ladder ends as
     it does for any non-finite quotient.
     """
+    num = func(hi) - func(lo)
+    den = d.eval(hi) - d.eval(lo)
     if den == 0.0:
         if at_jump:
             return float("nan")

@@ -208,12 +208,17 @@ def _cmd_solve(args) -> int:
     report = solver.solve(spec, config)
     header = ("t", "side", *(f"x{j + 1}" for j in range(spec.dim)))
     times, sides, states = _sided_rows(report)
-    columns = (times, sides, *states.T)
-    if args.output:
-        _emit_csv(header, columns, args.output)
-        _emit_json(_solve_summary(report, tau), None)
-    else:
-        _emit_csv(header, columns, None)
+    return _write_solution(report, header, (times, sides, *states.T), args.output,
+                           lambda: _solve_summary(report, tau))
+
+
+def _write_solution(report, header, columns, out_path, summary) -> int:
+    """Write the trajectory CSV; when it goes to a file, ``summary()`` goes to
+    stdout as JSON. Raises ConvergenceError after writing when the run did not
+    converge."""
+    _emit_csv(header, columns, out_path)
+    if out_path:
+        _emit_json(summary(), None)
     if not report.converged:
         raise ConvergenceError(
             "solver did not reach tolerance; partial results were written",
@@ -278,37 +283,31 @@ def _cmd_plume(args) -> int:
     config = solver.SolveConfig(mesh=args.mesh, picard=True, tol=args.tol,
                                 max_iter=args.max_iter)
     report = solver.solve(spec, config)
-    audit = plume._audit_plume(report)
     heights, sides, states = _sided_rows(report)
     columns = (heights, sides, *states.T, *_geometry(states).T)
     header = ("z", "side", "q", "m", "beta", "b", "w", "theta")
-    if args.output:
-        _emit_csv(header, columns, args.output)
-        summary = _solve_summary(report)
-        summary["buoyancy_jumps"] = [
-            {
-                "height": r.height,
-                "beta_left": r.beta_left,
-                "beta_right": r.beta_right,
-                "expected_jump": r.expected_jump,
-                "residual_ulps": r.residual_ulps,
-            }
-            for r in audit.buoyancy_jumps
-        ]
-        summary["jumps_exact"] = audit.jumps_exact
-        summary["volume_continuous"] = audit.volume_continuous
-        summary["momentum_continuous"] = audit.momentum_continuous
-        summary["min_momentum"] = audit.min_momentum
-        summary["warnings"] = list(report.warnings) + list(audit.warnings)
-        _emit_json(summary, None)
-    else:
-        _emit_csv(header, columns, None)
-    if not report.converged:
-        raise ConvergenceError(
-            "solver did not reach tolerance; partial results were written",
-            report.last_change,
-        )
-    return 0
+    return _write_solution(report, header, columns, args.output, lambda: _plume_summary(report))
+
+
+def _plume_summary(report) -> dict:
+    audit = plume._audit_plume(report)
+    summary = _solve_summary(report)
+    summary["buoyancy_jumps"] = [
+        {
+            "height": r.height,
+            "beta_left": r.beta_left,
+            "beta_right": r.beta_right,
+            "expected_jump": r.expected_jump,
+            "residual_ulps": r.residual_ulps,
+        }
+        for r in audit.buoyancy_jumps
+    ]
+    summary["jumps_exact"] = audit.jumps_exact
+    summary["volume_continuous"] = audit.volume_continuous
+    summary["momentum_continuous"] = audit.momentum_continuous
+    summary["min_momentum"] = audit.min_momentum
+    summary["warnings"] = list(report.warnings) + list(audit.warnings)
+    return summary
 
 
 # ------------------------------------------------------------------ parser

@@ -89,6 +89,9 @@ class LinearProfile:
     def density(self, lo: float, hi: float, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
+    def _chart(self, lo: float, f, edges: np.ndarray):
+        return (lambda t: np.asarray(f(t), dtype=float) * self.slope), edges, 1.0
+
     def inferred_direction(self) -> str:
         if self.slope > 0:
             return NONDECREASING
@@ -121,6 +124,15 @@ class PowerProfile:
         t = np.asarray(t, dtype=float)
         return self.scale * self.exponent * (t - lo) ** (self.exponent - 1.0)
 
+    def _chart(self, lo: float, f, edges: np.ndarray):
+        if self.exponent >= 1.0:
+            return (lambda t: np.asarray(f(t), dtype=float) * self.density(lo, None, t),
+                    edges, 1.0)
+        # substitute u = (t - lo)**exponent: the density singularity at lo cancels
+        inv = 1.0 / self.exponent
+        return (lambda u: f(lo + np.maximum(u, 0.0) ** inv),
+                (edges - lo) ** self.exponent, self.scale)
+
     def inferred_direction(self) -> str:
         if self.scale > 0:
             return NONDECREASING
@@ -140,6 +152,9 @@ class ConstantProfile:
 
     def density(self, lo: float, hi: float, t):
         return np.zeros_like(np.asarray(t, dtype=float))
+
+    def _chart(self, lo: float, f, edges: np.ndarray):
+        return f, edges, 0.0
 
     def inferred_direction(self) -> str:
         return CONSTANT
@@ -179,6 +194,11 @@ class TabulatedProfile:
     def density(self, lo: float, hi: float, t):
         raise DomainError("tabulated profiles expose no density; integrate per knot cell")
 
+    def _chart(self, lo: float, f, edges: np.ndarray):
+        # edges cut at every knot, so the profile is linear on each cell and
+        # the measure there is the cell slope times dt
+        return f, edges, np.diff(self.increment(lo, None, edges)) / np.diff(edges)
+
     def inferred_direction(self) -> str:
         _, ys = self._arrays()
         d = np.diff(ys)
@@ -189,6 +209,11 @@ class TabulatedProfile:
         raise DomainError("tabulated samples are not monotone")
 
 
+#: Each profile's ``_chart(lo, f, edges)`` is its integration rule: it returns
+#: ``(integrand, u_edges, weight)`` such that, over cell i of ``edges`` in a
+#: segment starting at ``lo``, the integral of f against the profile's growth
+#: is ``weight[i]`` (or the scalar ``weight``) times the plain integral of
+#: ``integrand`` over ``[u_edges[i], u_edges[i + 1]]``.
 Profile = LinearProfile | PowerProfile | ConstantProfile | TabulatedProfile
 
 

@@ -8,12 +8,16 @@ with the variation arithmetic of :class:`~stieltjes.derivator.Derivator`.
 
 Integration splits into a continuous part and an atomic part:
 
-* smooth profiles integrate ``f(t) * density(t)`` with adaptive Gauss-Kronrod
-  panels (power profiles with exponent < 1 are first substituted so the
-  density singularity disappears);
-* tabulated profiles are linear between consecutive knots, so each knot
-  cell contributes its slope times an adaptive Gauss-Kronrod integral of f
+* on each segment the integral against g is an ordinary integral in the
+  profile's own chart: ``f(t) * density(t) dt`` on linear segments and on
+  power segments with exponent p >= 1, ``scale * f(lo + u**(1/p)) du`` with
+  ``u = (t - lo)**p`` when p < 1 (the density singularity disappears), and
+  the cell slope times ``f(t) dt`` on each knot cell of a tabulated segment
   (flat cells contribute nothing);
+* every segment is cut at the integrand's own kinks (the breaks of tabulated
+  and piecewise integrands) before adaptive Gauss-Kronrod quadrature runs on
+  each piece; the grid routines of :mod:`~stieltjes.calculus` use the same
+  charts with one fixed panel per grid cell, and leave grid cells uncut;
 * each jump in ``[lo, hi)`` contributes ``f(at)`` times its (signed, clipped,
   or absolute) mass, with f taken at its left value.
 """
@@ -33,9 +37,7 @@ from .derivator import (
     NONINCREASING,
     POSITIVE,
     Derivator,
-    PowerProfile,
     Segment,
-    TabulatedProfile,
     TOTAL,
 )
 from .errors import DomainError
@@ -300,47 +302,23 @@ def _as_integrand(f) -> Integrand:
 
 def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
                       rel_tol: float) -> float:
-    """Continuous integral of f against the segment's own growth over [lo, hi]."""
-    profile = seg.profile
-    if isinstance(profile, TabulatedProfile):
-        return _tabulated_integral(f, seg, lo, hi, rel_tol)
-    if isinstance(profile, PowerProfile) and profile.exponent < 1.0:
-        # substitute u = (t - seg.lo)**exponent; the density singularity cancels
-        p = profile.exponent
-        s = profile.scale
-        u_lo = (lo - seg.lo) ** p
-        u_hi = (hi - seg.lo) ** p
-        inv = 1.0 / p
+    """Continuous integral of f against the segment's own growth over [lo, hi].
 
-        def transformed(u):
-            u = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return f(seg.lo + u ** inv)
-
-        return s * quadrature.integrate_adaptive(transformed, u_lo, u_hi, rel_tol)
-
-    def weighted(t):
-        return np.asarray(f(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float)
-
-    return quadrature.integrate_adaptive(weighted, lo, hi, rel_tol)
-
-
-def _tabulated_integral(f: Integrand, seg: Segment, lo: float, hi: float,
-                        rel_tol: float) -> float:
-    """Sum over the knot cells of [lo, hi] of the cell slope times the integral of f.
-
-    The profile is linear on each cell between consecutive knots, so there
-    the measure is the slope times dt and f goes to adaptive Gauss-Kronrod
-    quadrature, as in :func:`~stieltjes.calculus._cell_integrals`. The cells
-    are also cut where f itself may kink: a kink that falls between a panel's
-    outer node and its end is invisible to the Kronrod error estimate.
+    [lo, hi] is cut at the profile's knots and at f's own kinks: a kink that
+    falls between a panel's outer node and its end is invisible to the
+    Kronrod error estimate. Each piece goes to adaptive Gauss-Kronrod
+    quadrature in the profile's chart (see ``Profile`` in
+    :mod:`~stieltjes.derivator`); pieces of weight zero cost nothing.
     """
     knots = np.concatenate([seg.interior_knots(), f._kinks])
-    edges = np.unique(np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]]))
-    slopes = np.diff(seg.increment_to(edges)) / np.diff(edges)
+    cuts = knots[(knots > lo) & (knots < hi)]
+    edges = np.unique(np.concatenate([[lo], cuts, [hi]])) if cuts.size else np.array([lo, hi])
+    integrand, u_edges, weight = seg.profile._chart(seg.lo, f, edges)
+    weights = weight.tolist() if np.ndim(weight) else [weight] * (len(edges) - 1)
     total = 0.0
-    for c, e, slope in zip(edges[:-1].tolist(), edges[1:].tolist(), slopes.tolist()):
-        if slope != 0.0:
-            total += slope * quadrature.integrate_adaptive(f, c, e, rel_tol)
+    for c, e, w in zip(u_edges[:-1].tolist(), u_edges[1:].tolist(), weights):
+        if w != 0.0:
+            total += w * quadrature.integrate_adaptive(integrand, c, e, rel_tol)
     return total
 
 

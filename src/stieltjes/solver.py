@@ -349,9 +349,8 @@ class SolutionReport:
         return np.array([tr.right_values[-1] for tr in self.trajectories])
 
 
-def _audit_jumps(spec: SystemSpec, grid: np.ndarray,
+def _audit_jumps(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray,
                  left: np.ndarray, right: np.ndarray) -> tuple[JumpAuditRow, ...]:
-    deltas = _jump_table(spec.derivators, grid)
     jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
     f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
     rows = []
@@ -417,7 +416,8 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
         Trajectory(grid, left[:, j], right[:, j], spec.derivators[j])
         for j in range(spec.dim)
     )
-    together = np.count_nonzero(_jump_table(spec.derivators, grid), axis=1) >= 2
+    deltas = _jump_table(spec.derivators, grid)
+    together = np.count_nonzero(deltas, axis=1) >= 2
     sim = tuple(grid[together].tolist())
     all_warns = list(warns)
     if sim:
@@ -434,7 +434,7 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
         iterations=iters,
         last_change=change,
         error_estimate=err,
-        jump_audit=_audit_jumps(spec, grid, left, right),
+        jump_audit=_audit_jumps(spec, grid, deltas, left, right),
         simultaneous_jumps=sim,
         warnings=tuple(all_warns),
     )

@@ -136,30 +136,28 @@ def parse_derivator(obj, path: str = "derivator") -> Derivator:
     anchor = _num(obj.get("anchor", 0.0), f"{path}.anchor")
     segments = []
     for i, seg in enumerate(_expect_list(_get(obj, "segments", path), f"{path}.segments")):
-        seg = _expect_dict(seg, f"{path}.segments[{i}]")
-        lo = _num(_get(seg, "lo", f"{path}.segments[{i}]"), f"{path}.segments[{i}].lo")
-        hi = _num(_get(seg, "hi", f"{path}.segments[{i}]"), f"{path}.segments[{i}].hi")
-        profile = _parse_profile(_get(seg, "profile", f"{path}.segments[{i}]"),
-                                 f"{path}.segments[{i}].profile")
+        where = f"{path}.segments[{i}]"
+        seg = _expect_dict(seg, where)
+        lo = _num(_get(seg, "lo", where), f"{where}.lo")
+        hi = _num(_get(seg, "hi", where), f"{where}.hi")
+        profile = _parse_profile(_get(seg, "profile", where), f"{where}.profile")
         direction = seg.get("direction")
         if direction is not None and direction not in ("nondecreasing", "nonincreasing", "constant"):
-            raise SpecValidationError(
-                f"{path}.segments[{i}].direction",
-                f"unknown direction {direction!r}",
-            )
+            raise SpecValidationError(f"{where}.direction", f"unknown direction {direction!r}")
         try:
             segments.append(Segment(lo, hi, profile, direction))
         except StieltjesError as exc:
-            raise SpecValidationError(f"{path}.segments[{i}]", str(exc)) from exc
+            raise SpecValidationError(where, str(exc)) from exc
     jumps = []
     for i, jmp in enumerate(_expect_list(obj.get("jumps", []), f"{path}.jumps")):
-        jmp = _expect_dict(jmp, f"{path}.jumps[{i}]")
-        at = _num(_get(jmp, "at", f"{path}.jumps[{i}]"), f"{path}.jumps[{i}].at")
-        delta = _num(_get(jmp, "delta", f"{path}.jumps[{i}]"), f"{path}.jumps[{i}].delta")
+        where = f"{path}.jumps[{i}]"
+        jmp = _expect_dict(jmp, where)
+        at = _num(_get(jmp, "at", where), f"{where}.at")
+        delta = _num(_get(jmp, "delta", where), f"{where}.delta")
         try:
             jumps.append(Jump(at, delta))
         except StieltjesError as exc:
-            raise SpecValidationError(f"{path}.jumps[{i}]", str(exc)) from exc
+            raise SpecValidationError(where, str(exc)) from exc
     try:
         return Derivator((a, b), segments, jumps, anchor=anchor)
     except StieltjesError as exc:

@@ -359,3 +359,78 @@ def assert_same_outcome(got, want):
             assert a.tobytes() == b.tobytes()
         else:
             assert a == b
+
+
+# ------------------------------------------------------ integration references
+#
+# The per-kind integration rules as they were written before each profile
+# class owned its chart: the three-branch grid-cell integrals, and the
+# adaptive segment integral with its separate tabulated knot-cell routine.
+# The charted code must give the same bits on the grid path, and on the
+# adaptive path wherever the integrand has no kinks.
+
+
+def reference_cell_integrals(d, v, grid):
+    """Continuous part of the measure of v over each grid cell, one branch per kind."""
+    from stieltjes import quadrature
+    from stieltjes.derivator import CONSTANT, _groups
+
+    out = np.zeros(len(grid) - 1)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    for k, cells in _groups(d.segment_index(mids)):
+        seg = d.segments[k]
+        if seg.direction == CONSTANT:
+            continue
+        edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
+        profile = seg.profile
+        if isinstance(profile, TabulatedProfile):
+            ginc = seg.increment_to(edges)
+            slopes = np.diff(ginc) / np.diff(edges)
+            out[cells] = slopes * quadrature.panel_integrals(v, edges)
+        elif isinstance(profile, PowerProfile) and profile.exponent < 1.0:
+            p, s = profile.exponent, profile.scale
+            u_edges = (edges - seg.lo) ** p
+            inv = 1.0 / p
+            out[cells] = s * quadrature.panel_integrals(
+                lambda u: v(seg.lo + np.maximum(u, 0.0) ** inv), u_edges
+            )
+        else:
+            out[cells] = quadrature.panel_integrals(
+                lambda t: np.asarray(v(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float),
+                edges,
+            )
+    return out
+
+
+def reference_segment_integral(f, seg, lo, hi, rel_tol):
+    """Continuous integral of f against the segment's growth over [lo, hi]; only
+    tabulated segments are cut, at their knots and at f's kinks."""
+    from stieltjes import quadrature
+
+    profile = seg.profile
+    if isinstance(profile, TabulatedProfile):
+        knots = np.concatenate([seg.interior_knots(), f._kinks])
+        edges = np.unique(np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]]))
+        slopes = np.diff(seg.increment_to(edges)) / np.diff(edges)
+        total = 0.0
+        for c, e, slope in zip(edges[:-1].tolist(), edges[1:].tolist(), slopes.tolist()):
+            if slope != 0.0:
+                total += slope * quadrature.integrate_adaptive(f, c, e, rel_tol)
+        return total
+    if isinstance(profile, PowerProfile) and profile.exponent < 1.0:
+        p = profile.exponent
+        s = profile.scale
+        u_lo = (lo - seg.lo) ** p
+        u_hi = (hi - seg.lo) ** p
+        inv = 1.0 / p
+
+        def transformed(u):
+            u = np.maximum(np.asarray(u, dtype=float), 0.0)
+            return f(seg.lo + u ** inv)
+
+        return s * quadrature.integrate_adaptive(transformed, u_lo, u_hi, rel_tol)
+
+    def weighted(t):
+        return np.asarray(f(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float)
+
+    return quadrature.integrate_adaptive(weighted, lo, hi, rel_tol)

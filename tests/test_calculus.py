@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import make_profile, random_derivator, random_polynomial_coeffs
+from helpers import (
+    make_profile,
+    random_derivator,
+    random_polynomial_coeffs,
+    reference_cell_integrals,
+    same_bits,
+)
 from stieltjes import (
     CaratheodoryBound,
     ConstantProfile,
@@ -300,6 +306,17 @@ def test_grid_paths_make_no_per_point_queries(monkeypatch):
     spec = SystemSpec([d], lambda t, x: x, [1.0])
     bound = CaratheodoryBound(radius=1e6, dominators=[Integrand.polynomial([1.0])])
     assert select_horizon(spec, bound, mesh=256) == 1.0
+
+
+def test_cell_integrals_match_the_per_kind_branches():
+    """The charted grid-cell integrals keep the bits of one branch per kind."""
+    rng = np.random.default_rng(44)
+    draws = [random_derivator(rng) for _ in range(200)] + [long_derivator(rng)]
+    for d in draws:
+        grid = uniform_grid(d, 16)
+        for v in (Integrand.polynomial(random_polynomial_coeffs(rng)),
+                  Integrand.tabulated([(0.1, 1.0), (0.45, -0.5), (0.8, 2.0)])):
+            assert same_bits(_cell_integrals(d, v, grid), reference_cell_integrals(d, v, grid))
 
 
 class TestUniformGridEnds:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from stieltjes import Derivator, cli, specio
+from stieltjes import Derivator, SpecValidationError, cli, specio
 
 
 def write(tmp_path, name, doc):
@@ -87,6 +87,22 @@ class TestIntegrate:
                   "--measure", "total_variation", "-o", out])
         got = json.loads(open(out).read())
         assert got["value"] == pytest.approx(1.5, abs=1e-9)
+
+
+    def test_step_integrand_is_cut_at_its_break(self, tmp_path):
+        b = 0.7813563413389097
+        dpath = write(tmp_path, "ident.json", {
+            "interval": [0.0, 1.0],
+            "segments": [{"lo": 0.0, "hi": 1.0, "profile": {"kind": "linear", "slope": 1.0}}],
+        })
+        fpath = write(tmp_path, "step.json", {
+            "kind": "piecewise_polynomial", "breakpoints": [0.0, b, 1.0],
+            "pieces": [[0.0], [1.0]],
+        })
+        out = str(tmp_path / "out.json")
+        assert cli.main(["integrate", dpath, fpath, "-o", out]) == 0
+        value = json.loads(open(out).read())["value"]
+        assert value == pytest.approx(1.0 - b, rel=1e-12)
 
 
 class TestDerive:
@@ -347,6 +363,24 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SpecValidationError"
         assert "segments" in err["error"]["message"]
+
+    @pytest.mark.parametrize("where, change", [
+        ("derivator.segments[1].lo", {"lo": "0.5"}),
+        ("derivator.segments[1].hi", {"hi": None}),
+        ("derivator.segments[1].profile", {"profile": 3}),
+        ("derivator.segments[1].direction", {"direction": "sideways"}),
+        ("derivator.segments[1]", {"direction": "nonincreasing"}),
+        ("derivator.jumps[0].at", {"at": [0.5]}),
+        ("derivator.jumps[0].delta", {"delta": "2"}),
+        ("derivator.jumps[0]", {"delta": 0.0}),
+    ])
+    def test_derivator_errors_name_their_path(self, where, change):
+        doc = jump_derivator_doc()
+        item = doc["jumps"][0] if ".jumps" in where else doc["segments"][1]
+        item.update(change)
+        with pytest.raises(SpecValidationError) as info:
+            specio.parse_derivator(doc)
+        assert info.value.path == where
 
     def test_domain_error_is_an_input_error(self, tmp_path, deriv_path, capsys):
         fpath = write(tmp_path, "f.json", {"kind": "constant", "value": 1.0})

@@ -108,6 +108,15 @@ class TestClosedForms:
         assert g_exponential(lc, 0.75) == pytest.approx(
             2.0 * math.exp(0.75), rel=CLOSED_FORM_RTOL)
 
+    def test_step_coefficient(self):
+        # c = 1 from b on: the continuous integral is cut at the step
+        rng = np.random.default_rng(47)
+        for b in [0.7813563413389097, *rng.uniform(0.05, 0.95, size=20).tolist()]:
+            step = Integrand.piecewise_polynomial([0.0, b, 1.0], [[0.0], [1.0]])
+            lc = LinearCoefficient(Derivator.identity(0.0, 1.0), step)
+            assert g_exponential(lc, 1.0) == pytest.approx(
+                math.exp(1.0 - b), rel=CLOSED_FORM_RTOL)
+
     def test_outside_interval_rejected(self):
         lc = LinearCoefficient(Derivator.identity(0.0, 1.0), lambda t: 1.0)
         with pytest.raises(DomainError):

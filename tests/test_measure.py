@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from helpers import (
     random_derivator,
     random_polynomial_coeffs,
     random_subinterval,
+    reference_segment_integral,
     rs_integral_oracle,
+    same_bits,
 )
 from stieltjes import (
     Derivator,
@@ -27,6 +30,7 @@ from stieltjes import (
     measure_of_interval,
     measure_of_point,
 )
+from stieltjes.measure import _segment_integral
 
 INTEGRAL_RTOL = 1e-6
 
@@ -281,3 +285,95 @@ class TestTabulatedIntegral:
         value = signed(d).integrate(Integrand.polynomial([0.0, 1.0]), 0.0, 1.0)
         assert calls == [(0.4, 0.6)]
         assert value == pytest.approx(0.5, rel=1e-15)
+
+
+def test_segment_integrals_match_the_per_kind_branches():
+    """Without integrand kinks the charted adaptive integral keeps the bits of
+    one branch per kind. The substituted power chart (exponent < 1) maps its
+    ends through numpy's array power, which may round differently from the
+    scalar power."""
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        d = random_derivator(rng)
+        f = Integrand.polynomial(random_polynomial_coeffs(rng))
+        for seg in d.segments:
+            if seg.is_constant:
+                continue
+            lo, hi = sorted(rng.uniform(seg.lo, seg.hi, size=2).tolist())
+            for a, b in ((seg.lo, seg.hi), (lo, hi)):
+                got = _segment_integral(f, seg, a, b, 1e-10)
+                want = reference_segment_integral(f, seg, a, b, 1e-10)
+                if isinstance(seg.profile, PowerProfile) and seg.profile.exponent < 1.0:
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                else:
+                    assert same_bits(got, want)
+
+
+def _square(k):
+    """(k / 4096)**2, exact in binary64 and with an exact square root."""
+    return (k / 4096.0) ** 2
+
+
+def _against(prof, coeffs, c, e):
+    """Exact integral of sum_k coeffs[k] t**k over [c, e] against a linear
+    profile, or a power profile with exponent 1/2 or 2, on a segment from 0."""
+    F = Fraction
+    if isinstance(prof, LinearProfile):
+        scale, p = F(prof.slope), F(1)
+    else:
+        scale, p = F(prof.scale), F(prof.exponent)
+
+    def root(x):
+        if p.denominator == 1:
+            return x ** p.numerator
+        r = F(math.sqrt(x))
+        assert r * r == x
+        return r
+
+    return scale * sum(ck * p / (k + p) * (e ** k * root(e) - c ** k * root(c))
+                       for k, ck in enumerate(coeffs))
+
+
+class TestKinkedIntegrands:
+    """An integrand kink between a panel's outer node and its end hides from
+    the Kronrod error estimate, so every segment is cut at the integrand's
+    kinks. Every drawn point is a square of a multiple of 2**-12, which keeps
+    the closed forms rational for the square-root profile."""
+
+    KINDS = {
+        "linear": lambda rng: LinearProfile(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])),
+        "power-sqrt": lambda rng: PowerProfile(0.5, rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])),
+        "power-square": lambda rng: PowerProfile(2.0, rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])),
+    }
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_kinked_integrands_meet_the_tolerance(self, kind, rel_tol):
+        rng = np.random.default_rng(46)
+        F = Fraction
+        for _ in range(40):
+            prof = self.KINDS[kind](rng)
+            d = Derivator((0.0, 1.0), [Segment(0.0, 1.0, prof)], [])
+            lo, hi = (_square(k) for k in np.sort(rng.choice(np.arange(1, 4096), 2, replace=False)))
+
+            # a tabulated integrand: constant outside its samples, linear between
+            xs = [_square(k) for k in np.sort(rng.choice(np.arange(1, 4096), 5, replace=False))]
+            ys = rng.uniform(0.5, 2.0, size=5).tolist()
+            f = Integrand.tabulated(list(zip(xs, ys)))
+            pieces = [(F(0), F(xs[0]), [F(ys[0])]), (F(xs[-1]), F(1), [F(ys[-1])])]
+            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+                slope = (F(y1) - F(y0)) / (F(x1) - F(x0))
+                pieces.append((F(x0), F(x1), [F(y0) - slope * F(x0), slope]))
+
+            # a piecewise polynomial that jumps at its break
+            mid = _square(int(rng.integers(1296, 3886)))
+            rows = [[1.0, 0.5], [2.0, -0.5, 0.25]]
+            g = Integrand.piecewise_polynomial([0.0, mid, 1.0], rows)
+            g_pieces = [(F(0), F(mid), [F(c) for c in rows[0]]),
+                        (F(mid), F(1), [F(c) for c in rows[1]])]
+
+            for h, parts in ((f, pieces), (g, g_pieces)):
+                exact = float(sum(_against(prof, coeffs, max(c, F(lo)), min(e, F(hi)))
+                                  for c, e, coeffs in parts if max(c, F(lo)) < min(e, F(hi))))
+                got = signed(d).integrate(h, lo, hi, rel_tol=rel_tol)
+                assert abs(got - exact) <= rel_tol * abs(exact)
