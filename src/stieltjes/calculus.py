@@ -270,8 +270,7 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
 
     mids = 0.5 * (grid[:-1] + grid[1:])
     cell_sid = d.segment_index(mids)
-    seg_const = np.array([seg.direction == CONSTANT for seg in d.segments])
-    cell_const = seg_const[cell_sid]
+    cell_moves = d._seg_class[cell_sid] != CONSTANCY_POINT
 
     def quot(j: int, k: int) -> np.ndarray:
         """(h(t_{i+k}) - h(t_{i-j}+)) / (g(t_{i+k}) - g(t_{i-j}+)) per grid index i.
@@ -290,18 +289,12 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
         return q
 
     def cells_same_segment(lo_off: int, hi_off: int) -> np.ndarray:
-        """True at i when cells i+lo_off .. i+hi_off-1 exist, share a segment, and move."""
-        ok = None
-        ref = np.full(n, -1)
-        idx0 = np.arange(n) + lo_off
-        valid0 = (idx0 >= 0) & (idx0 < n - 1)
-        ref[valid0] = cell_sid[idx0[valid0]]
-        for i_off in range(lo_off, hi_off):
-            idx = np.arange(n) + i_off
-            valid = (idx >= 0) & (idx < n - 1)
-            cur = np.zeros(n, dtype=bool)
-            cur[valid] = ~cell_const[idx[valid]] & (cell_sid[idx[valid]] == ref[valid])
-            ok = cur if ok is None else (ok & cur)
+        """True at i when cells i+lo_off .. i+hi_off-1 exist, share a segment, and
+        move; cell segments never decrease along the grid, so the ends decide."""
+        ok = np.zeros(n, dtype=bool)
+        rows = np.arange(max(0, -lo_off), min(n, n - hi_off))
+        lo_cell, hi_cell = rows + lo_off, rows + hi_off - 1
+        ok[rows] = cell_moves[lo_cell] & (cell_sid[lo_cell] == cell_sid[hi_cell])
         return ok
 
     q11 = quot(1, 1)

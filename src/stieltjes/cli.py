@@ -152,11 +152,9 @@ def _cmd_exp(args) -> int:
 
 def _sided_rows(report):
     """Times, sides and states of the trajectory CSV: an ``L`` row per grid
-    time, followed by an ``R`` row where some component jumps."""
-    deltas = solver._jump_table(
-        [tr.governing for tr in report.trajectories], report.grid
-    )
-    jumps = np.any(deltas != 0.0, axis=1)
+    time, followed by an ``R`` row where some component jumps (the times of
+    the jump audit)."""
+    jumps = np.isin(report.grid, [r.time for r in report.jump_audit])
     per_time = 1 + jumps
     right_rows = np.cumsum(per_time)[jumps] - 1
     left = np.stack([tr.left_values for tr in report.trajectories], axis=1)

@@ -13,6 +13,14 @@ increments up to t plus every jump strictly to the left of t, so the jump at
 t itself only affects ``eval_right(t)``. Bounded variation is structural
 (finitely many monotone pieces), and sign changes of the slope are allowed.
 
+Construction also lays the segments out as one table of columns: bounds, a
+point class per segment, prefix sums of the totals, of the rising totals and
+of minus the falling totals, and prefix sums of the signed, positive and
+negative jumps. ``eval`` and ``variation_cumulative`` read a prefix at each
+point's owning segment and add that segment's own increment; the runs behind
+``structural_sets``, ``run_boundaries`` and ``classify`` are cut from the
+class column. ``variation(lo, hi)`` still sums the segments it meets.
+
 Conventions that the rest of the package relies on:
 
 * tabulated profiles extend constantly from their first/last sample to the
@@ -58,6 +66,11 @@ _POINT_KINDS = {
     CONSTANCY_POINT: ("excluded", "inside a constancy interval"),
     BOUNDARY_POINT: ("excluded", "run boundary without a jump"),
 }
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """Running sums with a leading 0.0: entry k sums ``values[:k]`` in order."""
+    return np.concatenate([[0.0], np.cumsum(values)])
 
 
 def _groups(labels: np.ndarray):
@@ -350,22 +363,30 @@ class Derivator:
         self.jumps = jmps
         self.anchor = float(anchor)
 
+        # the segment table: per-segment columns and their prefix sums
         self._seg_lo = np.array([s.lo for s in segs])
         self._seg_hi = np.array([s.hi for s in segs])
-        self._cum_inc = np.concatenate(
-            [[0.0], np.cumsum([s.total_increment for s in segs])]
-        )
+        self._seg_class = np.array([_RUN_CLASS[s.direction] for s in segs])
+        totals = np.array([s.total_increment for s in segs])
+        self._cum_inc = _prefix(totals)
+        self._rise_cum = _prefix(np.where(self._seg_class == RISING_POINT, totals, 0.0))
+        self._fall_cum = _prefix(np.where(self._seg_class == FALLING_POINT, -totals, 0.0))
         self._jump_at = np.array(ats) if ats else np.empty(0)
         self._jump_delta = np.array([j.delta for j in jmps]) if jmps else np.empty(0)
-        self._jump_cum = np.concatenate([[0.0], np.cumsum(self._jump_delta)])
+        self._jump_cum = _prefix(self._jump_delta)
+        self._jump_pos_cum = _prefix(np.maximum(self._jump_delta, 0.0))
+        self._jump_neg_cum = _prefix(np.maximum(-self._jump_delta, 0.0))
         # one trailing entry each, read through index -1 (no jump there): the
         # NaN location never compares equal, the padded delta is 0.0
         self._jump_at_padded = np.append(self._jump_at, np.nan)
         self._jump_delta_padded = np.append(self._jump_delta, 0.0)
-        self._runs = self._build_runs(set(ats))
-        self._run_lo = np.array([run["lo"] for run in self._runs])
-        self._run_hi = np.array([run["hi"] for run in self._runs])
-        self._run_class = np.array([_RUN_CLASS[run["direction"]] for run in self._runs])
+        # a run starts at segment 0, at a class change and at a jump
+        starts = np.ones(len(segs), dtype=bool)
+        starts[1:] = self._seg_class[1:] != self._seg_class[:-1]
+        starts[np.searchsorted(self._seg_lo, self._jump_at)] = True
+        self._run_lo = self._seg_lo[starts]
+        self._run_hi = self._seg_hi[np.append(starts[1:], True)]
+        self._run_class = self._seg_class[starts]
 
     # ------------------------------------------------------------------ basics
 
@@ -408,21 +429,25 @@ class Derivator:
         idx = np.searchsorted(self._seg_lo, t, side="left") - 1
         return np.clip(idx, 0, len(self.segments) - 1)
 
+    def _locate(self, flat: np.ndarray):
+        """Owning segment of each time in a flat array and the increment from
+        that segment's lo; raises DomainError for times outside [a, b]."""
+        self._check_domain(flat)
+        idx = self.segment_index(flat)
+        if flat.size == 1:
+            return idx, self.segments[int(idx[0])].increment_to(flat)
+        inc = np.empty_like(flat)
+        for k, sel in _groups(idx):
+            inc[sel] = self.segments[k].increment_to(flat[sel])
+        return idx, inc
+
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
         arr = np.asarray(t, dtype=float)
         flat = arr.reshape(-1)
-        self._check_domain(flat)
-        idx = self.segment_index(flat)
-        if flat.size == 1:
-            k = int(idx[0])
-            cont = self._cum_inc[k] + self.segments[k].increment_to(flat)
-        else:
-            cont = np.empty_like(flat)
-            for k, sel in _groups(idx):
-                cont[sel] = self._cum_inc[k] + self.segments[k].increment_to(flat[sel])
+        idx, inc = self._locate(flat)
         jumps_before = self._jump_cum[np.searchsorted(self._jump_at, flat, side="left")]
-        out = self.anchor + cont + jumps_before
+        out = self.anchor + (self._cum_inc[idx] + inc) + jumps_before
         return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
     def eval_right(self, t):
@@ -481,75 +506,35 @@ class Derivator:
         return pos + neg
 
     def variation_cumulative(self, times, kind: str = TOTAL) -> np.ndarray:
-        """Vectorized ``variation(a, t, kind)`` for an array of times."""
+        """Vectorized ``variation(a, t, kind)``: the class prefix before t's
+        segment, that segment's increment up to t when it has the class, and
+        the jumps strictly left of t."""
         ts = np.asarray(times, dtype=float)
-        self._check_domain(ts)
-        pos = np.zeros_like(ts)
-        neg = np.zeros_like(ts)
-        for k, seg in enumerate(self.segments):
-            upper = np.clip(ts, seg.lo, seg.hi)
-            inc = seg.increment_to(upper) - 0.0
-            if seg.direction == NONDECREASING:
-                pos = pos + inc
-            elif seg.direction == NONINCREASING:
-                neg = neg - inc
-        if self._jump_at.size:
-            idx = np.searchsorted(self._jump_at, ts, side="left")
-            pos_cum = np.concatenate([[0.0], np.cumsum(np.maximum(self._jump_delta, 0.0))])
-            neg_cum = np.concatenate([[0.0], np.cumsum(np.maximum(-self._jump_delta, 0.0))])
-            pos = pos + pos_cum[idx]
-            neg = neg + neg_cum[idx]
-        if kind == POSITIVE:
-            return pos
-        if kind == NEGATIVE:
-            return neg
-        return pos + neg
+        flat = ts.reshape(-1)
+        idx, inc = self._locate(flat)
+        cls = self._seg_class[idx]
+        at = np.searchsorted(self._jump_at, flat, side="left")
+        pos = (self._rise_cum[idx] + np.where(cls == RISING_POINT, inc, 0.0)
+               + self._jump_pos_cum[at])
+        neg = (self._fall_cum[idx] - np.where(cls == FALLING_POINT, inc, 0.0)
+               + self._jump_neg_cum[at])
+        out = pos if kind == POSITIVE else neg if kind == NEGATIVE else pos + neg
+        return out.reshape(ts.shape)
 
     # -------------------------------------------------------- structural sets
 
-    def _build_runs(self, jump_ats: set):
-        """Group segments into maximal runs broken at jumps and direction changes."""
-        runs = []
-        current = None
-        for seg in self.segments:
-            broken = (
-                current is None
-                or seg.lo in jump_ats
-                or seg.direction != current["direction"]
-            )
-            if broken:
-                if current is not None:
-                    runs.append(current)
-                current = {"lo": seg.lo, "hi": seg.hi, "direction": seg.direction,
-                           "segments": [seg]}
-            else:
-                current["hi"] = seg.hi
-                current["segments"].append(seg)
-        if current is not None:
-            runs.append(current)
-        return runs
-
     def structural_sets(self) -> StructuralSets:
-        up = tuple(float(j.at) for j in self.jumps if j.delta > 0)
-        down = tuple(float(j.at) for j in self.jumps if j.delta < 0)
-        rising, falling, constant = [], [], []
-        for run in self._runs:
-            iv = (run["lo"], run["hi"])
-            if run["direction"] == NONDECREASING:
-                rising.append(iv)
-            elif run["direction"] == NONINCREASING:
-                falling.append(iv)
-            else:
-                constant.append(iv)
-        return StructuralSets(up, down, tuple(rising), tuple(falling), tuple(constant))
+        def runs(cls: int):
+            sel = self._run_class == cls
+            return tuple(zip(self._run_lo[sel].tolist(), self._run_hi[sel].tolist()))
+
+        return StructuralSets(tuple(self._jump_at[self._jump_delta > 0].tolist()),
+                              tuple(self._jump_at[self._jump_delta < 0].tolist()),
+                              runs(RISING_POINT), runs(FALLING_POINT), runs(CONSTANCY_POINT))
 
     def run_boundaries(self) -> tuple[float, ...]:
         """Points delimiting the maximal monotone runs (jumps included)."""
-        pts = {self.a, self.b}
-        for run in self._runs:
-            pts.add(run["lo"])
-            pts.add(run["hi"])
-        return tuple(sorted(pts))
+        return (self.a, *self._run_hi[:-1].tolist(), self.b)
 
     def classify(self, times) -> np.ndarray:
         """Point class of each time for derivative purposes.

@@ -34,7 +34,6 @@ from .derivator import (
     CONSTANT,
     NEGATIVE,
     NONDECREASING,
-    NONINCREASING,
     POSITIVE,
     Derivator,
     Segment,
@@ -95,6 +94,8 @@ class Integrand:
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "Integrand":
         c = np.asarray(coeffs, dtype=float)
+        if c.size == 0:
+            raise DomainError("polynomial integrand needs at least one coefficient")
         return cls(lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c),
                    kind="piecewise_poly", vectorized=True)
 
@@ -106,6 +107,11 @@ class Integrand:
         if len(bks) != len(coefficient_rows) + 1:
             raise DomainError("need exactly one more breakpoint than coefficient row")
         rows = [np.asarray(r, dtype=float) for r in coefficient_rows]
+        if not rows or any(r.size == 0 for r in rows):
+            raise DomainError("piecewise polynomial needs at least one piece, "
+                              "each with at least one coefficient")
+        if np.any(np.diff(bks) <= 0):
+            raise DomainError("piecewise polynomial breakpoints must be strictly increasing")
 
         def evaluate(t):
             t = np.asarray(t, dtype=float)
@@ -125,6 +131,8 @@ class Integrand:
     def tabulated(cls, points: Sequence[tuple[float, float]]) -> "Integrand":
         xs = np.asarray([p[0] for p in points], dtype=float)
         ys = np.asarray([p[1] for p in points], dtype=float)
+        if xs.size == 0:
+            raise DomainError("tabulated integrand needs at least one point")
         if np.any(np.diff(xs) <= 0):
             raise DomainError("tabulated integrand abscissae must be strictly increasing")
         out = cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),

@@ -44,7 +44,6 @@ C acting on state (q, m, beta) as A m^(1/4), B q beta, C q).
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .derivator import (
     Segment,
     TabulatedProfile,
 )
-from .errors import SpecValidationError, StieltjesError
+from .errors import DomainError, SpecValidationError, StieltjesError
 from .measure import Integrand
 from .plume import plume_rhs
 from .solver import CaratheodoryBound, SystemSpec
@@ -80,7 +79,10 @@ def _expect_list(obj, path: str) -> list:
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SpecValidationError(path, f"expected a number, got {type(obj).__name__}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:  # an integer literal past the float range
+        v = np.inf
     if not np.isfinite(v):
         raise SpecValidationError(path, "number must be finite")
     return v
@@ -202,23 +204,27 @@ def parse_integrand(obj, path: str = "integrand") -> Integrand:
         return Integrand.constant(_num(_get(obj, "value", path), f"{path}.value"))
     if kind == "polynomial":
         coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
-        return Integrand.polynomial([_num(c, f"{path}.coefficients[{i}]")
-                                     for i, c in enumerate(coeffs)])
-    if kind == "tabulated":
+        values = [_num(c, f"{path}.coefficients[{i}]") for i, c in enumerate(coeffs)]
         try:
-            return Integrand.tabulated(_point_pairs(_get(obj, "points", path), f"{path}.points"))
-        except StieltjesError as exc:
+            return Integrand.polynomial(values)
+        except DomainError as exc:
+            raise SpecValidationError(f"{path}.coefficients", str(exc)) from exc
+    if kind == "tabulated":
+        points = _point_pairs(_get(obj, "points", path), f"{path}.points")
+        try:
+            return Integrand.tabulated(points)
+        except DomainError as exc:
             raise SpecValidationError(f"{path}.points", str(exc)) from exc
     if kind == "piecewise_polynomial":
         breaks = _expect_list(_get(obj, "breakpoints", path), f"{path}.breakpoints")
         pieces = _expect_list(_get(obj, "pieces", path), f"{path}.pieces")
+        breaks = [_num(x, f"{path}.breakpoints[{i}]") for i, x in enumerate(breaks)]
+        rows = [[_num(c, f"{path}.pieces[{i}][{j}]")
+                 for j, c in enumerate(_expect_list(row, f"{path}.pieces[{i}]"))]
+                for i, row in enumerate(pieces)]
         try:
-            return Integrand.piecewise_polynomial(
-                [_num(x, f"{path}.breakpoints[{i}]") for i, x in enumerate(breaks)],
-                [[_num(c, f"{path}.pieces[{i}][{j}]") for j, c in enumerate(_expect_list(row, f"{path}.pieces[{i}]"))]
-                 for i, row in enumerate(pieces)],
-            )
-        except StieltjesError as exc:
+            return Integrand.piecewise_polynomial(breaks, rows)
+        except DomainError as exc:
             raise SpecValidationError(path, str(exc)) from exc
     raise SpecValidationError(
         f"{path}.kind",
@@ -259,6 +265,10 @@ def _build_rhs(obj: dict, dim: int, path: str):
         polys = [np.array([_num(v, f"{path}.coefficients[{i}][{j}]")
                            for j, v in enumerate(_expect_list(row, f"{path}.coefficients[{i}]"))])
                  for i, row in enumerate(rows)]
+        for i, p in enumerate(polys):
+            if p.size == 0:
+                raise SpecValidationError(f"{path}.coefficients[{i}]",
+                                          "expected at least one coefficient")
 
         def rhs(t, x):
             return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys])
@@ -268,6 +278,8 @@ def _build_rhs(obj: dict, dim: int, path: str):
         return rhs, rhs_batch
     if kind == "tabulated":
         rows = _expect_list(_get(obj, "points", path), f"{path}.points")
+        if not rows:
+            raise SpecValidationError(f"{path}.points", "expected at least one point")
         table = []
         for i, row in enumerate(rows):
             row = _expect_list(row, f"{path}.points[{i}]")

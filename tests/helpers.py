@@ -65,6 +65,16 @@ def random_derivator(rng, a=0.0, b=1.0):
     return Derivator((a, b), segments, jumps, anchor=anchor)
 
 
+def long_derivator(rng, nseg=200):
+    """Many monotone segments of every profile kind, a jump every seventh cut."""
+    edges = np.linspace(0.0, 1.0, nseg + 1)
+    segments = [Segment(lo, hi, make_profile(rng, lo, hi))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+    jumps = [Jump(float(at), float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])))
+             for at in edges[:-1:7]]
+    return Derivator((0.0, 1.0), segments, jumps, anchor=0.25)
+
+
 def random_polynomial_coeffs(rng, max_degree=4):
     degree = int(rng.integers(0, max_degree + 1))
     return rng.uniform(-2.0, 2.0, size=degree + 1)
@@ -434,3 +444,158 @@ def reference_segment_integral(f, seg, lo, hi, rel_tol):
         return np.asarray(f(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float)
 
     return quadrature.integrate_adaptive(weighted, lo, hi, rel_tol)
+
+
+# ------------------------------------------------------ segment-table references
+#
+# The per-segment loops the derivator and the estimate table ran before the
+# structural queries read the segment table's columns, kept verbatim as
+# references: runs, structural sets and the estimate table must keep their
+# exact values, and cumulative variation its bits wherever no power segment
+# is involved.
+
+
+def reference_variation_cumulative(d, times, kind="total"):
+    """``variation(a, t, kind)`` per time, summed over every segment in turn."""
+    ts = np.asarray(times, dtype=float)
+    pos = np.zeros_like(ts)
+    neg = np.zeros_like(ts)
+    for seg in d.segments:
+        upper = np.clip(ts, seg.lo, seg.hi)
+        inc = seg.increment_to(upper) - 0.0
+        if seg.direction == "nondecreasing":
+            pos = pos + inc
+        elif seg.direction == "nonincreasing":
+            neg = neg - inc
+    if d.jumps:
+        deltas = np.array([j.delta for j in d.jumps])
+        idx = np.searchsorted([j.at for j in d.jumps], ts, side="left")
+        pos_cum = np.concatenate([[0.0], np.cumsum(np.maximum(deltas, 0.0))])
+        neg_cum = np.concatenate([[0.0], np.cumsum(np.maximum(-deltas, 0.0))])
+        pos = pos + pos_cum[idx]
+        neg = neg + neg_cum[idx]
+    if kind == "positive":
+        return pos
+    if kind == "negative":
+        return neg
+    return pos + neg
+
+
+def reference_runs(d):
+    """Maximal runs as (lo, hi, direction), broken at jumps and direction changes."""
+    jump_ats = {j.at for j in d.jumps}
+    runs = []
+    current = None
+    for seg in d.segments:
+        if current is None or seg.lo in jump_ats or seg.direction != current[2]:
+            if current is not None:
+                runs.append(tuple(current))
+            current = [seg.lo, seg.hi, seg.direction]
+        else:
+            current[1] = seg.hi
+    runs.append(tuple(current))
+    return runs
+
+
+def reference_structural_sets(d):
+    from stieltjes.derivator import StructuralSets
+
+    runs = reference_runs(d)
+    return StructuralSets(
+        tuple(float(j.at) for j in d.jumps if j.delta > 0),
+        tuple(float(j.at) for j in d.jumps if j.delta < 0),
+        tuple((lo, hi) for lo, hi, direction in runs if direction == "nondecreasing"),
+        tuple((lo, hi) for lo, hi, direction in runs if direction == "nonincreasing"),
+        tuple((lo, hi) for lo, hi, direction in runs if direction == "constant"),
+    )
+
+
+def reference_run_boundaries(d):
+    pts = {d.a, d.b}
+    for lo, hi, _ in reference_runs(d):
+        pts.add(lo)
+        pts.add(hi)
+    return tuple(sorted(pts))
+
+
+def reference_estimate_table(h):
+    """The grid derivative estimate table, its same-segment windows checked
+    one cell offset at a time against a per-segment constancy list."""
+    from stieltjes.calculus import _EstimateTable
+    from stieltjes.derivator import CONSTANCY_POINT, CONSTANT
+
+    d = h.governing
+    grid = h.grid
+    n = len(grid)
+    gl, gr = h.g_values()
+    hl, hr = h.left_values, h.right_values
+
+    deltas = d.deltas_on(grid)
+    is_jump = deltas != 0.0
+
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    cell_sid = d.segment_index(mids)
+    seg_const = np.array([seg.direction == CONSTANT for seg in d.segments])
+    cell_const = seg_const[cell_sid]
+
+    def quot(j, k):
+        q = np.full(n, np.nan)
+        lo_idx = np.arange(0, n - j - k)
+        hi_idx = lo_idx + j + k
+        center = lo_idx + j
+        num = hl[hi_idx] - hr[lo_idx]
+        den = gl[hi_idx] - gr[lo_idx]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q[center] = np.where(den != 0.0, num / den, np.nan)
+        return q
+
+    def cells_same_segment(lo_off, hi_off):
+        ok = None
+        ref = np.full(n, -1)
+        idx0 = np.arange(n) + lo_off
+        valid0 = (idx0 >= 0) & (idx0 < n - 1)
+        ref[valid0] = cell_sid[idx0[valid0]]
+        for i_off in range(lo_off, hi_off):
+            idx = np.arange(n) + i_off
+            valid = (idx >= 0) & (idx < n - 1)
+            cur = np.zeros(n, dtype=bool)
+            cur[valid] = ~cell_const[idx[valid]] & (cell_sid[idx[valid]] == ref[valid])
+            ok = cur if ok is None else (ok & cur)
+        return ok
+
+    q11 = quot(1, 1)
+    q22 = quot(2, 2)
+    central_ok = cells_same_segment(-2, 2) & ~np.isnan(q11) & ~np.isnan(q22)
+    central = (4.0 * q11 - q22) / 3.0
+
+    r1, r2, r3 = quot(0, 1), quot(0, 2), quot(0, 3)
+    right_ok = cells_same_segment(0, 3) & ~np.isnan(r1) & ~np.isnan(r2) & ~np.isnan(r3)
+    right_est = 3.0 * r1 - 3.0 * r2 + r3
+
+    l1, l2, l3 = quot(1, 0), quot(2, 0), quot(3, 0)
+    left_ok = cells_same_segment(-3, 0) & ~np.isnan(l1) & ~np.isnan(l2) & ~np.isnan(l3)
+    left_est = 3.0 * l1 - 3.0 * l2 + l3
+
+    values = np.zeros(n)
+    eligible = np.zeros(n, dtype=bool)
+    values[is_jump] = (hr[is_jump] - hl[is_jump]) / deltas[is_jump]
+    eligible[is_jump] = True
+
+    rest = ~is_jump
+    use_central = rest & central_ok
+    values[use_central] = central[use_central]
+    eligible[use_central] = True
+
+    rest &= ~central_ok
+    both = rest & left_ok & right_ok
+    values[both] = 0.5 * (left_est[both] + right_est[both])
+    only_r = rest & right_ok & ~left_ok
+    values[only_r] = right_est[only_r]
+    only_l = rest & left_ok & ~right_ok
+    values[only_l] = left_est[only_l]
+    eligible[both | only_r | only_l] = True
+
+    eligible &= d.classify(grid) < CONSTANCY_POINT
+    values[~eligible] = 0.0
+    return _EstimateTable(values, eligible, is_jump,
+                          left_est, right_est, left_ok, right_ok)

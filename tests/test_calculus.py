@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (
-    make_profile,
+    long_derivator,
     random_derivator,
     random_polynomial_coeffs,
     reference_cell_integrals,
+    reference_estimate_table,
     same_bits,
 )
 from stieltjes import (
@@ -16,7 +17,6 @@ from stieltjes import (
     DomainError,
     GExponential,
     Integrand,
-    Jump,
     LinearCoefficient,
     LinearProfile,
     Segment,
@@ -35,7 +35,7 @@ from stieltjes import (
     uniform_grid,
     verify_linear_solution,
 )
-from stieltjes.calculus import _cell_integrals
+from stieltjes.calculus import _cell_integrals, _estimate_table
 
 FTC_TOL = 1e-6
 
@@ -49,16 +49,6 @@ def tent(slope=1.0):
         Segment(0.0, 0.5, LinearProfile(slope)),
         Segment(0.5, 1.0, LinearProfile(-slope)),
     ], [])
-
-
-def long_derivator(rng, nseg=200):
-    """Many monotone segments of every profile kind, a jump every seventh cut."""
-    edges = np.linspace(0.0, 1.0, nseg + 1)
-    segments = [Segment(lo, hi, make_profile(rng, lo, hi))
-                for lo, hi in zip(edges[:-1], edges[1:])]
-    jumps = [Jump(float(at), float(rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])))
-             for at in edges[:-1:7]]
-    return Derivator((0.0, 1.0), segments, jumps, anchor=0.25)
 
 
 def reference_primitive(d, v, grid_hint):
@@ -317,6 +307,21 @@ def test_cell_integrals_match_the_per_kind_branches():
         for v in (Integrand.polynomial(random_polynomial_coeffs(rng)),
                   Integrand.tabulated([(0.1, 1.0), (0.45, -0.5), (0.8, 2.0)])):
             assert same_bits(_cell_integrals(d, v, grid), reference_cell_integrals(d, v, grid))
+
+
+def test_estimate_table_matches_the_per_offset_windows():
+    """Comparing a window's first and last cells keeps every array of the table."""
+    rng = np.random.default_rng(45)
+    draws = [random_derivator(rng) for _ in range(200)] + [long_derivator(rng)]
+    for d in draws:
+        v = Integrand.polynomial(random_polynomial_coeffs(rng))
+        for hint in (8, 16):
+            h = primitive(StieltjesMeasure(d), v, grid_hint=hint)
+            got, want = _estimate_table(h), reference_estimate_table(h)
+            for name in ("values", "eligible", "is_jump", "left_est", "right_est",
+                         "left_ok", "right_ok"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestUniformGridEnds:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from stieltjes import Derivator, SpecValidationError, cli, specio
+from helpers import reference_jump_table
+from stieltjes import Derivator, SpecValidationError, cli, solver, specio
 
 
 def write(tmp_path, name, doc):
@@ -277,6 +278,35 @@ class TestSolve:
             assert err["message"].endswith("; the plume model has broken down")
 
 
+class TestSidedRows:
+    def test_jump_rows_come_from_the_report(self, monkeypatch):
+        second = jump_derivator_doc()
+        second["segments"] = [
+            {"lo": 0.0, "hi": 0.25, "profile": {"kind": "linear", "slope": 2.0}},
+            {"lo": 0.25, "hi": 0.5, "profile": {"kind": "constant"}},
+            {"lo": 0.5, "hi": 1.0, "profile": {"kind": "linear", "slope": -1.0}},
+        ]
+        second["jumps"] = [{"at": 0.25, "delta": -0.5}, {"at": 0.5, "delta": 1.0}]
+        doc = {"derivators": [jump_derivator_doc(), second], "initial": [1.0, 2.0],
+               "rhs": {"kind": "linear", "coefficients": [0.5, -1.0]}}
+        spec, _ = specio.parse_system(doc)
+        report = solver.solve(spec, solver.SolveConfig(mesh=32))
+        deltas = reference_jump_table(spec.derivators, report.grid)
+        want = []
+        for k, t in enumerate(report.grid.tolist()):
+            want.append((t, "L", [tr.left_values[k] for tr in report.trajectories]))
+            if np.any(deltas[k] != 0.0):
+                want.append((t, "R", [tr.right_values[k] for tr in report.trajectories]))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the CSV rows rebuilt the jump table")
+
+        monkeypatch.setattr(solver, "_jump_table", boom)
+        times, sides, states = cli._sided_rows(report)
+        assert list(zip(times.tolist(), sides, states.tolist())) == want
+        assert sides.count("R") == 2
+
+
 class TestCsvColumns:
     def test_columns_format_like_single_cells(self, capsys):
         values = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-320, 1e300, np.inf,
@@ -381,6 +411,58 @@ class TestErrors:
         with pytest.raises(SpecValidationError) as info:
             specio.parse_derivator(doc)
         assert info.value.path == where
+
+    def test_huge_integer_is_not_finite(self, tmp_path, capsys):
+        doc = jump_derivator_doc()
+        doc["segments"][0]["profile"]["slope"] = 10 ** 400
+        dpath = write(tmp_path, "huge.json", doc)
+        assert cli.main(["decompose", dpath]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SpecValidationError"
+        assert err["path"] == "derivator.segments[0].profile.slope"
+        assert err["message"].endswith("number must be finite")
+
+    @pytest.mark.parametrize("integrand, where", [
+        ({"kind": "tabulated", "points": []}, "integrand.points"),
+        ({"kind": "polynomial", "coefficients": []}, "integrand.coefficients"),
+        ({"kind": "piecewise_polynomial", "breakpoints": [0.0], "pieces": []}, "integrand"),
+        ({"kind": "piecewise_polynomial", "breakpoints": [1.0, 0.0], "pieces": [[1.0]]},
+         "integrand"),
+        ({"kind": "piecewise_polynomial", "breakpoints": [0.0, 1.0], "pieces": [[]]},
+         "integrand"),
+    ])
+    def test_degenerate_integrand_names_its_path(self, tmp_path, deriv_path, capsys,
+                                                 integrand, where):
+        fpath = write(tmp_path, "f.json", integrand)
+        assert cli.main(["integrate", deriv_path, fpath]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SpecValidationError"
+        assert err["path"] == where
+
+    @pytest.mark.parametrize("integrand, where", [
+        ({"kind": "tabulated", "points": [[0.0, "x"]]}, "integrand.points[0][1]"),
+        ({"kind": "piecewise_polynomial", "breakpoints": [0.0, "a"], "pieces": [[1.0]]},
+         "integrand.breakpoints[1]"),
+        ({"kind": "piecewise_polynomial", "breakpoints": [0.0, 1.0], "pieces": [[1.0, None]]},
+         "integrand.pieces[0][1]"),
+    ])
+    def test_integrand_number_errors_name_their_field(self, integrand, where):
+        with pytest.raises(SpecValidationError) as info:
+            specio.parse_integrand(integrand)
+        assert info.value.path == where
+
+    @pytest.mark.parametrize("rhs, where", [
+        ({"kind": "tabulated", "points": []}, "system.rhs.points"),
+        ({"kind": "polynomial", "coefficients": [[]]}, "system.rhs.coefficients[0]"),
+    ])
+    def test_degenerate_rhs_names_its_path(self, tmp_path, capsys, rhs, where):
+        doc = system_doc()
+        doc["rhs"] = rhs
+        spath = write(tmp_path, "sys.json", doc)
+        assert cli.main(["solve", spath, "--euler", "--mesh", "16"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SpecValidationError"
+        assert err["path"] == where
 
     def test_domain_error_is_an_input_error(self, tmp_path, deriv_path, capsys):
         fpath = write(tmp_path, "f.json", {"kind": "constant", "value": 1.0})

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_derivator, random_subinterval, variation_oracle
+from helpers import (
+    long_derivator,
+    random_derivator,
+    random_subinterval,
+    reference_run_boundaries,
+    reference_runs,
+    reference_structural_sets,
+    reference_variation_cumulative,
+    same_bits,
+    variation_oracle,
+)
 from stieltjes import (
     BOUNDARY_POINT,
     CONSTANCY_POINT,
@@ -361,3 +371,50 @@ class TestArrayQueries:
             np.testing.assert_array_equal(d.eval(ts.reshape(-1, 1))[:, 0], vals)
             assert [d.eval(float(t)) for t in ts[:16]] == vals[:16].tolist()
             assert d.eval(np.array([])).shape == (0,)
+
+
+# The runs, structural sets and cumulative variation read the segment table's
+# class and prefix columns; the per-segment loops they replace live on in
+# helpers as references.
+
+RUN_CLASS_OF = {"nondecreasing": RISING_POINT, "nonincreasing": FALLING_POINT,
+                "constant": CONSTANCY_POINT}
+
+
+def table_corpus(seed):
+    rng = np.random.default_rng(seed)
+    return rng, [random_derivator(rng) for _ in range(200)] + [long_derivator(rng)]
+
+
+class TestSegmentTable:
+    def test_runs_and_sets_match_the_per_segment_loop(self):
+        _, draws = table_corpus(61)
+        for d in draws:
+            runs = list(zip(d._run_lo.tolist(), d._run_hi.tolist(), d._run_class.tolist()))
+            assert runs == [(lo, hi, RUN_CLASS_OF[direction])
+                            for lo, hi, direction in reference_runs(d)]
+            assert d.structural_sets() == reference_structural_sets(d)
+            assert d.run_boundaries() == reference_run_boundaries(d)
+
+    def test_variation_cumulative_matches_the_per_segment_loop(self):
+        rng, draws = table_corpus(62)
+        for d in draws:
+            ts = probe_times(rng, d)
+            has_power = any(isinstance(seg.profile, PowerProfile) for seg in d.segments)
+            for kind in ("total", "positive", "negative"):
+                got = d.variation_cumulative(ts, kind)
+                want = reference_variation_cumulative(d, ts, kind)
+                if has_power:
+                    # the prefix takes power totals from total_increment, the
+                    # loop from an array power: the last bit may differ
+                    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+                else:
+                    assert same_bits(got, want)
+
+    def test_variation_cumulative_keeps_the_input_shape(self):
+        d = identity_with_jump()
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert d.variation_cumulative(ts).shape == (2, 3)
+        np.testing.assert_array_equal(d.variation_cumulative(ts).ravel(),
+                                      d.variation_cumulative(ts.ravel()))
+        assert d.variation_cumulative(np.array([])).shape == (0,)
