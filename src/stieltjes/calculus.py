@@ -133,8 +133,7 @@ class Trajectory:
 
 def _missing_jumps(d: Derivator, grid: np.ndarray) -> list[float]:
     """Jump times of d between the first and last grid time that the grid lacks."""
-    ats = np.array([j.at for j in d.jumps])
-    ats = ats[(grid[0] <= ats) & (ats <= grid[-1])]
+    ats = d._jump_at[(grid[0] <= d._jump_at) & (d._jump_at <= grid[-1])]
     return ats[grid[grid.searchsorted(ats)] != ats].tolist()
 
 

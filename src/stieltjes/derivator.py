@@ -419,9 +419,9 @@ class Derivator:
 
     def _check_domain(self, t: np.ndarray):
         a, b = self.interval
-        if np.any(t < a) or np.any(t > b):
-            bad = t[(t < a) | (t > b)]
-            raise DomainError(f"time {float(np.ravel(bad)[0])} outside [{a}, {b}]")
+        inside = (t >= a) & (t <= b)  # False for NaN, unlike t < a or t > b
+        if not np.all(inside):
+            raise DomainError(f"time {float(np.ravel(t[~inside])[0])} outside [{a}, {b}]")
 
     def segment_index(self, t):
         """Index of the segment owning t; boundaries belong to the left segment."""

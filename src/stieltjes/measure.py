@@ -46,7 +46,14 @@ POSITIVE_PART = "positive_part"
 NEGATIVE_PART = "negative_part"
 TOTAL_VARIATION = "total_variation"
 
-_SIGNATURES = (SIGNED, POSITIVE_PART, NEGATIVE_PART, TOTAL_VARIATION)
+# the Jordan split, one row per signature: the factor on rising/upward signed
+# mass and the factor on falling/downward signed mass
+_SIGN_FACTORS = {
+    SIGNED: (1.0, 1.0),
+    POSITIVE_PART: (1.0, 0.0),
+    NEGATIVE_PART: (0.0, -1.0),
+    TOTAL_VARIATION: (1.0, -1.0),
+}
 
 
 class Integrand:
@@ -158,8 +165,9 @@ class StieltjesMeasure:
     """One of the four measures induced by a derivator, chosen by ``signature``."""
 
     def __init__(self, derivator: Derivator, signature: str = SIGNED):
-        if signature not in _SIGNATURES:
-            raise DomainError(f"unknown signature {signature!r}; pick one of {_SIGNATURES}")
+        if signature not in _SIGN_FACTORS:
+            raise DomainError(f"unknown signature {signature!r}; "
+                              f"pick one of {tuple(_SIGN_FACTORS)}")
         self.derivator = derivator
         self.signature = signature
 
@@ -190,26 +198,15 @@ class StieltjesMeasure:
         return self._jump_weight(d.delta_at(t))
 
     def _jump_weight(self, delta: float) -> float:
-        if self.signature == SIGNED:
-            return delta
-        if self.signature == POSITIVE_PART:
-            return max(delta, 0.0)
-        if self.signature == NEGATIVE_PART:
-            return max(-delta, 0.0)
-        return abs(delta)
+        up, down = _SIGN_FACTORS[self.signature]
+        return up * max(delta, 0.0) + down * min(delta, 0.0)
 
     def _segment_weight(self, seg: Segment) -> float:
         """Sign applied to the segment's density under this signature (0 skips)."""
         if seg.direction == CONSTANT:
             return 0.0
-        rising = seg.direction == NONDECREASING
-        if self.signature == SIGNED:
-            return 1.0
-        if self.signature == POSITIVE_PART:
-            return 1.0 if rising else 0.0
-        if self.signature == NEGATIVE_PART:
-            return 0.0 if rising else -1.0
-        return 1.0 if rising else -1.0
+        up, down = _SIGN_FACTORS[self.signature]
+        return up if seg.direction == NONDECREASING else down
 
     # ------------------------------------------------------------ integration
 

@@ -97,35 +97,37 @@ def _breakdown(m, z) -> RhsEvaluationError:
     )
 
 
-def plume_rhs(A: float, B: float, C: float):
-    """The flux right-hand side (A m^(1/4), B q beta, C q) as a (scalar, batch) pair.
+def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """``x ** p`` element by element through ``math.pow``, the libm ``pow``
+    that a scalar power calls; numpy's array power may round differently."""
+    out = np.fromiter(map(math.pow, x.ravel().tolist(), repeat(p)), float, x.size)
+    return out.reshape(x.shape)
 
-    The batch form takes heights ``z[:]`` and states ``X[:, 3]`` and gives,
-    row for row, the bits of the scalar form: the quarter power goes through
-    ``math.pow``, the libm ``pow`` that the scalar ``m ** 0.25`` calls, since
-    numpy's array power may round differently. Both raise
-    :class:`RhsEvaluationError` when the momentum flux is not positive, the
-    batch form at its first such row.
+
+def plume_rhs(A: float, B: float, C: float):
+    """The flux right-hand side (A m^(1/4), B q beta, C q) as one function.
+
+    It takes a height ``z`` and a state ``(q, m, beta)``, or heights ``z[:]``
+    and states ``X[:, 3]``; row k of the second gives the bits of the first
+    at ``(z[k], X[k])``, since the quarter power of an array goes through
+    libm ``pow`` per element. It raises :class:`RhsEvaluationError` when the
+    momentum flux is not positive, for an array at its first such row.
     """
 
-    def rhs(z: float, x: np.ndarray) -> np.ndarray:
-        q, m, beta = x
-        if m <= 0.0:
-            raise _breakdown(m, z)
-        return np.array([A * m ** 0.25, B * q * beta, C * q])
+    def rhs(z, x):
+        q, m, beta = np.asarray(x).T
+        if isinstance(m, np.ndarray):
+            bad = np.flatnonzero(m <= 0.0)
+            if bad.size:
+                raise _breakdown(m[bad[0]], z[bad[0]])
+            quarter = _libm_pow(m, 0.25)
+        else:
+            if m <= 0.0:
+                raise _breakdown(m, z)
+            quarter = m ** 0.25
+        return np.array([A * quarter, B * q * beta, C * q]).T
 
-    def rhs_batch(z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        q, m, beta = X.T
-        bad = np.nonzero(m <= 0.0)[0]
-        if len(bad):
-            raise _breakdown(m[bad[0]], z[bad[0]])
-        out = np.empty(X.shape)
-        out[:, 0] = A * np.fromiter(map(math.pow, m.tolist(), repeat(0.25)), float, len(m))
-        out[:, 1] = B * q * beta
-        out[:, 2] = C * q
-        return out
-
-    return rhs, rhs_batch
+    return rhs
 
 
 def build_plume_system(params: PlumeParams, ambient: AmbientDensity,
@@ -135,11 +137,10 @@ def build_plume_system(params: PlumeParams, ambient: AmbientDensity,
         raise DomainError("initial volume and momentum fluxes must be positive")
     lo, hi = ambient.rho.interval
     height = Derivator.identity(lo, hi)
-    rhs, rhs_batch = plume_rhs(params.volume_coefficient,
-                               params.momentum_coefficient,
-                               params.buoyancy_coefficient)
-    return SystemSpec([height, height, ambient.rho], rhs, [q0, m0, beta0],
-                      rhs_batch=rhs_batch)
+    rhs = plume_rhs(params.volume_coefficient,
+                    params.momentum_coefficient,
+                    params.buoyancy_coefficient)
+    return SystemSpec([height, height, ambient.rho], rhs, [q0, m0, beta0], rhs_batch=rhs)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,7 @@ def flux_to_geometry(q, m, beta):
     beta = np.asarray(beta, dtype=float)
     if np.any(q <= 0) or np.any(m <= 0):
         raise DomainError("geometry inversion needs positive volume and momentum fluxes")
-    # libm pow per element, as in plume_rhs: numpy's array power may round differently
-    quarter = np.fromiter(map(math.pow, m.ravel().tolist(), repeat(-0.25)), float, m.size)
-    b = q * quarter.reshape(m.shape)
+    b = q * _libm_pow(m, -0.25)
     w = np.sqrt(m) / q
     theta = beta / q
     return b, w, theta

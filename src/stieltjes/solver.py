@@ -11,10 +11,12 @@ exact atom terms.
 A system's right-hand side is ``rhs(t, x) -> f`` for one time and one state.
 A spec may also carry ``rhs_batch(ts, X) -> F``, the same function over many
 rows at once: ``ts`` has shape (n,), ``X`` and ``F`` have shape (n, dim), and
-row k of ``F`` must equal ``rhs(ts[k], X[k])`` bit for bit. Picard sweeps and
-the jump audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`,
-which uses the batch form when there is one and loops the scalar form when
-there is not; the checks and error messages are the scalar ones either way.
+row k of ``F`` must equal ``rhs(ts[k], X[k])`` bit for bit. The catalog and
+plume right-hand sides are one function that serves both calls, so their
+specs pass it as both ``rhs`` and ``rhs_batch``. Picard sweeps and the jump
+audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`, which
+uses the batch form when there is one and loops the scalar form when there
+is not; the checks and error messages are the scalar ones either way.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -47,7 +49,10 @@ from .measure import Integrand, _as_integrand
 
 @dataclass
 class SystemSpec:
-    """A coupled system: one derivator per component, shared interval."""
+    """A coupled system: one derivator per component, shared interval.
+
+    ``rhs_batch`` may be ``rhs`` itself, as for the catalog right-hand sides.
+    """
 
     derivators: Sequence[Derivator]
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -71,6 +76,8 @@ class SystemSpec:
                 "initial state must be one value per derivator "
                 f"(got shape {self.initial.shape} for {len(self.derivators)} components)"
             )
+        # the shape every call_rhs result must have, built once: Euler calls it per row
+        self._row_shape = (len(self.derivators),)
         if self.horizon is not None:
             a, b = base
             if not (a < self.horizon <= b):
@@ -93,7 +100,7 @@ class SystemSpec:
             raise RhsEvaluationError(
                 f"right-hand side failed at t={t}: {exc}"
             ) from exc
-        if out.shape != (self.dim,):
+        if out.shape != self._row_shape:
             raise RhsEvaluationError(
                 f"right-hand side returned shape {out.shape}, expected ({self.dim},)"
             )

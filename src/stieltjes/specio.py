@@ -236,15 +236,14 @@ def parse_integrand(obj, path: str = "integrand") -> Integrand:
 # ------------------------------------------------------------------ systems
 
 def _build_rhs(obj: dict, dim: int, path: str):
-    """The (scalar, batch) right-hand side pair of a catalog entry."""
+    """The right-hand side of a catalog entry, passed as both ``rhs`` and
+    ``rhs_batch``: ``(t, x)`` gives shape (dim,) and ``(ts[:], X[:, dim])``
+    gives shape (n, dim), whose row k has the bits of ``(ts[k], X[k])``."""
     kind = _get(obj, "kind", path)
     if kind == "zero":
         def rhs(t, x):
-            return np.zeros(dim)
-
-        def rhs_batch(ts, X):
-            return np.zeros((len(ts), dim))
-        return rhs, rhs_batch
+            return np.zeros(np.shape(x))
+        return rhs
     if kind == "linear":
         coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
         if len(coeffs) != dim:
@@ -255,7 +254,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return c * x
-        return rhs, rhs
+        return rhs
     if kind == "polynomial":
         rows = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
         if len(rows) != dim:
@@ -271,11 +270,8 @@ def _build_rhs(obj: dict, dim: int, path: str):
                                           "expected at least one coefficient")
 
         def rhs(t, x):
-            return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys])
-
-        def rhs_batch(ts, X):
-            return np.stack([np.polynomial.polynomial.polyval(ts, p) for p in polys], axis=1)
-        return rhs, rhs_batch
+            return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys]).T
+        return rhs
     if kind == "tabulated":
         rows = _expect_list(_get(obj, "points", path), f"{path}.points")
         if not rows:
@@ -288,17 +284,13 @@ def _build_rhs(obj: dict, dim: int, path: str):
                     f"{path}.points[{i}]", f"expected [t, v1..v{dim}], got {len(row)} entries"
                 )
             table.append([_num(v, f"{path}.points[{i}][{j}]") for j, v in enumerate(row)])
-        arr = np.array(table)
-        knots = arr[:, 0]
+        knots, *columns = np.array(table).T.copy()
         if np.any(np.diff(knots) <= 0):
             raise SpecValidationError(f"{path}.points", "times must be strictly increasing")
 
         def rhs(t, x):
-            return np.array([np.interp(t, knots, arr[:, 1 + j]) for j in range(dim)])
-
-        def rhs_batch(ts, X):
-            return np.stack([np.interp(ts, knots, arr[:, 1 + j]) for j in range(dim)], axis=1)
-        return rhs, rhs_batch
+            return np.array([np.interp(t, knots, v) for v in columns]).T
+        return rhs
     if kind == "plume":
         if dim != 3:
             raise SpecValidationError(path, "the plume right-hand side needs exactly 3 components")
@@ -325,13 +317,13 @@ def parse_system(obj, path: str = "system") -> tuple[SystemSpec, CaratheodoryBou
             f"{path}.initial",
             f"got {len(initial)} initial values for {len(derivs)} derivators",
         )
-    rhs, rhs_batch = _build_rhs(_expect_dict(_get(obj, "rhs", path), f"{path}.rhs"),
-                                len(derivs), f"{path}.rhs")
+    rhs = _build_rhs(_expect_dict(_get(obj, "rhs", path), f"{path}.rhs"),
+                     len(derivs), f"{path}.rhs")
     horizon = None
     if obj.get("horizon") is not None:
         horizon = _num(obj["horizon"], f"{path}.horizon")
     try:
-        spec = SystemSpec(derivs, rhs, initial, horizon=horizon, rhs_batch=rhs_batch)
+        spec = SystemSpec(derivs, rhs, initial, horizon=horizon, rhs_batch=rhs)
     except StieltjesError as exc:
         raise SpecValidationError(path, str(exc)) from exc
     bound = None

@@ -69,6 +69,13 @@ def reference_primitive(d, v, grid_hint):
     return left, right
 
 
+def kinked_identity():
+    return Derivator((0.0, 1.0), [
+        Segment(0.0, 0.5, LinearProfile(1.0)),
+        Segment(0.5, 1.0, LinearProfile(2.0)),
+    ])
+
+
 def record(d, fn, per_segment=128):
     """Trajectory of fn(g), with the left/right split taken from g."""
     grid = uniform_grid(d, per_segment)
@@ -187,6 +194,18 @@ class TestDerivative:
         for t in (0.4, 0.55, 0.7):
             with pytest.raises(UndefinedPointError):
                 g_derivative_fn(lambda s: s, d, t)
+
+    def test_junction_inside_a_run_takes_the_mean_of_agreeing_sides(self):
+        # slopes 1 and 2 meet at 0.5 with no jump: one rising run, two segments
+        d = kinked_identity()
+        assert g_derivative_fn(lambda t: d.eval(t) ** 2, d, 0.5) == 1.0
+
+    def test_junction_inside_a_run_rejects_disagreeing_sides(self):
+        # d(t^2)/dg is 2t / slope: 1.0 from the left, 0.5 from the right
+        d = kinked_identity()
+        with pytest.raises(ConvergenceError, match=r"^one-sided quotients disagree at 0\.5$") as exc:
+            g_derivative_fn(lambda t: t ** 2, d, 0.5)
+        assert exc.value.last_estimate == [0.5, 1.0]
 
     def test_noisy_function_raises_convergence_error(self):
         d = Derivator.identity(0.0, 1.0)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestDecompose:
     def test_desk_values(self, tmp_path, deriv_path):
         out = str(tmp_path / "report.json")
         assert cli.main(["decompose", deriv_path, "-o", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["sets"]["D_plus"] == [0.5]
         assert doc["sets"]["D_minus"] == []
         assert doc["sets"]["Lambda_plus"] == [[0.0, 0.5], [0.5, 1.0]]
@@ -54,8 +55,8 @@ class TestDecompose:
     def test_output_reingests_to_the_same_derivator(self, tmp_path, deriv_path):
         out = str(tmp_path / "report.json")
         cli.main(["decompose", deriv_path, "-o", out])
-        original = specio.parse_derivator(json.loads(open(deriv_path).read()))
-        recovered = specio.parse_derivator(json.loads(open(out).read()))
+        original = specio.parse_derivator(json.loads(Path(deriv_path).read_text()))
+        recovered = specio.parse_derivator(json.loads(Path(out).read_text()))
         ts = np.linspace(0.0, 1.0, 1000)
         np.testing.assert_array_equal(recovered.eval(ts), original.eval(ts))
         np.testing.assert_array_equal(recovered.eval_right(ts), original.eval_right(ts))
@@ -73,7 +74,7 @@ class TestIntegrate:
         out = str(tmp_path / "out.json")
         code = cli.main(["integrate", deriv_path, ident_integrand_path, "-o", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         # continuous part 1/2 plus the atom 0.5 * 2
         assert doc["value"] == pytest.approx(1.5, abs=1e-9)
         assert doc["signature"] == "signed"
@@ -86,7 +87,7 @@ class TestIntegrate:
         out = str(tmp_path / "out.json")
         cli.main(["integrate", dpath, ident_integrand_path,
                   "--measure", "total_variation", "-o", out])
-        got = json.loads(open(out).read())
+        got = json.loads(Path(out).read_text())
         assert got["value"] == pytest.approx(1.5, abs=1e-9)
 
 
@@ -102,7 +103,7 @@ class TestIntegrate:
         })
         out = str(tmp_path / "out.json")
         assert cli.main(["integrate", dpath, fpath, "-o", out]) == 0
-        value = json.loads(open(out).read())["value"]
+        value = json.loads(Path(out).read_text())["value"]
         assert value == pytest.approx(1.0 - b, rel=1e-12)
 
 
@@ -112,7 +113,7 @@ class TestDerive:
         code = cli.main(["derive", deriv_path, ident_integrand_path,
                          "--at", "0.3", "--at", "0.5", "-o", out])
         assert code == 0
-        pts = json.loads(open(out).read())["points"]
+        pts = json.loads(Path(out).read_text())["points"]
         assert pts[0]["t"] == 0.3
         assert pts[0]["derivative"] == pytest.approx(1.0, abs=1e-6)
         # f(t) = t is continuous at the jump, so the jump quotient vanishes
@@ -126,8 +127,8 @@ class TestDerive:
         cli.main(["derive", deriv_path, ident_integrand_path,
                   "--at", "0.3", "--at", "0.6", "-o", first])
         cli.main(["derive", deriv_path, ident_integrand_path, "--at", "0.7", "-o", second])
-        assert [p["t"] for p in json.loads(open(first).read())["points"]] == [0.3, 0.6]
-        assert [p["t"] for p in json.loads(open(second).read())["points"]] == [0.7]
+        assert [p["t"] for p in json.loads(Path(first).read_text())["points"]] == [0.3, 0.6]
+        assert [p["t"] for p in json.loads(Path(second).read_text())["points"]] == [0.7]
 
     @pytest.mark.parametrize("at", ["0.1", "0.9"])
     def test_flat_head_or_tail_is_an_input_error(self, tmp_path, ident_integrand_path,
@@ -146,13 +147,43 @@ class TestDerive:
         assert "constant" in err["error"]["message"]
 
 
+    def test_nan_time_is_a_domain_error(self, deriv_path, ident_integrand_path, capsys):
+        code = cli.main(["derive", deriv_path, ident_integrand_path, "--at", "nan"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "DomainError"
+        assert err["error"]["message"] == "time nan outside [0.0, 1.0]"
+
+    def test_junction_inside_a_run(self, tmp_path, capsys):
+        # slopes 1 and 2 meet at 0.5 with no jump; t^2 has one-sided
+        # g-derivatives 1.0 and 0.5 there, g itself has 1.0 on both sides
+        dpath = write(tmp_path, "kink.json", {
+            "interval": [0.0, 1.0],
+            "segments": [
+                {"lo": 0.0, "hi": 0.5, "profile": {"kind": "linear", "slope": 1.0}},
+                {"lo": 0.5, "hi": 1.0, "profile": {"kind": "linear", "slope": 2.0}},
+            ],
+        })
+        square = write(tmp_path, "sq.json", {"kind": "polynomial", "coefficients": [0, 0, 1]})
+        assert cli.main(["derive", dpath, square, "--at", "0.5"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConvergenceError"
+        assert err["error"]["message"] == "one-sided quotients disagree at 0.5"
+        g = write(tmp_path, "g.json", {"kind": "piecewise_polynomial",
+                                       "breakpoints": [0.0, 0.5, 1.0],
+                                       "pieces": [[0.0, 1.0], [-0.5, 2.0]]})
+        out = str(tmp_path / "out.json")
+        assert cli.main(["derive", dpath, g, "--at", "0.5", "-o", out]) == 0
+        assert json.loads(Path(out).read_text())["points"] == [{"t": 0.5, "derivative": 1.0}]
+
+
 class TestFtcCheck:
     def test_passes_on_a_smooth_integrand(self, tmp_path, deriv_path):
         vpath = write(tmp_path, "v.json",
                       {"kind": "polynomial", "coefficients": [0.3, -1.0, 0.5]})
         out = str(tmp_path / "out.json")
         assert cli.main(["ftc-check", deriv_path, vpath, "-o", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["passed"] is True
         assert doc["max_deviation"] < 1e-6
         assert doc["grid_points"] > 1000
@@ -181,7 +212,7 @@ class TestExp:
         out = str(tmp_path / "verify.json")
         code = cli.main(["exp", deriv_path, cpath, "--verify", "-o", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["passed"] is True
         assert doc["jump_identity_exact"] is True
         assert doc["regime"] == "positive_factors"

@@ -219,6 +219,16 @@ class TestValidation:
         with pytest.raises(DomainError):
             Segment(0.0, 1.0, TabulatedProfile(((0.0, 0.0), (0.5, 1.0))))
 
+    @pytest.mark.parametrize("query", ["eval", "eval_right", "variation_cumulative",
+                                       "classify", "classify_point"])
+    def test_nan_time_is_outside_the_interval(self, query):
+        # t < a and t > b are both False for NaN; the time is still not in [a, b]
+        d = identity_with_jump()
+        with pytest.raises(DomainError, match=r"^time nan outside \[0\.0, 1\.0\]$"):
+            getattr(d, query)(float("nan"))
+        with pytest.raises(DomainError, match=r"^time nan outside"):
+            getattr(d, query)(np.array([0.25, np.nan, 0.75]))
+
 
 def test_power_profile_increment_shape():
     seg = Segment(0.0, 1.0, PowerProfile(0.5, 2.0))

@@ -56,6 +56,12 @@ class TestMasses:
         assert measure_of_point(StieltjesMeasure(d, "negative_part"), 0.5) == 1.5
         assert measure_of_point(StieltjesMeasure(d, "total_variation"), 0.25) == 0.0
 
+    def test_point_masses_off_jumps_are_positive_zero(self):
+        d = identity_with_jump(delta=-1.5)
+        for sig in ("signed", "positive_part", "negative_part", "total_variation"):
+            mass = StieltjesMeasure(d, sig).point(0.25)
+            assert mass == 0.0 and math.copysign(1.0, mass) == 1.0
+
     def test_half_open_interval_includes_left_jump(self):
         m = signed(identity_with_jump(delta=2.0, at=0.5))
         assert m.interval(0.0, 0.5) == pytest.approx(0.5)

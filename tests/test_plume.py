@@ -172,6 +172,23 @@ class TestBreakdown:
             build_plume_system(PlumeParams(), amb, 0.05, -1.0, 0.15)
 
 
+class TestOneRhs:
+    def spec(self):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(3.0, -1.5)])
+        return build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
+
+    def test_one_function_serves_both_calls(self):
+        spec = self.spec()
+        assert spec.rhs is spec.rhs_batch
+
+    def test_a_list_state_gives_the_bits_of_an_array_state(self):
+        spec = self.spec()
+        x = [0.05, 0.0123, -0.4]
+        assert spec.rhs(2.0, x).tobytes() == spec.rhs(2.0, np.array(x)).tobytes()
+        with pytest.raises(RhsEvaluationError, match=r"^momentum flux 0\.0 is not positive"):
+            spec.rhs(2.0, [0.05, 0.0, 0.1])
+
+
 class TestBatchedRhs:
     def spec(self, beta0=0.15):
         amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(3.0, -1.5), (7.0, -0.8)])

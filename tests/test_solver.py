@@ -306,6 +306,12 @@ def scalar_only(spec):
     return SystemSpec(spec.derivators, spec.rhs, spec.initial, horizon=spec.horizon)
 
 
+@pytest.mark.parametrize("kind", RHS_CATALOG)
+def test_catalog_rhs_is_one_function_for_both_calls(kind):
+    spec = catalog_system(np.random.default_rng(5), kind)
+    assert spec.rhs is spec.rhs_batch
+
+
 class TestBatchedRhs:
     @pytest.mark.parametrize("kind", RHS_CATALOG)
     def test_batch_equals_scalar_row_by_row(self, kind):
