@@ -36,43 +36,39 @@ from .errors import (
 )
 from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
 
-_INTERP_MODES = ("linear", "flat")
+_NEVILLE_LEVELS = 24  # bracket halvings in one Neville extrapolation
+_MODULUS_RUNGS = 52  # continuity-modulus radii, halving from the full variation
 
 
 @dataclass
 class Trajectory:
     """A function recorded on a grid with separate left and right values.
 
-    The grid always contains both interval endpoints and every jump of the
-    governing derivator; ``right_values`` may differ from ``left_values`` only
-    at jump locations. Between grid points the declared interpolation rule
-    applies ("linear", or "flat" for step records).
+    The grid lies in the governing derivator's interval and holds every jump
+    between its ends; ``right_values`` may differ from ``left_values`` only
+    there. Between grid points the record is linear, from the right value at
+    the left end to the left value at the right end.
     """
 
     grid: np.ndarray
     left_values: np.ndarray
     right_values: np.ndarray
     governing: Derivator
-    interpolation: str = "linear"
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.left_values = np.asarray(self.left_values, dtype=float)
         self.right_values = np.asarray(self.right_values, dtype=float)
-        if self.interpolation not in _INTERP_MODES:
-            raise DomainError(f"unknown interpolation {self.interpolation!r}")
         if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
             raise DomainError("grid must be strictly increasing")
         if self.left_values.shape != self.grid.shape or self.right_values.shape != self.grid.shape:
             raise DomainError("value arrays must match the grid")
-        a, b = self.governing.interval
-        if self.grid[0] < a or self.grid[-1] > b:
-            raise DomainError("grid extends outside the governing interval")
+        self.governing._check_domain(self.grid)
         missing = _missing_jumps(self.governing, self.grid)
         if missing:
             raise DomainError(f"grid is missing jump times {missing}")
         moved = self.right_values != self.left_values
-        moved &= self.governing.jump_index(self.grid) < 0
+        moved &= self.governing._jump_index(self.grid) < 0
         if np.any(moved):
             t = self.grid[np.argmax(moved)]
             raise DomainError(f"right value differs from left at non-jump time {t}")
@@ -99,11 +95,8 @@ class Trajectory:
         lo_t = self.grid[idx - 1]
         hi_t = self.grid[idx]
         on_node = ts == lo_t
-        if self.interpolation == "linear":
-            w = np.where(hi_t > lo_t, (ts - lo_t) / np.where(hi_t > lo_t, hi_t - lo_t, 1.0), 0.0)
-            interp = self.right_values[idx - 1] * (1 - w) + self.left_values[idx] * w
-        else:
-            interp = np.where(ts == hi_t, self.left_values[idx], self.right_values[idx - 1])
+        w = np.where(hi_t > lo_t, (ts - lo_t) / np.where(hi_t > lo_t, hi_t - lo_t, 1.0), 0.0)
+        interp = self.right_values[idx - 1] * (1 - w) + self.left_values[idx] * w
         out = np.where(on_node, self.left_values[idx - 1], interp)
         # the first grid point only matches via on_node at idx-1 == 0
         out = np.where(ts == self.grid[-1], self.left_values[-1], out)
@@ -118,17 +111,6 @@ class Trajectory:
             idx = np.clip(idx, 0, len(self.grid) - 1)
             base = np.where(exact, self.right_values[idx], base)
         return float(base) if np.isscalar(t) else base
-
-    def transform(self, fn: Callable) -> "Trajectory":
-        """Compose a scalar map over the recorded values (for Lipschitz stability checks)."""
-        wrapped = _as_integrand(fn)
-        return Trajectory(
-            self.grid.copy(),
-            wrapped(self.left_values),
-            wrapped(self.right_values),
-            self.governing,
-            self.interpolation,
-        )
 
 
 def _missing_jumps(d: Derivator, grid: np.ndarray) -> list[float]:
@@ -152,7 +134,7 @@ def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
     u = np.linspace(0.0, 1.0, per_segment + 1)
     lo, hi = bks[:-1], bks[1:]
     spans = lo[:, None] + (hi - lo)[:, None] * u
-    owner = derivator.segment_index(0.5 * (lo + hi))
+    owner = derivator._segment_index(0.5 * (lo + hi))
     for i, k in enumerate(owner.tolist()):
         profile = derivator.segments[k].profile
         if getattr(profile, "kind", None) == "power" and profile.exponent != 1.0:
@@ -231,7 +213,7 @@ def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    for k, cells in _groups(d.segment_index(mids)):
+    for k, cells in _groups(d._segment_index(mids)):
         seg = d.segments[k]
         if seg.direction == CONSTANT:
             continue
@@ -268,7 +250,7 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
     is_jump = deltas != 0.0
 
     mids = 0.5 * (grid[:-1] + grid[1:])
-    cell_sid = d.segment_index(mids)
+    cell_sid = d._segment_index(mids)
     cell_moves = d._seg_class[cell_sid] != CONSTANCY_POINT
 
     def quot(j: int, k: int) -> np.ndarray:
@@ -385,8 +367,7 @@ def g_derivative(h: Trajectory, t: float) -> float:
     return est
 
 
-def g_derivative_fn(func: Callable, d: Derivator, t: float,
-                    rel_tol: float = 1e-8, max_levels: int = 24) -> float:
+def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-8) -> float:
     """Derivative of a callable with respect to a derivator at t.
 
     Uses shrinking bracketing quotients with Neville extrapolation, brackets
@@ -399,7 +380,7 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float,
         raise UndefinedPointError(f"g-derivative undefined at {t}: {payload}")
     if kind == "jump":
         return _extrapolate(lambda eps: _quotient(func, d, t, t + eps, t, at_jump=True),
-                            _right_reach(d, t), rel_tol, max_levels, even=False)
+                            _right_reach(d, t), rel_tol, even=False)
     left_idx, right_idx = d.segments_adjacent(t)
     seg_l = d.segments[left_idx] if left_idx is not None else None
     seg_r = d.segments[right_idx] if right_idx is not None else None
@@ -408,14 +389,14 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float,
     if inside_left and inside_right and left_idx == right_idx:
         reach = min(t - seg_l.lo, seg_l.hi - t)
         return _extrapolate(lambda eps: _quotient(func, d, t - eps, t + eps, t),
-                            reach, rel_tol, max_levels, even=True)
+                            reach, rel_tol, even=True)
     estimates = []
     if inside_right:
         estimates.append(_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
-                                      seg_r.hi - t, rel_tol, max_levels, even=False))
+                                      seg_r.hi - t, rel_tol, even=False))
     if inside_left:
         estimates.append(_extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
-                                      t - seg_l.lo, rel_tol, max_levels, even=False))
+                                      t - seg_l.lo, rel_tol, even=False))
     if not estimates:
         raise UndefinedPointError(f"no usable bracket at {t}")
     if len(estimates) == 2:
@@ -455,8 +436,7 @@ def _quotient(func, d, lo, hi, t, at_jump=False):
     return num / den
 
 
-def _extrapolate(quotient: Callable, reach: float, rel_tol: float,
-                 max_levels: int, even: bool) -> float:
+def _extrapolate(quotient: Callable, reach: float, rel_tol: float, even: bool) -> float:
     """Neville extrapolation of quotient(eps) to eps -> 0 over a halving ladder.
 
     ``even`` marks an error expansion in eps**2 (central quotients), which
@@ -472,7 +452,7 @@ def _extrapolate(quotient: Callable, reach: float, rel_tol: float,
     best_val = None
     best_gap = np.inf
     quot_scale = 0.0
-    for level in range(max_levels):
+    for level in range(_NEVILLE_LEVELS):
         eps = eps0 / (2.0 ** level)
         if eps == 0.0:
             break
@@ -597,39 +577,51 @@ def chain_rule_check(g1: Derivator, g2: Derivator, f: Callable, h: Callable,
 # ------------------------------------------------------------------- modulus
 
 
-def g_continuity_modulus(h: Trajectory, epsilon: float,
-                         max_halvings: int = 52, sample_cap: int = 512) -> float:
+def g_continuity_modulus(h: Trajectory, epsilon: float) -> float:
     """Largest ladder radius delta with |h(t) - h(s)| < epsilon whenever
     the derivator's variation between t and s stays below delta.
 
-    The ladder halves down from the full variation; sampled grid pairs are
-    checked exhaustively. Returns 0.0 when even the smallest rung fails, in
-    particular when h moves across a span of zero variation.
+    The ladder halves down from the full variation over 52 rungs. The
+    points checked are every grid time's left value at variation
+    V(t) (``variation_cumulative``) and each jump row's right value h(t+) at
+    V(t) + |delta|: a rung passes when every pair of points closer than delta
+    in variation is closer than epsilon in value. Each point's nearest
+    offending partner is found exactly in O(n log n). Returns 0.0 when even
+    the smallest rung fails, in particular when h moves across a span of
+    zero variation.
     """
     d = h.governing
-    grid = h.grid
-    if len(grid) > sample_cap:
-        keep = np.unique(np.concatenate([
-            np.linspace(0, len(grid) - 1, sample_cap).astype(int),
-            np.array([h.index_of(j.at) for j in d.jumps], dtype=int),
-        ]))
-    else:
-        keep = np.arange(len(grid))
-    ts = grid[keep]
-    hv = h.left_values[keep]
-    V = d.variation_cumulative(ts)
-    pairvar = np.abs(V[None, :] - V[:, None])
-    gaps = np.abs(hv[None, :] - hv[:, None])
-    top = d.variation(d.a, d.b)
-    if top == 0.0:
-        return 0.0
+    deltas, V = d.deltas_on(h.grid), d.variation_cumulative(h.grid)
+    jumps = np.flatnonzero(deltas)
+    x = np.insert(h.left_values, jumps + 1, h.right_values[jumps])
+    v = np.insert(V, jumps + 1, V[jumps] + np.abs(deltas[jumps]))
+    # V + |delta| can round past the next time's V; in V order, the first
+    # offending point after i is the nearest one
+    order = np.argsort(v, kind="stable")
+    x, v, n = x[order], v[order], v.size
     # a hair of grace: variation and value gaps accumulate through different
     # float paths, and |h(t)-h(s)| <= var should not fail by one ulp
     eps_eff = epsilon * (1.0 + 1e-9)
-    delta = top
-    for _ in range(max_halvings):
-        mask = pairvar < delta
-        if np.all(gaps[mask] < eps_eff):
+    if not np.all(np.abs(x - x) < eps_eff):
+        return 0.0  # a point offends against itself (NaN value, epsilon <= 0)
+    # level k of the sparse tables: max and min of x over [p, p + 2**k)
+    highs, lows = [x], [x]
+    while 2 ** len(highs) < n:
+        w = 2 ** (len(highs) - 1)
+        highs.append(np.maximum(highs[-1][:-w], highs[-1][w:]))
+        lows.append(np.minimum(lows[-1][:-w], lows[-1][w:]))
+    # binary lifting: x[i + 1 .. last[i]] all lie within epsilon of x[i]
+    last = np.arange(n)
+    for k in range(len(highs) - 1, -1, -1):
+        fits = last + 2 ** k < n
+        p = last[fits] + 1
+        fits[fits] = (highs[k][p] - x[fits] < eps_eff) & (x[fits] - lows[k][p] < eps_eff)
+        last[fits] += 2 ** k
+    offends = last + 1 < n
+    nearest = np.min(v[last[offends] + 1] - v[offends], initial=np.inf)
+    delta = d.variation(d.a, d.b)
+    for _ in range(_MODULUS_RUNGS):
+        if delta <= nearest:
             return float(delta)
         delta *= 0.5
     return 0.0

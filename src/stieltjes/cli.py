@@ -225,42 +225,6 @@ def _write_solution(report, header, columns, out_path, summary) -> int:
     return 0
 
 
-def _parse_plume_doc(doc) -> tuple[plume.PlumeParams, plume.AmbientDensity, float, float, float, float | None]:
-    doc = specio._expect_dict(doc, "plume")
-    pobj = specio._expect_dict(doc.get("params", {}), "plume.params")
-    kwargs = {}
-    for key in ("entrainment", "mixing", "gravity", "reference_density"):
-        if key in pobj:
-            kwargs[key] = specio._num(pobj[key], f"plume.params.{key}")
-    unknown = set(pobj) - {"entrainment", "mixing", "gravity", "reference_density"}
-    if unknown:
-        raise SpecValidationError("plume.params", f"unknown fields {sorted(unknown)}")
-    try:
-        params = plume.PlumeParams(**kwargs)
-    except DomainError as exc:
-        raise SpecValidationError("plume.params", str(exc)) from exc
-    ambient_obj = specio._get(doc, "ambient", "plume")
-    rho = specio.parse_derivator(ambient_obj, "plume.ambient")
-    try:
-        ambient = plume.AmbientDensity(rho)
-    except DomainError as exc:
-        raise SpecValidationError("plume.ambient", str(exc)) from exc
-    init = specio._get(doc, "initial", "plume")
-    if isinstance(init, dict):
-        q0 = specio._num(specio._get(init, "q", "plume.initial"), "plume.initial.q")
-        m0 = specio._num(specio._get(init, "m", "plume.initial"), "plume.initial.m")
-        beta0 = specio._num(specio._get(init, "beta", "plume.initial"), "plume.initial.beta")
-    else:
-        vals = specio._expect_list(init, "plume.initial")
-        if len(vals) != 3:
-            raise SpecValidationError("plume.initial", "expected [q, m, beta]")
-        q0, m0, beta0 = (specio._num(v, f"plume.initial[{i}]") for i, v in enumerate(vals))
-    horizon = None
-    if doc.get("horizon") is not None:
-        horizon = specio._num(doc["horizon"], "plume.horizon")
-    return params, ambient, q0, m0, beta0, horizon
-
-
 def _geometry(states):
     """Radius, velocity and buoyancy of each (q, m, beta) row; nan unless q > 0 and m > 0."""
     geo = np.full(states.shape, np.nan)
@@ -270,14 +234,7 @@ def _geometry(states):
 
 
 def _cmd_plume(args) -> int:
-    params, ambient, q0, m0, beta0, horizon = _parse_plume_doc(
-        specio.load_json(args.plume, "plume")
-    )
-    try:
-        spec = plume.build_plume_system(params, ambient, q0, m0, beta0)
-    except DomainError as exc:
-        raise SpecValidationError("plume.initial", str(exc)) from exc
-    spec.horizon = horizon
+    spec = specio.parse_plume(specio.load_json(args.plume, "plume"))
     config = solver.SolveConfig(mesh=args.mesh, picard=True, tol=args.tol,
                                 max_iter=args.max_iter)
     report = solver.solve(spec, config)

@@ -418,21 +418,26 @@ class Derivator:
         return cls((a, b), [Segment(a, b, ConstantProfile())], anchor=level)
 
     def _check_domain(self, t: np.ndarray):
+        """DomainError unless every time is in [a, b]; each public query checks its
+        input once, and paths with checked times call the unchecked cores."""
         a, b = self.interval
         inside = (t >= a) & (t <= b)  # False for NaN, unlike t < a or t > b
-        if not np.all(inside):
+        if not inside.all():
             raise DomainError(f"time {float(np.ravel(t[~inside])[0])} outside [{a}, {b}]")
 
     def segment_index(self, t):
         """Index of the segment owning t; boundaries belong to the left segment."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self._seg_lo, t, side="left") - 1
-        return np.clip(idx, 0, len(self.segments) - 1)
+        self._check_domain(t)
+        return self._segment_index(t)
+
+    def _segment_index(self, t: np.ndarray):
+        # every time in [a, b] but a itself has a segment lo strictly left of it
+        return np.maximum(np.searchsorted(self._seg_lo, t, side="left") - 1, 0)
 
     def _locate(self, flat: np.ndarray):
         """Owning segment of each time in a flat array and the increment from
         that segment's lo; raises DomainError for times outside [a, b]."""
-        self._check_domain(flat)
         idx = self.segment_index(flat)
         if flat.size == 1:
             return idx, self.segments[int(idx[0])].increment_to(flat)
@@ -455,12 +460,16 @@ class Derivator:
         arr = np.asarray(t, dtype=float)
         base = self.eval(arr)
         if self._jump_at.size:
-            base = base + self.deltas_on(arr)
+            base = base + self._jump_delta_padded[self._jump_index(arr)]
         return float(base) if np.isscalar(t) else base
 
     def jump_index(self, times) -> np.ndarray:
         """Index into ``jumps`` of the jump at each time, -1 where g is continuous."""
         ts = np.asarray(times, dtype=float)
+        self._check_domain(ts)
+        return self._jump_index(ts)
+
+    def _jump_index(self, ts: np.ndarray) -> np.ndarray:
         pos = self._jump_at.searchsorted(ts)
         return np.where(self._jump_at_padded[pos] == ts, pos, -1)
 
@@ -549,7 +558,7 @@ class Derivator:
         run = np.searchsorted(self._run_lo, ts, side="right") - 1
         inside = (self._run_lo[run] < ts) & (ts < self._run_hi[run])
         codes = np.where(inside, self._run_class[run], BOUNDARY_POINT)
-        return np.where(self.jump_index(ts) >= 0, JUMP_POINT, codes)
+        return np.where(self._jump_index(ts) >= 0, JUMP_POINT, codes)
 
     def classify_point(self, t: float) -> tuple[str, object]:
         """Where t sits for derivative purposes.
@@ -561,12 +570,13 @@ class Derivator:
         """
         code = int(self.classify(t))
         if code == JUMP_POINT:
-            return ("jump", self.delta_at(t))
+            return ("jump", float(self._jump_delta_padded[self._jump_index(t)]))
         return _POINT_KINDS[code]
 
     def segments_adjacent(self, t: float) -> tuple[int | None, int | None]:
         """Indices of the segments just left and just right of t (None at a or b)."""
         t = float(t)
+        self._check_domain(np.asarray(t))
         left = int(np.searchsorted(self._seg_lo, t, side="left")) - 1
         right = int(np.searchsorted(self._seg_lo, t, side="right")) - 1
         return (left if left >= 0 and t <= self._seg_hi[left] else None,

@@ -54,11 +54,10 @@ class JumpFactor:
 
 
 class LinearCoefficient:
-    """A coefficient c paired with a derivator, with its jump factors resolved."""
+    """A coefficient c paired with a derivator, with its jump factors resolved: a
+    factor inside ZERO_FACTOR_TOL of zero is 0.0, one inside CONDITIONING_TOL warns."""
 
-    def __init__(self, derivator: Derivator, c: Integrand | Callable,
-                 zero_tol: float = ZERO_FACTOR_TOL,
-                 warn_tol: float = CONDITIONING_TOL):
+    def __init__(self, derivator: Derivator, c: Integrand | Callable):
         self.derivator = derivator
         self.c = _as_integrand(c)
         factors = []
@@ -66,9 +65,9 @@ class LinearCoefficient:
         for j in derivator.jumps:
             cv = float(self.c(j.at))
             factor = 1.0 + cv * j.delta
-            if abs(factor) < zero_tol:
+            if abs(factor) < ZERO_FACTOR_TOL:
                 factor = 0.0
-            elif abs(factor) < warn_tol:
+            elif abs(factor) < CONDITIONING_TOL:
                 warnings.append(
                     f"jump factor at t={j.at} is {factor:.3e}; "
                     "the exponential is badly conditioned there"

@@ -60,14 +60,13 @@ class Integrand:
     """A real function of time that can be evaluated on numpy arrays.
 
     Wraps closures, polynomials (coefficients in increasing degree), tabulated
-    interpolants and piecewise polynomials under one call interface. Closures
-    that cannot handle arrays are wrapped with :func:`numpy.vectorize` on
-    first use.
+    interpolants and piecewise polynomials under one call interface; the
+    constructors differ only in the function and kinks they record. Closures
+    that cannot handle arrays are wrapped with :func:`numpy.vectorize` on first use.
     """
 
-    def __init__(self, fn: Callable, kind: str = "closure", vectorized: bool | None = None):
+    def __init__(self, fn: Callable, vectorized: bool | None = None):
         self._fn = fn
-        self.kind = kind
         self._vectorized = vectorized
         # abscissae where the function may kink or jump, known for tables and pieces
         self._kinks = np.empty(0)
@@ -90,13 +89,13 @@ class Integrand:
 
     @classmethod
     def from_callable(cls, fn: Callable) -> "Integrand":
-        return cls(fn, kind="closure")
+        return cls(fn)
 
     @classmethod
     def constant(cls, value: float) -> "Integrand":
         value = float(value)
         return cls(lambda t: np.full_like(np.asarray(t, dtype=float), value),
-                   kind="closure", vectorized=True)
+                   vectorized=True)
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "Integrand":
@@ -104,7 +103,7 @@ class Integrand:
         if c.size == 0:
             raise DomainError("polynomial integrand needs at least one coefficient")
         return cls(lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c),
-                   kind="piecewise_poly", vectorized=True)
+                   vectorized=True)
 
     @classmethod
     def piecewise_polynomial(cls, breakpoints: Sequence[float],
@@ -130,7 +129,7 @@ class Integrand:
                     out[m] = np.polynomial.polynomial.polyval(t[m], row)
             return out
 
-        out = cls(evaluate, kind="piecewise_poly", vectorized=True)
+        out = cls(evaluate, vectorized=True)
         out._kinks = bks
         return out
 
@@ -142,8 +141,7 @@ class Integrand:
             raise DomainError("tabulated integrand needs at least one point")
         if np.any(np.diff(xs) <= 0):
             raise DomainError("tabulated integrand abscissae must be strictly increasing")
-        out = cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),
-                  kind="tabulated", vectorized=True)
+        out = cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys), vectorized=True)
         out._kinks = xs
         return out
 
@@ -173,10 +171,8 @@ class StieltjesMeasure:
 
     # ----------------------------------------------------------- point masses
 
-    def interval(self, lo: float, hi: float, closed_left_open_right: bool = True) -> float:
-        """Mass of [lo, hi); other interval shapes are not supported."""
-        if not closed_left_open_right:
-            raise DomainError("only closed-left open-right intervals are supported")
+    def interval(self, lo: float, hi: float) -> float:
+        """Mass of the half-open interval [lo, hi): a jump at lo counts, one at hi does not."""
         lo, hi = float(lo), float(hi)
         d = self.derivator
         a, b = d.interval
@@ -330,9 +326,9 @@ def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
 # ---------------------------------------------------------------- module API
 
 
-def measure_of_interval(m: StieltjesMeasure, lo: float, hi: float,
-                        closed_left_open_right: bool = True) -> float:
-    return m.interval(lo, hi, closed_left_open_right)
+def measure_of_interval(m: StieltjesMeasure, lo: float, hi: float) -> float:
+    """Mass of the half-open interval [lo, hi) under m."""
+    return m.interval(lo, hi)
 
 
 def measure_of_point(m: StieltjesMeasure, t: float) -> float:

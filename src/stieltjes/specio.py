@@ -58,7 +58,7 @@ from .derivator import (
 )
 from .errors import DomainError, SpecValidationError, StieltjesError
 from .measure import Integrand
-from .plume import plume_rhs
+from .plume import AmbientDensity, PlumeParams, build_plume_system, plume_rhs
 from .solver import CaratheodoryBound, SystemSpec
 
 RHS_CATALOG = ("zero", "linear", "polynomial", "tabulated", "plume")
@@ -345,6 +345,48 @@ def parse_system(obj, path: str = "system") -> tuple[SystemSpec, CaratheodoryBou
             )
         bound = CaratheodoryBound(radius=radius, dominators=doms)
     return spec, bound
+
+
+def parse_plume(obj, path: str = "plume") -> SystemSpec:
+    """The plume system of a plume document, with its horizon set.
+
+    Fields: ``params`` (optional, any of ``PlumeParams``' four fields),
+    ``ambient`` (the density derivator), ``initial`` (``[q, m, beta]`` or an
+    object with those keys) and ``horizon`` (optional)."""
+    obj = _expect_dict(obj, path)
+    pobj = _expect_dict(obj.get("params", {}), f"{path}.params")
+    names = ("entrainment", "mixing", "gravity", "reference_density")
+    kwargs = {key: _num(pobj[key], f"{path}.params.{key}") for key in names if key in pobj}
+    unknown = set(pobj) - set(names)
+    if unknown:
+        raise SpecValidationError(f"{path}.params", f"unknown fields {sorted(unknown)}")
+    try:
+        params = PlumeParams(**kwargs)
+    except DomainError as exc:
+        raise SpecValidationError(f"{path}.params", str(exc)) from exc
+    rho = parse_derivator(_get(obj, "ambient", path), f"{path}.ambient")
+    try:
+        ambient = AmbientDensity(rho)
+    except DomainError as exc:
+        raise SpecValidationError(f"{path}.ambient", str(exc)) from exc
+    init = _get(obj, "initial", path)
+    where = f"{path}.initial"
+    if isinstance(init, dict):
+        initial = [_num(_get(init, key, where), f"{where}.{key}") for key in ("q", "m", "beta")]
+    else:
+        vals = _expect_list(init, where)
+        if len(vals) != 3:
+            raise SpecValidationError(where, "expected [q, m, beta]")
+        initial = [_num(v, f"{where}[{i}]") for i, v in enumerate(vals)]
+    horizon = None
+    if obj.get("horizon") is not None:
+        horizon = _num(obj["horizon"], f"{path}.horizon")
+    try:
+        spec = build_plume_system(params, ambient, *initial)
+    except DomainError as exc:
+        raise SpecValidationError(where, str(exc)) from exc
+    spec.horizon = horizon
+    return spec
 
 
 def load_json(path: str, what: str = "input"):

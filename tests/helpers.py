@@ -599,3 +599,37 @@ def reference_estimate_table(h):
     values[~eligible] = 0.0
     return _EstimateTable(values, eligible, is_jump,
                           left_est, right_est, left_ok, right_ok)
+
+
+# ------------------------------------------------------- continuity modulus
+
+
+def reference_modulus(h, epsilon, rungs=52):
+    """``g_continuity_modulus`` by brute force over every pair of points.
+
+    The points are each grid time's left value at V(t), and at each jump
+    row the right value at V(t) + |delta|, V being ``variation_cumulative``.
+    A rung delta passes when every pair closer than delta in V (a point
+    paired with itself included) is closer than epsilon in value; O(n**2)
+    memory, so keep the grids small.
+    """
+    d = h.governing
+    deltas = d.deltas_on(h.grid)
+    V = d.variation_cumulative(h.grid)
+    xs, vs = [], []
+    for i in range(len(h.grid)):
+        xs.append(h.left_values[i])
+        vs.append(V[i])
+        if deltas[i] != 0.0:
+            xs.append(h.right_values[i])
+            vs.append(V[i] + abs(deltas[i]))
+    x, v = np.array(xs), np.array(vs)
+    pairvar = np.abs(v[None, :] - v[:, None])
+    gaps = np.abs(x[None, :] - x[:, None])
+    eps_eff = epsilon * (1.0 + 1e-9)
+    delta = d.variation(d.a, d.b)
+    for _ in range(rungs):
+        if np.all(gaps[pairvar < delta] < eps_eff):
+            return float(delta)
+        delta *= 0.5
+    return 0.0

@@ -7,6 +7,7 @@ from helpers import (
     random_polynomial_coeffs,
     reference_cell_integrals,
     reference_estimate_table,
+    reference_modulus,
     same_bits,
 )
 from stieltjes import (
@@ -104,14 +105,6 @@ class TestTrajectory:
         assert h.value(0.5) == d.eval(0.5)
         assert h.value_right(0.5) == d.eval_right(0.5)
         assert h.value(0.3) == pytest.approx(d.eval(0.3), abs=1e-12)
-
-    def test_flat_interpolation(self):
-        d = Derivator.identity(0.0, 1.0)
-        grid = np.array([0.0, 0.5, 1.0])
-        h = Trajectory(grid, np.array([1.0, 2.0, 3.0]),
-                       np.array([1.0, 2.0, 3.0]), d, interpolation="flat")
-        assert h.value(0.4) == 1.0
-        assert h.value(0.5) == 2.0
 
     def test_truncated_grid_is_allowed(self):
         d = identity_with_jump()
@@ -289,6 +282,45 @@ class TestContinuityModulus:
         vals = grid.copy()  # h moves although g does not
         h = Trajectory(grid, vals, vals, d)
         assert g_continuity_modulus(h, 0.1) == 0.0
+
+
+class TestExactModulus:
+    """The modulus checks every grid time and each jump's right value, as the
+    brute-force ``reference_modulus`` does pair by pair."""
+
+    def test_equals_brute_force_on_random_trajectories(self):
+        rng = np.random.default_rng(20)
+        for _ in range(250):
+            d = random_derivator(rng)
+            grid = uniform_grid(d, 16)
+            at_jump = d.jump_index(grid) >= 0
+            freq = rng.uniform(0.5, 6.0)
+            left = np.sin(freq * d.eval(grid))
+            # jump rows get right values of their own, off the curve
+            right = np.where(at_jump, np.sin(freq * d.eval_right(grid))
+                             + rng.normal(scale=0.2, size=grid.size), left)
+            h = Trajectory(grid, left, right, d)
+            epsilon = float(rng.uniform(0.02, 1.0))
+            assert same_bits(g_continuity_modulus(h, epsilon), reference_modulus(h, epsilon))
+
+    def test_step_between_neighbours(self):
+        # a step of 0.5 between two grid times 1/4096 apart in variation:
+        # every delta above 1/4096 pairs them
+        d = Derivator.identity(0.0, 1.0)
+        grid = np.linspace(0.0, 1.0, 4097)
+        vals = np.where(np.arange(grid.size) >= 2050, 0.5, 0.0)
+        h = Trajectory(grid, vals, vals, d)
+        assert g_continuity_modulus(h, 0.25) == 2.0 ** -12
+
+    def test_right_value_at_a_jump_counts(self):
+        # only h(0.5+) moves: it sits 1/32 in variation from the next grid time
+        d = identity_with_jump(delta=1.0)
+        grid = uniform_grid(d, 16)
+        left = np.zeros_like(grid)
+        right = np.where(grid == 0.5, 1.0, 0.0)
+        h = Trajectory(grid, left, right, d)
+        assert g_continuity_modulus(h, 0.5) == 2.0 ** -5
+        assert g_continuity_modulus(h, 0.5) == reference_modulus(h, 0.5)
 
 
 def test_grid_paths_make_no_per_point_queries(monkeypatch):

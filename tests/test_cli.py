@@ -400,6 +400,36 @@ class TestPlume:
         assert err["error"]["path"] == "plume.ambient"
         assert "positive" in err["error"]["message"]
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("initial", [1.0, 2.0], "plume.initial"),
+        ("initial", [1.0, "x", 0.0], "plume.initial[1]"),
+        ("initial", {"q": 1, "m": "x", "beta": 0}, "plume.initial.m"),
+        ("initial", {"q": 1, "m": 1}, "plume.initial"),
+        ("initial", [0.0, 1.0, 1.0], "plume.initial"),
+        ("params", {"gravity": "g"}, "plume.params.gravity"),
+        ("params", {"entrainment": -1}, "plume.params"),
+        ("params", [1], "plume.params"),
+        ("horizon", "h", "plume.horizon"),
+        ("ambient", None, "plume"),
+    ])
+    def test_invalid_document_names_the_path(self, tmp_path, capsys, field, value, path):
+        doc = self.plume_doc()
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        ppath = write(tmp_path, "plume.json", doc)
+        assert cli.main(["plume", ppath]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "SpecValidationError"
+        assert err["error"]["path"] == path
+
+    def test_parse_plume_sets_the_horizon(self):
+        spec = specio.parse_plume({**self.plume_doc(), "horizon": 6.0})
+        assert spec.horizon == 6.0
+        assert spec.initial.tolist() == [0.05, 0.01, 0.15]
+        assert specio.parse_plume(self.plume_doc()).horizon is None
+
     def test_unknown_param_rejected(self, tmp_path, capsys):
         doc = self.plume_doc()
         doc["params"]["viscosity"] = 1.0

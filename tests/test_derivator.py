@@ -229,6 +229,16 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"^time nan outside"):
             getattr(d, query)(np.array([0.25, np.nan, 0.75]))
 
+    @pytest.mark.parametrize("query", ["jump_index", "deltas_on", "delta_at",
+                                       "segment_index", "segments_adjacent"])
+    def test_structure_queries_check_the_domain(self, query):
+        # these answered before: delta_at(5.0) gave 0.0, segment_index(nan) gave 1
+        d = identity_with_jump()
+        for t in (5.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match=rf"^time {t} outside \[0\.0, 1\.0\]$"):
+                getattr(d, query)(t)
+        getattr(d, query)(1.0)  # the closed right end is inside
+
 
 def test_power_profile_increment_shape():
     seg = Segment(0.0, 1.0, PowerProfile(0.5, 2.0))

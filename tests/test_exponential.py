@@ -180,6 +180,14 @@ class TestRegimes:
         assert lc.factor_at(0.3) == 1.0
         assert lc.factor_at(0.5) == 2.0
 
+    @pytest.mark.parametrize("query", ["factors_on", "factor_at"])
+    def test_factor_queries_check_the_domain(self, query):
+        # factor_at(nan) gave 1.0 before, as if g were continuous there
+        lc = LinearCoefficient(identity_with_jump(1.0), lambda t: 1.0)
+        for t in (5.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match=rf"^time {t} outside"):
+                getattr(lc, query)(t)
+
 
 class TestTrajectory:
     def test_matches_pointwise_values(self):

@@ -1,0 +1,90 @@
+"""Static checks over the package source: nothing imported or defined in vain.
+
+Both checks read the syntax trees of ``src/stieltjes/*.py`` with the standard
+library's ``ast``: an import must be used in its module (a name listed in
+``__all__`` counts as used), and a module-level private function or constant
+must be referenced from some module of the package.
+"""
+
+import ast
+from pathlib import Path
+
+import stieltjes
+
+PACKAGE = Path(stieltjes.__file__).resolve().parent
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _loaded_names(tree) -> set[str]:
+    """Names read anywhere in a tree, attribute names included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_imports() -> list[str]:
+    found = []
+    for module, tree in TREES.items():
+        used = _loaded_names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        found.append(f"{module}: {bound}")
+    return found
+
+
+def unreferenced_privates() -> list[str]:
+    used = set().union(*(_loaded_names(tree) for tree in TREES.values()))
+    found = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in defined
+                      if _is_private(name) and name not in used]
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_every_module_level_private_is_referenced():
+    assert unreferenced_privates() == []
+
+
+def test_the_checks_see_a_planted_fault():
+    tree = ast.parse("import os\nfrom math import pi\n_SPARE = 1\n\ndef _idle():\n    return pi\n")
+    assert _loaded_names(tree) == {"pi"}
+    TREES["planted.py"] = tree
+    try:
+        assert unused_imports() == ["planted.py: os"]
+        assert unreferenced_privates() == ["planted.py: _SPARE", "planted.py: _idle"]
+    finally:
+        del TREES["planted.py"]

@@ -67,11 +67,6 @@ class TestMasses:
         assert m.interval(0.0, 0.5) == pytest.approx(0.5)
         assert m.interval(0.5, 1.0) == pytest.approx(2.5)
 
-    def test_other_interval_shapes_rejected(self):
-        m = signed(identity_with_jump())
-        with pytest.raises(DomainError):
-            m.interval(0.0, 0.5, closed_left_open_right=False)
-
     def test_signed_equals_positive_minus_negative(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
