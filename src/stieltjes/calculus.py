@@ -166,19 +166,20 @@ def primitive(m: StieltjesMeasure, v, grid_hint: int = 256) -> Trajectory:
     return Trajectory(grid, left, right, d)
 
 
-def _running_sums(atoms: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right values of a grid accumulation that starts at 0.0.
+def _running_sums(atoms: np.ndarray, cells: np.ndarray, start=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right values of a grid accumulation that starts at ``start``.
 
     ``left[i]`` adds up ``atoms[:i]`` and ``cells[:i]``, and ``right[i]`` is
     ``left[i] + atoms[i]``. One cumsum runs over the interleaved steps
-    0.0, atoms[0], cells[0], atoms[1], ..., so every partial sum rounds as in
+    start, atoms[0], cells[0], atoms[1], ..., so every partial sum rounds as in
     the left-to-right loop ``acc = acc + atoms[i]; acc = acc + cells[i]``.
+    Arrays with columns (and a start row) are summed per column along axis 0.
     """
-    steps = np.empty(2 * len(atoms))
-    steps[0] = 0.0
+    steps = np.empty((2 * len(atoms),) + np.shape(atoms)[1:])
+    steps[0] = start
     steps[1::2] = atoms
     steps[2::2] = cells
-    sums = np.cumsum(steps)
+    sums = np.cumsum(steps, axis=0)
     return sums[0::2].copy(), sums[1::2].copy()
 
 

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import Trajectory, _cell_integrals, _missing_jumps, _resum, _trapezoid_cells
+from .calculus import (Trajectory, _cell_integrals, _missing_jumps, _resum,
+                       _running_sums, _trapezoid_cells)
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -115,12 +116,14 @@ class SystemSpec:
 
         When the batch form raises or gives a non-finite row, the rows go
         through :meth:`call_rhs` one by one instead, which raises the error
-        of the scalar loop: its first failing row, its text.
+        of the scalar loop: its first failing row, its text. The batch runs
+        with float warnings off, so only those scalar calls warn.
         """
         out = np.empty((len(ts), self.dim))
         if len(ts) and self.rhs_batch is not None:
             try:
-                batch = np.asarray(self.rhs_batch(ts, X), dtype=float)
+                with np.errstate(all="ignore"):
+                    batch = np.asarray(self.rhs_batch(ts, X), dtype=float)
             except Exception:
                 pass
             else:
@@ -226,12 +229,35 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
 
     Components whose increment is exactly zero over a step keep their bits:
     the update is masked, not added, so a constant derivator propagates the
-    initial value unchanged. Which components move at each row is known from
-    the grid tables before the loop starts, so the loop only steps the state.
+    initial value unchanged. Catalog right-hand sides that ignore the state
+    (``_time_only``) or are linear (``_linear`` = c in f = c * x) skip the
+    loop but keep its bits and errors: a left Stieltjes sum in one cumsum, or
+    a scalar recurrence per component.
     """
-    n = len(grid)
     deltas = _jump_table(spec.derivators, grid)
     cont = _continuous_increments(spec.derivators, grid)
+    if getattr(spec.rhs, "_time_only", False):
+        left, right = _euler_time_only(spec, grid, deltas, cont)
+    elif getattr(spec.rhs, "_linear", None) is not None:
+        left, right = _euler_linear(spec, grid, deltas, cont)
+    else:
+        left, right = _euler_loop(spec, grid, deltas, cont)
+    warnings: list[str] = []
+    if safety_radius is not None:
+        drift = np.max(np.abs(left[1:] - spec.initial), axis=1)
+        out = np.nonzero(drift > safety_radius)[0]
+        if len(out):
+            warnings.append(
+                f"state left the safety ball (radius {safety_radius}) "
+                f"near t={float(grid[out[0] + 1])}; continuing anyway"
+            )
+    return left, right, warnings
+
+
+def _euler_loop(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
+    """One rhs call per jump row and per moving cell. Which components move
+    at each row is known from the grid tables, so the loop only steps the state."""
+    n = len(grid)
     jumps = deltas != 0.0
     moves = cont != 0.0
     jumping = _moving_components(jumps)
@@ -255,16 +281,45 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
     right = left.copy()
     for k, x in jumped:
         right[k] = x
-    warnings: list[str] = []
-    if safety_radius is not None:
-        drift = np.max(np.abs(left[1:] - spec.initial), axis=1)
-        out = np.nonzero(drift > safety_radius)[0]
-        if len(out):
-            warnings.append(
-                f"state left the safety ball (radius {safety_radius}) "
-                f"near t={times[out[0] + 1]}; continuing anyway"
-            )
-    return left, right, warnings
+    return left, right
+
+
+def _euler_time_only(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
+    """f(t) evaluated once at the rows the loop evaluates, then one cumsum."""
+    jumps, moves = deltas != 0.0, cont != 0.0
+    at = np.nonzero(jumps.any(axis=1) | np.append(moves.any(axis=1), False))[0]
+    f = np.zeros_like(deltas)
+    f[at] = spec.call_rhs_many(grid[at], f[at])
+    # x + -0.0 keeps the bits of x, as the loop's masking does
+    atoms = np.where(jumps, f * deltas, -0.0)
+    cells = np.where(moves, f[:-1] * cont, -0.0)
+    return _running_sums(atoms, cells, spec.initial)
+
+
+def _euler_linear(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
+    """x + c * x * d per component over Python floats, then the loop's rhs checks."""
+    c = spec.rhs._linear
+    left, right = np.empty_like(deltas), np.empty_like(deltas)
+    for j, (cj, x, ds, es) in enumerate(zip(c.tolist(), spec.initial.tolist(),
+                                            deltas.T.tolist(), cont.T.tolist())):
+        lj, rj = [x], []
+        for d, e in zip(ds, es + [0.0]):
+            if d != 0.0:
+                x = x + cj * x * d
+            rj.append(x)
+            if e != 0.0:
+                x = x + cj * x * e
+            lj.append(x)
+        left[:, j], right[:, j] = lj[:-1], rj
+    # the loop calls f on the left state at a jump row and on the right state
+    # at a moving cell; the first call that is not finite raises its error
+    moving = np.append(cont.any(axis=1), False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad_jump = deltas.any(axis=1) & ~np.isfinite(c * left).all(axis=1)
+        bad_cell = moving & ~np.isfinite(c * right).all(axis=1)
+    for k in np.flatnonzero(bad_jump | bad_cell)[:1]:
+        spec.call_rhs(grid[k], left[k] if bad_jump[k] else right[k])
+    return left, right
 
 
 def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,

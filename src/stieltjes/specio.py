@@ -43,6 +43,7 @@ C acting on state (q, m, beta) as A m^(1/4), B q beta, C q).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -238,11 +239,14 @@ def parse_integrand(obj, path: str = "integrand") -> Integrand:
 def _build_rhs(obj: dict, dim: int, path: str):
     """The right-hand side of a catalog entry, passed as both ``rhs`` and
     ``rhs_batch``: ``(t, x)`` gives shape (dim,) and ``(ts[:], X[:, dim])``
-    gives shape (n, dim), whose row k has the bits of ``(ts[k], X[k])``."""
+    gives shape (n, dim), whose row k has the bits of ``(ts[k], X[k])``.
+
+    Euler skips its loop for kinds marked ``_time_only`` and for ``_linear`` = c."""
     kind = _get(obj, "kind", path)
     if kind == "zero":
         def rhs(t, x):
             return np.zeros(np.shape(x))
+        rhs._time_only = True
         return rhs
     if kind == "linear":
         coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
@@ -254,6 +258,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return c * x
+        rhs._linear = c
         return rhs
     if kind == "polynomial":
         rows = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
@@ -271,6 +276,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys]).T
+        rhs._time_only = True
         return rhs
     if kind == "tabulated":
         rows = _expect_list(_get(obj, "points", path), f"{path}.points")
@@ -290,6 +296,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
 
         def rhs(t, x):
             return np.array([np.interp(t, knots, v) for v in columns]).T
+        rhs._time_only = True
         return rhs
     if kind == "plume":
         if dim != 3:
@@ -385,8 +392,10 @@ def parse_plume(obj, path: str = "plume") -> SystemSpec:
         spec = build_plume_system(params, ambient, *initial)
     except DomainError as exc:
         raise SpecValidationError(where, str(exc)) from exc
-    spec.horizon = horizon
-    return spec
+    try:  # a new spec, so the horizon goes through the system's own check
+        return dataclasses.replace(spec, horizon=horizon)
+    except DomainError as exc:
+        raise SpecValidationError(f"{path}.horizon", str(exc)) from exc
 
 
 def load_json(path: str, what: str = "input"):

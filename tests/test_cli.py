@@ -424,6 +424,16 @@ class TestPlume:
         assert err["error"]["type"] == "SpecValidationError"
         assert err["error"]["path"] == path
 
+    @pytest.mark.parametrize("horizon", [25.0, -3.0, 0.0])
+    def test_horizon_outside_the_ambient_is_rejected_at_its_path(
+            self, tmp_path, capsys, horizon):
+        ppath = write(tmp_path, "plume.json", {**self.plume_doc(), "horizon": horizon})
+        assert cli.main(["plume", ppath, "--mesh", "64"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SpecValidationError"
+        assert err["path"] == "plume.horizon"
+        assert err["message"].endswith(f"horizon {horizon} outside (0.0, 10.0]")
+
     def test_parse_plume_sets_the_horizon(self):
         spec = specio.parse_plume({**self.plume_doc(), "horizon": 6.0})
         assert spec.horizon == 6.0

@@ -1,6 +1,7 @@
 """Measure-driven IVP solver: schemes, audits, horizon selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,8 @@ class TestAgainstReferenceLoops:
         for radius in (None, 0.05, 1e6):
             want = outcome(reference_euler, spec, grid, safety_radius=radius)
             assert_same_outcome(outcome(solve_euler, spec, grid, safety_radius=radius), want)
+            assert_same_outcome(
+                outcome(solve_euler, scalar_only(spec), grid, safety_radius=radius), want)
 
     def test_simultaneous_jumps_and_a_flat_component(self):
         jumps = [Jump(0.25, -0.4), Jump(0.5, 1.0)]
@@ -429,6 +432,137 @@ class TestAgainstReferenceLoops:
         euler = solve_euler(spec, grid, safety_radius=0.5)
         assert len(euler[2]) == 1
         assert_same_outcome(euler, reference_euler(spec, grid, safety_radius=0.5))
+
+
+def flat(a, b, jumps):
+    """A derivator constant on [a, b] except for its jumps."""
+    cuts = [a] + [j.at for j in jumps] + [b]
+    return Derivator((a, b), [Segment(lo, hi, ConstantProfile())
+                              for lo, hi in zip(cuts[:-1], cuts[1:])], jumps)
+
+
+def system_doc(derivators, rhs, initial):
+    doc = {"derivators": [serialize_derivator(d) for d in derivators],
+           "initial": initial, "rhs": rhs}
+    return parse_system(doc)[0]
+
+
+def recorded_warnings(scheme, spec, grid):
+    """The warning texts a scheme emits, and its outcome, with every warning shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = outcome(scheme, spec, grid)
+    return [str(w.message) for w in caught], str(result)
+
+
+def assert_euler_as_the_loop(spec, grid):
+    """Both forms of the spec give the reference loop's bits or its error text."""
+    want = outcome(reference_euler, spec, grid, safety_radius=0.5)
+    for form in (spec, scalar_only(spec)):
+        assert_same_outcome(outcome(solve_euler, form, grid, safety_radius=0.5), want)
+    return want
+
+
+class TestEulerFastPaths:
+    """Time-only and linear catalog kinds skip the loop but keep its bits and errors."""
+
+    RHS = {
+        "zero": {"kind": "zero"},
+        "linear": {"kind": "linear", "coefficients": [0.7, -1.3, 2.0]},
+        "polynomial": {"kind": "polynomial",
+                       "coefficients": [[0.0, -1.0], [0.5, 0.0, 3.0], [-2.0]]},
+        "tabulated": {"kind": "tabulated",
+                      "points": [[0.0, 0.0, 1.0, -1.0], [0.6, -2.0, 0.0, 0.5], [1.0, 1.0, 1.0, 1.0]]},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RHS))
+    def test_negative_zero_start_and_a_flat_component_with_a_jump(self, kind):
+        ds = [identity(jumps=[Jump(0.5, -0.4)]), flat(0.0, 1.0, [Jump(0.25, 0.3)]),
+              flat(0.0, 1.0, [])]
+        spec = system_doc(ds, self.RHS[kind], [-0.0, -0.0, -0.0])
+        grid = system_grid(spec.derivators, 1.0, 64)
+        left, right, _ = assert_euler_as_the_loop(spec, grid)
+        # the component that never moves keeps -0.0 at every row
+        assert same_bits(left[:, 2], np.full(len(grid), -0.0))
+        assert same_bits(right[:, 2], np.full(len(grid), -0.0))
+
+    # 1e303 t^8 overflows for t above about 4.53, while its integral stays finite
+    STEEP = {"kind": "polynomial", "coefficients": [[1.0] + [0.0] * 7 + [1e303]]}
+
+    def test_time_only_rhs_is_not_evaluated_where_nothing_moves(self):
+        g = Derivator((0.0, 10.0), [Segment(0.0, 2.0, LinearProfile(1.0)),
+                                    Segment(2.0, 10.0, ConstantProfile())])
+        spec = system_doc([g], self.STEEP, [1.0])
+        grid = system_grid(spec.derivators, 10.0, 64)
+        left, _, _ = assert_euler_as_the_loop(spec, grid)
+        assert np.all(np.isfinite(left))
+
+    def test_time_only_rhs_raises_the_loops_error_on_a_moving_row(self):
+        spec = system_doc([identity(0.0, 10.0)], self.STEEP, [1.0])
+        grid = system_grid(spec.derivators, 10.0, 64)
+        want = assert_euler_as_the_loop(spec, grid)
+        # the first grid time past the overflow, 4.6875 = 30 * 10 / 64
+        assert want.startswith("RhsEvaluationError: right-hand side ")
+        assert "at t=4.6875" in want
+        # outside a warnings-as-errors filter the overflow is one warning and
+        # a non-finite error; a batch attempt adds no warning of its own
+        for scheme, loop in ((solve_euler, reference_euler), (solve_picard, reference_picard)):
+            texts, error = recorded_warnings(loop, spec, grid)
+            assert recorded_warnings(scheme, spec, grid) == (texts, error)
+            assert len(texts) == 1 and "non-finite value at t=4.6875" in error
+
+    @pytest.mark.parametrize("derivators, coefficients, at", [
+        # growth over the cells until c * x overflows inside the rhs
+        ([identity(), identity(jumps=[Jump(0.5, 1.0)])], [0.5, 1e10], "t=0.5625"),
+        # a jump makes the right state huge: the cell call on it fails
+        ([Derivator((0.0, 1.0), [Segment(0.0, 0.5, ConstantProfile()),
+                                 Segment(0.5, 1.0, LinearProfile(1.0))],
+                    [Jump(0.5, 1.0)])], [1e300], "t=0.5"),
+        # the second jump's call on the left state fails
+        ([flat(0.0, 1.0, [Jump(0.25, 1.0), Jump(0.5, 1.0)])], [1e300], "t=0.5"),
+    ])
+    def test_linear_state_that_overflows_raises_at_the_loops_row(
+            self, derivators, coefficients, at):
+        initial = [1.0] * len(derivators)
+        spec = system_doc(derivators, {"kind": "linear", "coefficients": coefficients},
+                          initial)
+        grid = system_grid(spec.derivators, 1.0, 64)
+        want = assert_euler_as_the_loop(spec, grid)
+        assert want.startswith("RhsEvaluationError: right-hand side ")
+        assert at in want
+
+
+def count_rhs_calls(monkeypatch):
+    """Record every SystemSpec.call_rhs time from here on."""
+    calls = []
+    scalar = SystemSpec.call_rhs
+
+    def counting(self, t, x):
+        calls.append(t)
+        return scalar(self, t, x)
+    monkeypatch.setattr(SystemSpec, "call_rhs", counting)
+    return calls
+
+
+class TestEulerPathTaken:
+    @pytest.mark.parametrize("kind", ["zero", "polynomial", "tabulated", "linear"])
+    def test_catalog_kinds_make_no_scalar_rhs_call(self, monkeypatch, kind):
+        rng = np.random.default_rng(3 + len(kind))
+        spec = catalog_system(rng, kind)
+        grid = system_grid(spec.derivators, 1.0, 96)
+        calls = count_rhs_calls(monkeypatch)
+        left, _, _ = solve_euler(spec, grid)
+        assert np.all(np.isfinite(left))
+        assert calls == []
+
+    def test_a_closure_keeps_one_call_per_jump_row_and_moving_cell(self, monkeypatch):
+        spec = scalar_growth(jumps=[Jump(0.5, 1.0)])
+        grid = system_grid(spec.derivators, 1.0, 96)
+        calls = count_rhs_calls(monkeypatch)
+        reference_euler(spec, grid)
+        want = len(calls)
+        solve_euler(spec, grid)
+        assert want == 97 and len(calls) == 2 * want
 
 
 class TestJumpTable:
