@@ -75,11 +75,11 @@ class Trajectory:
         self._g_left = None
         self._g_right = None
 
-    # cached derivator values on the grid
+    # cached derivator values on the grid, from one evaluation
     def g_values(self):
         if self._g_left is None:
             self._g_left = self.governing.eval(self.grid)
-            self._g_right = self.governing.eval_right(self.grid)
+            self._g_right = self._g_left + self.governing.deltas_on(self.grid)
         return self._g_left, self._g_right
 
     def index_of(self, t: float) -> int:

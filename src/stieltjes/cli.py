@@ -35,13 +35,16 @@ _DEGRADED_ERRORS = (QuadratureError, ConvergenceError, HorizonSelectionError,
                     RhsEvaluationError)
 
 
-def _emit_json(doc, out_path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc, out_path: str | None):
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _emit_csv(header, columns, out_path: str | None):
@@ -49,14 +52,7 @@ def _emit_csv(header, columns, out_path: str | None):
     other column as the strings it holds."""
     template = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns)
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    lines = [",".join(header)]
-    lines.extend(template % row for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join([",".join(header), *map(template.__mod__, rows)]) + "\n", out_path)
 
 
 # ------------------------------------------------------------- subcommands

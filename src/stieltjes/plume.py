@@ -61,9 +61,8 @@ class PlumeParams:
 class AmbientDensity:
     """An ambient density profile: positive, bounded variation in height."""
 
-    def __init__(self, rho: Derivator, description: str = "ambient density"):
+    def __init__(self, rho: Derivator):
         self.rho = rho
-        self.description = description
         # each segment is monotone, so the lowest values sit at breakpoints
         knots = np.asarray(rho.breakpoints())
         if np.any(rho.eval(knots) <= 0.0) or np.any(rho.eval_right(knots) <= 0.0):
@@ -78,7 +77,7 @@ class AmbientDensity:
         cuts = sorted(set(cuts))
         segs = [Segment(c0, c1, ConstantProfile()) for c0, c1 in zip(cuts, cuts[1:])]
         d = Derivator((lo, hi), segs, [Jump(z, dz) for z, dz in jumps], anchor=base)
-        return cls(d, description=f"stepped density, base {base}")
+        return cls(d)
 
     @classmethod
     def linear(cls, lo: float, hi: float, start: float, gradient: float) -> "AmbientDensity":
@@ -87,7 +86,7 @@ class AmbientDensity:
             d = Derivator((lo, hi), [Segment(lo, hi, ConstantProfile())], anchor=start)
         else:
             d = Derivator((lo, hi), [Segment(lo, hi, LinearProfile(gradient))], anchor=start)
-        return cls(d, description=f"linear density, gradient {gradient}")
+        return cls(d)
 
 
 def _breakdown(m, z) -> RhsEvaluationError:

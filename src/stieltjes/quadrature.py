@@ -38,7 +38,9 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+# refinement caps of integrate_adaptive: panel depth and panel count
 MAX_LEVELS = 64
+MAX_PANELS = 4096
 
 
 def kronrod_panel(f: Callable, lo: float, hi: float) -> tuple[float, float]:
@@ -59,13 +61,11 @@ def integrate_adaptive(
     lo: float,
     hi: float,
     rel_tol: float = 1e-10,
-    max_levels: int = MAX_LEVELS,
-    max_panels: int = 4096,
 ) -> float:
     """Integrate a vectorized callable over [lo, hi] to relative tolerance.
 
     Bisects the panel with the largest error estimate; panel depth is capped
-    at ``max_levels`` and the panel count at ``max_panels``.
+    at ``MAX_LEVELS`` and the panel count at ``MAX_PANELS``.
     """
     if lo == hi:
         return 0.0
@@ -79,7 +79,7 @@ def integrate_adaptive(
     # across the panel set does not demand an impossible absolute accuracy
     while total_err > rel_tol * max(abs(total), 1e-3 * total_abs, 1e-15):
         neg_err, depth, c, d, v, e = heapq.heappop(heap)
-        if depth >= max_levels or len(heap) + 2 > max_panels or d - c <= 0:
+        if depth >= MAX_LEVELS or len(heap) + 2 > MAX_PANELS or d - c <= 0:
             raise QuadratureError(
                 f"quadrature stalled on [{lo}, {hi}] after depth {depth}",
                 estimate=total,
@@ -101,6 +101,11 @@ def panel_integrals(f: Callable, edges: np.ndarray) -> np.ndarray:
 
     Vectorized: f is evaluated once on a (cells x 15) node matrix. Meant for
     cumulative primitives over fine grids where each cell is already smooth.
+
+    A row's last bits can depend on how many rows share the call, since BLAS
+    blocks the rows of ``vals @ _WEIGHTS_K`` (with OpenBLAS 0.3.31 on x86-64,
+    calls of 1, 2, 3, 7 or 9 rows moved bits that 4, 8, 16 or 256 did not),
+    so regrouping cells across calls can move last bits.
     """
     edges = np.asarray(edges, dtype=float)
     los = edges[:-1]

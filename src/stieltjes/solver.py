@@ -145,7 +145,6 @@ class CaratheodoryBound:
 
     radius: float
     dominators: Sequence
-    tau_star: float | None = None
 
     def dominator_for(self, j: int, dim: int) -> Integrand:
         doms = list(self.dominators)
@@ -196,9 +195,7 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
             f"no positive grid time keeps the dominator mass within radius {bound.radius}"
         )
     last = int(np.max(np.nonzero(ok)[0]))
-    tau = float(grid[last])
-    bound.tau_star = tau
-    return tau
+    return float(grid[last])
 
 
 def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
@@ -210,11 +207,13 @@ def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray
     return np.stack([d.deltas_on(grid) for d in derivators], axis=1)
 
 
-def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
-    """inc[k, j] = g_j(t_{k+1}) - g_j(t_k+), the between-jump advance per cell."""
+def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray,
+                           deltas: np.ndarray) -> np.ndarray:
+    """inc[k, j] = g_j(t_{k+1}) - g_j(t_k+), from one evaluation of g_j and the jump table."""
     inc = np.empty((len(grid) - 1, len(derivators)))
     for j, d in enumerate(derivators):
-        inc[:, j] = d.eval(grid[1:]) - d.eval_right(grid[:-1])
+        g = d.eval(grid)
+        inc[:, j] = g[1:] - (g[:-1] + deltas[:-1, j])
     return inc
 
 
@@ -235,7 +234,7 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
     a scalar recurrence per component.
     """
     deltas = _jump_table(spec.derivators, grid)
-    cont = _continuous_increments(spec.derivators, grid)
+    cont = _continuous_increments(spec.derivators, grid, deltas)
     if getattr(spec.rhs, "_time_only", False):
         left, right = _euler_time_only(spec, grid, deltas, cont)
     elif getattr(spec.rhs, "_linear", None) is not None:
@@ -335,7 +334,7 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     """
     n = len(grid)
     deltas = _jump_table(spec.derivators, grid)
-    cont = _continuous_increments(spec.derivators, grid)
+    cont = _continuous_increments(spec.derivators, grid, deltas)
     jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
 
     left = np.tile(spec.initial, (n, 1))

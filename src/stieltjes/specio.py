@@ -39,12 +39,17 @@ The right-hand side catalog: ``zero``; ``linear`` (componentwise c_j x_j);
 ``polynomial`` (pure time forcing, one coefficient row per component);
 ``tabulated`` (points rows [t, v1, ..., vdim]); ``plume`` (coefficients A, B,
 C acting on state (q, m, beta) as A m^(1/4), B q beta, C q).
+
+Every rejected field raises :class:`SpecValidationError` with its path,
+profile parameters included: a power exponent that is not positive fails at
+``derivator.segments[i].profile``, the object its constructor was building.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .derivator import (
     Segment,
     TabulatedProfile,
 )
-from .errors import DomainError, SpecValidationError, StieltjesError
+from .errors import DomainError, SpecValidationError
 from .measure import Integrand
 from .plume import AmbientDensity, PlumeParams, build_plume_system, plume_rhs
 from .solver import CaratheodoryBound, SystemSpec
@@ -77,32 +82,54 @@ def _expect_list(obj, path: str) -> list:
     return obj
 
 
+def _as_is(obj, path: str):
+    return obj
+
+
+# float() raises OverflowError from this integer up: it is halfway between
+# the largest float and 2**1024, and that tie rounds to even, upward
+_INT_CEILING = 2 ** 1024 - 2 ** 970
+
+
 def _num(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SpecValidationError(path, f"expected a number, got {type(obj).__name__}")
-    try:
-        v = float(obj)
-    except OverflowError:  # an integer literal past the float range
-        v = np.inf
-    if not np.isfinite(v):
+    if (isinstance(obj, int) and abs(obj) >= _INT_CEILING) or not math.isfinite(obj):
         raise SpecValidationError(path, "number must be finite")
-    return v
+    return float(obj)
 
 
-def _get(obj: dict, key: str, path: str):
+def _numbers(obj, path: str) -> list[float]:
+    return [_num(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(obj, path))]
+
+
+def _field(obj: dict, key: str, path: str, read=_num):
+    """``read`` of the required field ``key`` of ``obj``, at path ``path.key``."""
     if key not in obj:
         raise SpecValidationError(path, f"missing required field {key!r}")
-    return obj[key]
+    return read(obj[key], f"{path}.{key}")
+
+
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a DomainError from it raised again as a
+    SpecValidationError at ``path``; the one place that does so."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise SpecValidationError(path, str(exc)) from exc
+
+
+def _horizon(obj: dict, path: str) -> float | None:
+    horizon = obj.get("horizon")
+    return None if horizon is None else _num(horizon, f"{path}.horizon")
 
 
 def _point_pairs(obj, path: str) -> list[tuple[float, float]]:
-    rows = _expect_list(obj, path)
     out = []
-    for i, row in enumerate(rows):
-        pair = _expect_list(row, f"{path}[{i}]")
-        if len(pair) != 2:
+    for i, row in enumerate(_expect_list(obj, path)):
+        if len(_expect_list(row, f"{path}[{i}]")) != 2:
             raise SpecValidationError(f"{path}[{i}]", "expected a [t, value] pair")
-        out.append((_num(pair[0], f"{path}[{i}][0]"), _num(pair[1], f"{path}[{i}][1]")))
+        out.append(tuple(_numbers(row, f"{path}[{i}]")))
     return out
 
 
@@ -110,17 +137,17 @@ def _point_pairs(obj, path: str) -> list[tuple[float, float]]:
 
 def _parse_profile(obj, path: str):
     obj = _expect_dict(obj, path)
-    kind = _get(obj, "kind", path)
+    kind = _field(obj, "kind", path, _as_is)
     if kind == "linear":
-        return LinearProfile(_num(_get(obj, "slope", path), f"{path}.slope"))
+        return LinearProfile(_field(obj, "slope", path))
     if kind == "power":
-        exponent = _num(_get(obj, "exponent", path), f"{path}.exponent")
+        exponent = _field(obj, "exponent", path)
         scale = _num(obj.get("scale", 1.0), f"{path}.scale")
-        return PowerProfile(exponent, scale)
+        return _built(path, PowerProfile, exponent, scale)
     if kind == "constant":
         return ConstantProfile()
     if kind == "tabulated":
-        return TabulatedProfile(tuple(_point_pairs(_get(obj, "points", path), f"{path}.points")))
+        return _built(path, TabulatedProfile, tuple(_field(obj, "points", path, _point_pairs)))
     raise SpecValidationError(
         f"{path}.kind",
         f"unknown profile kind {kind!r}; expected linear, power, constant or tabulated",
@@ -131,40 +158,28 @@ def parse_derivator(obj, path: str = "derivator") -> Derivator:
     obj = _expect_dict(obj, path)
     if "derivator" in obj and "interval" not in obj:
         return parse_derivator(obj["derivator"], f"{path}.derivator")
-    interval = _expect_list(_get(obj, "interval", path), f"{path}.interval")
+    interval = _field(obj, "interval", path, _expect_list)
     if len(interval) != 2:
         raise SpecValidationError(f"{path}.interval", "expected [a, b]")
-    a = _num(interval[0], f"{path}.interval[0]")
-    b = _num(interval[1], f"{path}.interval[1]")
+    a, b = _numbers(interval, f"{path}.interval")
     anchor = _num(obj.get("anchor", 0.0), f"{path}.anchor")
     segments = []
-    for i, seg in enumerate(_expect_list(_get(obj, "segments", path), f"{path}.segments")):
+    for i, seg in enumerate(_field(obj, "segments", path, _expect_list)):
         where = f"{path}.segments[{i}]"
         seg = _expect_dict(seg, where)
-        lo = _num(_get(seg, "lo", where), f"{where}.lo")
-        hi = _num(_get(seg, "hi", where), f"{where}.hi")
-        profile = _parse_profile(_get(seg, "profile", where), f"{where}.profile")
+        lo = _field(seg, "lo", where)
+        hi = _field(seg, "hi", where)
+        profile = _field(seg, "profile", where, _parse_profile)
         direction = seg.get("direction")
         if direction is not None and direction not in ("nondecreasing", "nonincreasing", "constant"):
             raise SpecValidationError(f"{where}.direction", f"unknown direction {direction!r}")
-        try:
-            segments.append(Segment(lo, hi, profile, direction))
-        except StieltjesError as exc:
-            raise SpecValidationError(where, str(exc)) from exc
+        segments.append(_built(where, Segment, lo, hi, profile, direction))
     jumps = []
     for i, jmp in enumerate(_expect_list(obj.get("jumps", []), f"{path}.jumps")):
         where = f"{path}.jumps[{i}]"
         jmp = _expect_dict(jmp, where)
-        at = _num(_get(jmp, "at", where), f"{where}.at")
-        delta = _num(_get(jmp, "delta", where), f"{where}.delta")
-        try:
-            jumps.append(Jump(at, delta))
-        except StieltjesError as exc:
-            raise SpecValidationError(where, str(exc)) from exc
-    try:
-        return Derivator((a, b), segments, jumps, anchor=anchor)
-    except StieltjesError as exc:
-        raise SpecValidationError(path, str(exc)) from exc
+        jumps.append(_built(where, Jump, _field(jmp, "at", where), _field(jmp, "delta", where)))
+    return _built(path, Derivator, (a, b), segments, jumps, anchor=anchor)
 
 
 def _serialize_profile(profile) -> dict:
@@ -183,15 +198,8 @@ def serialize_derivator(d: Derivator) -> dict:
     return {
         "interval": [d.a, d.b],
         "anchor": d.anchor,
-        "segments": [
-            {
-                "lo": s.lo,
-                "hi": s.hi,
-                "direction": s.direction,
-                "profile": _serialize_profile(s.profile),
-            }
-            for s in d.segments
-        ],
+        "segments": [{"lo": s.lo, "hi": s.hi, "direction": s.direction,
+                      "profile": _serialize_profile(s.profile)} for s in d.segments],
         "jumps": [{"at": j.at, "delta": j.delta} for j in d.jumps],
     }
 
@@ -200,33 +208,21 @@ def serialize_derivator(d: Derivator) -> dict:
 
 def parse_integrand(obj, path: str = "integrand") -> Integrand:
     obj = _expect_dict(obj, path)
-    kind = _get(obj, "kind", path)
+    kind = _field(obj, "kind", path, _as_is)
     if kind == "constant":
-        return Integrand.constant(_num(_get(obj, "value", path), f"{path}.value"))
+        return Integrand.constant(_field(obj, "value", path))
     if kind == "polynomial":
-        coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
-        values = [_num(c, f"{path}.coefficients[{i}]") for i, c in enumerate(coeffs)]
-        try:
-            return Integrand.polynomial(values)
-        except DomainError as exc:
-            raise SpecValidationError(f"{path}.coefficients", str(exc)) from exc
+        values = _field(obj, "coefficients", path, _numbers)
+        return _built(f"{path}.coefficients", Integrand.polynomial, values)
     if kind == "tabulated":
-        points = _point_pairs(_get(obj, "points", path), f"{path}.points")
-        try:
-            return Integrand.tabulated(points)
-        except DomainError as exc:
-            raise SpecValidationError(f"{path}.points", str(exc)) from exc
+        points = _field(obj, "points", path, _point_pairs)
+        return _built(f"{path}.points", Integrand.tabulated, points)
     if kind == "piecewise_polynomial":
-        breaks = _expect_list(_get(obj, "breakpoints", path), f"{path}.breakpoints")
-        pieces = _expect_list(_get(obj, "pieces", path), f"{path}.pieces")
-        breaks = [_num(x, f"{path}.breakpoints[{i}]") for i, x in enumerate(breaks)]
-        rows = [[_num(c, f"{path}.pieces[{i}][{j}]")
-                 for j, c in enumerate(_expect_list(row, f"{path}.pieces[{i}]"))]
-                for i, row in enumerate(pieces)]
-        try:
-            return Integrand.piecewise_polynomial(breaks, rows)
-        except DomainError as exc:
-            raise SpecValidationError(path, str(exc)) from exc
+        breaks = _field(obj, "breakpoints", path, _expect_list)
+        pieces = _field(obj, "pieces", path, _expect_list)
+        breaks = _numbers(breaks, f"{path}.breakpoints")
+        rows = [_numbers(row, f"{path}.pieces[{i}]") for i, row in enumerate(pieces)]
+        return _built(path, Integrand.piecewise_polynomial, breaks, rows)
     raise SpecValidationError(
         f"{path}.kind",
         f"unknown integrand kind {kind!r}; expected constant, polynomial, "
@@ -242,32 +238,31 @@ def _build_rhs(obj: dict, dim: int, path: str):
     gives shape (n, dim), whose row k has the bits of ``(ts[k], X[k])``.
 
     Euler skips its loop for kinds marked ``_time_only`` and for ``_linear`` = c."""
-    kind = _get(obj, "kind", path)
+    kind = _field(obj, "kind", path, _as_is)
     if kind == "zero":
         def rhs(t, x):
             return np.zeros(np.shape(x))
         rhs._time_only = True
         return rhs
     if kind == "linear":
-        coeffs = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
+        coeffs = _field(obj, "coefficients", path, _expect_list)
         if len(coeffs) != dim:
             raise SpecValidationError(
                 f"{path}.coefficients", f"expected {dim} coefficients, got {len(coeffs)}"
             )
-        c = np.array([_num(v, f"{path}.coefficients[{i}]") for i, v in enumerate(coeffs)])
+        c = np.array(_numbers(coeffs, f"{path}.coefficients"))
 
         def rhs(t, x):
             return c * x
         rhs._linear = c
         return rhs
     if kind == "polynomial":
-        rows = _expect_list(_get(obj, "coefficients", path), f"{path}.coefficients")
+        rows = _field(obj, "coefficients", path, _expect_list)
         if len(rows) != dim:
             raise SpecValidationError(
                 f"{path}.coefficients", f"expected {dim} coefficient rows, got {len(rows)}"
             )
-        polys = [np.array([_num(v, f"{path}.coefficients[{i}][{j}]")
-                           for j, v in enumerate(_expect_list(row, f"{path}.coefficients[{i}]"))])
+        polys = [np.array(_numbers(row, f"{path}.coefficients[{i}]"))
                  for i, row in enumerate(rows)]
         for i, p in enumerate(polys):
             if p.size == 0:
@@ -279,7 +274,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
         rhs._time_only = True
         return rhs
     if kind == "tabulated":
-        rows = _expect_list(_get(obj, "points", path), f"{path}.points")
+        rows = _field(obj, "points", path, _expect_list)
         if not rows:
             raise SpecValidationError(f"{path}.points", "expected at least one point")
         table = []
@@ -289,7 +284,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
                 raise SpecValidationError(
                     f"{path}.points[{i}]", f"expected [t, v1..v{dim}], got {len(row)} entries"
                 )
-            table.append([_num(v, f"{path}.points[{i}][{j}]") for j, v in enumerate(row)])
+            table.append(_numbers(row, f"{path}.points[{i}]"))
         knots, *columns = np.array(table).T.copy()
         if np.any(np.diff(knots) <= 0):
             raise SpecValidationError(f"{path}.points", "times must be strictly increasing")
@@ -301,10 +296,7 @@ def _build_rhs(obj: dict, dim: int, path: str):
     if kind == "plume":
         if dim != 3:
             raise SpecValidationError(path, "the plume right-hand side needs exactly 3 components")
-        A = _num(_get(obj, "A", path), f"{path}.A")
-        B = _num(_get(obj, "B", path), f"{path}.B")
-        C = _num(_get(obj, "C", path), f"{path}.C")
-        return plume_rhs(A, B, C)
+        return plume_rhs(_field(obj, "A", path), _field(obj, "B", path), _field(obj, "C", path))
     raise SpecValidationError(
         f"{path}.kind",
         f"unknown right-hand side {kind!r}; catalog: {', '.join(RHS_CATALOG)}",
@@ -315,39 +307,31 @@ def parse_system(obj, path: str = "system") -> tuple[SystemSpec, CaratheodoryBou
     obj = _expect_dict(obj, path)
     derivs = [
         parse_derivator(item, f"{path}.derivators[{i}]")
-        for i, item in enumerate(_expect_list(_get(obj, "derivators", path), f"{path}.derivators"))
+        for i, item in enumerate(_field(obj, "derivators", path, _expect_list))
     ]
-    initial = [_num(v, f"{path}.initial[{i}]")
-               for i, v in enumerate(_expect_list(_get(obj, "initial", path), f"{path}.initial"))]
+    initial = _field(obj, "initial", path, _numbers)
     if len(initial) != len(derivs):
         raise SpecValidationError(
             f"{path}.initial",
             f"got {len(initial)} initial values for {len(derivs)} derivators",
         )
-    rhs = _build_rhs(_expect_dict(_get(obj, "rhs", path), f"{path}.rhs"),
-                     len(derivs), f"{path}.rhs")
-    horizon = None
-    if obj.get("horizon") is not None:
-        horizon = _num(obj["horizon"], f"{path}.horizon")
-    try:
-        spec = SystemSpec(derivs, rhs, initial, horizon=horizon, rhs_batch=rhs)
-    except StieltjesError as exc:
-        raise SpecValidationError(path, str(exc)) from exc
+    rhs = _build_rhs(_field(obj, "rhs", path, _expect_dict), len(derivs), f"{path}.rhs")
+    spec = _built(path, SystemSpec, derivs, rhs, initial,
+                  horizon=_horizon(obj, path), rhs_batch=rhs)
     bound = None
     if obj.get("bound") is not None:
-        bobj = _expect_dict(obj["bound"], f"{path}.bound")
-        radius = _num(_get(bobj, "radius", f"{path}.bound"), f"{path}.bound.radius")
+        where = f"{path}.bound"
+        bobj = _expect_dict(obj["bound"], where)
+        radius = _field(bobj, "radius", where)
         if radius <= 0:
-            raise SpecValidationError(f"{path}.bound.radius", "radius must be positive")
+            raise SpecValidationError(f"{where}.radius", "radius must be positive")
         doms = [
-            parse_integrand(item, f"{path}.bound.dominators[{i}]")
-            for i, item in enumerate(
-                _expect_list(_get(bobj, "dominators", f"{path}.bound"), f"{path}.bound.dominators")
-            )
+            parse_integrand(item, f"{where}.dominators[{i}]")
+            for i, item in enumerate(_field(bobj, "dominators", where, _expect_list))
         ]
         if len(doms) not in (1, len(derivs)):
             raise SpecValidationError(
-                f"{path}.bound.dominators",
+                f"{where}.dominators",
                 f"need 1 or {len(derivs)} dominators, got {len(doms)}",
             )
         bound = CaratheodoryBound(radius=radius, dominators=doms)
@@ -363,39 +347,25 @@ def parse_plume(obj, path: str = "plume") -> SystemSpec:
     obj = _expect_dict(obj, path)
     pobj = _expect_dict(obj.get("params", {}), f"{path}.params")
     names = ("entrainment", "mixing", "gravity", "reference_density")
-    kwargs = {key: _num(pobj[key], f"{path}.params.{key}") for key in names if key in pobj}
+    kwargs = {key: _field(pobj, key, f"{path}.params") for key in names if key in pobj}
     unknown = set(pobj) - set(names)
     if unknown:
         raise SpecValidationError(f"{path}.params", f"unknown fields {sorted(unknown)}")
-    try:
-        params = PlumeParams(**kwargs)
-    except DomainError as exc:
-        raise SpecValidationError(f"{path}.params", str(exc)) from exc
-    rho = parse_derivator(_get(obj, "ambient", path), f"{path}.ambient")
-    try:
-        ambient = AmbientDensity(rho)
-    except DomainError as exc:
-        raise SpecValidationError(f"{path}.ambient", str(exc)) from exc
-    init = _get(obj, "initial", path)
+    params = _built(f"{path}.params", PlumeParams, **kwargs)
+    rho = _field(obj, "ambient", path, parse_derivator)
+    ambient = _built(f"{path}.ambient", AmbientDensity, rho)
+    init = _field(obj, "initial", path, _as_is)
     where = f"{path}.initial"
     if isinstance(init, dict):
-        initial = [_num(_get(init, key, where), f"{where}.{key}") for key in ("q", "m", "beta")]
+        initial = [_field(init, key, where) for key in ("q", "m", "beta")]
     else:
-        vals = _expect_list(init, where)
-        if len(vals) != 3:
+        if len(_expect_list(init, where)) != 3:
             raise SpecValidationError(where, "expected [q, m, beta]")
-        initial = [_num(v, f"{where}[{i}]") for i, v in enumerate(vals)]
-    horizon = None
-    if obj.get("horizon") is not None:
-        horizon = _num(obj["horizon"], f"{path}.horizon")
-    try:
-        spec = build_plume_system(params, ambient, *initial)
-    except DomainError as exc:
-        raise SpecValidationError(where, str(exc)) from exc
-    try:  # a new spec, so the horizon goes through the system's own check
-        return dataclasses.replace(spec, horizon=horizon)
-    except DomainError as exc:
-        raise SpecValidationError(f"{path}.horizon", str(exc)) from exc
+        initial = _numbers(init, where)
+    horizon = _horizon(obj, path)
+    spec = _built(where, build_plume_system, params, ambient, *initial)
+    # a new spec, so the horizon goes through the system's own check
+    return _built(f"{path}.horizon", dataclasses.replace, spec, horizon=horizon)
 
 
 def load_json(path: str, what: str = "input"):

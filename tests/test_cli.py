@@ -474,6 +474,11 @@ class TestErrors:
         ("derivator.jumps[0].at", {"at": [0.5]}),
         ("derivator.jumps[0].delta", {"delta": "2"}),
         ("derivator.jumps[0]", {"delta": 0.0}),
+        ("derivator.segments[1].profile", {"profile": {"kind": "power", "exponent": -1}}),
+        ("derivator.segments[1].profile",
+         {"profile": {"kind": "tabulated", "points": [[0.75, 1.0]]}}),
+        ("derivator.segments[1].profile",
+         {"profile": {"kind": "tabulated", "points": [[0.8, 1.0], [0.6, 2.0]]}}),
     ])
     def test_derivator_errors_name_their_path(self, where, change):
         doc = jump_derivator_doc()

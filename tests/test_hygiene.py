@@ -1,9 +1,10 @@
 """Static checks over the package source: nothing imported or defined in vain.
 
-Both checks read the syntax trees of ``src/stieltjes/*.py`` with the standard
+The checks read the syntax trees of ``src/stieltjes/*.py`` with the standard
 library's ``ast``: an import must be used in its module (a name listed in
-``__all__`` counts as used), and a module-level private function or constant
-must be referenced from some module of the package.
+``__all__`` counts as used), a module-level private function or constant
+must be referenced from some module of the package, and ``specio`` turns
+errors into document errors in one place.
 """
 
 import ast
@@ -71,12 +72,27 @@ def unreferenced_privates() -> list[str]:
     return found
 
 
+def except_owners(tree) -> set[str]:
+    """Module-level definitions holding an ``except`` handler, at any depth;
+    ``<module>`` for a handler outside every definition."""
+    owners = set()
+    for node in tree.body:
+        if any(isinstance(n, ast.ExceptHandler) for n in ast.walk(node)):
+            owners.add(getattr(node, "name", "<module>"))
+    return owners
+
+
 def test_every_import_is_used():
     assert unused_imports() == []
 
 
 def test_every_module_level_private_is_referenced():
     assert unreferenced_privates() == []
+
+
+def test_specio_catches_errors_in_two_functions_only():
+    # _built re-raises constructor errors at a path; load_json reads the file
+    assert except_owners(TREES["specio.py"]) <= {"_built", "load_json"}
 
 
 def test_the_checks_see_a_planted_fault():
@@ -88,3 +104,7 @@ def test_the_checks_see_a_planted_fault():
         assert unreferenced_privates() == ["planted.py: _SPARE", "planted.py: _idle"]
     finally:
         del TREES["planted.py"]
+    tree = ast.parse("def f():\n    def g():\n        try:\n            pass\n"
+                     "        except ValueError:\n            pass\n\n"
+                     "try:\n    pass\nexcept ImportError:\n    pass\n")
+    assert except_owners(tree) == {"f", "<module>"}

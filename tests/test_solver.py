@@ -192,7 +192,6 @@ class TestHorizonSelection:
         bound = CaratheodoryBound(radius=0.5, dominators=[lambda t: 1.0])
         tau = select_horizon(spec, bound, mesh=1000)
         assert tau == 0.5
-        assert bound.tau_star == 0.5
 
     def test_no_admissible_time_raises(self):
         spec = scalar_growth()
