@@ -23,12 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .derivator import (
-    CONSTANCY_POINT,
-    CONSTANT,
-    Derivator,
-    _groups,
-)
+from .derivator import _CONSTANT, _TABULATED, CONSTANCY_POINT, Derivator, _chart, _pow
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -38,6 +33,7 @@ from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
 
 _NEVILLE_LEVELS = 24  # bracket halvings in one Neville extrapolation
 _MODULUS_RUNGS = 52  # continuity-modulus radii, halving from the full variation
+_PANEL_ROWS = 1024  # panels per batch; a multiple of 4 keeps BLAS's row blocks whole
 
 
 @dataclass
@@ -79,7 +75,7 @@ class Trajectory:
     def g_values(self):
         if self._g_left is None:
             self._g_left = self.governing.eval(self.grid)
-            self._g_right = self._g_left + self.governing.deltas_on(self.grid)
+            self._g_right = self._g_left + self.governing._deltas(self.grid)
         return self._g_left, self._g_right
 
     def index_of(self, t: float) -> int:
@@ -130,15 +126,13 @@ def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
     """
     if per_segment < 8:
         raise DomainError("per_segment must be at least 8")
-    bks = np.asarray(derivator.breakpoints())
+    bks = derivator._breakpoints()
     u = np.linspace(0.0, 1.0, per_segment + 1)
     lo, hi = bks[:-1], bks[1:]
     spans = lo[:, None] + (hi - lo)[:, None] * u
-    owner = derivator._segment_index(0.5 * (lo + hi))
-    for i, k in enumerate(owner.tolist()):
-        profile = derivator.segments[k].profile
-        if getattr(profile, "kind", None) == "power" and profile.exponent != 1.0:
-            spans[i] = lo[i] + (hi[i] - lo[i]) * u ** (1.0 / profile.exponent)
+    p = derivator._seg_exp[derivator._segment_index(0.5 * (lo + hi))]  # 1 off power segments
+    graded = p != 1.0
+    spans[graded] = lo[graded, None] + (hi - lo)[graded, None] * _pow(u, 1.0 / p[graded, None])
     # lo + (hi - lo) * 1.0 can round past hi
     spans[:, -1] = hi
     return np.unique(np.concatenate([bks, spans.ravel()]))
@@ -160,7 +154,7 @@ def primitive(m: StieltjesMeasure, v, grid_hint: int = 256) -> Trajectory:
     d = m.derivator
     grid = uniform_grid(d, grid_hint)
     cont = _cell_integrals(d, v, grid)
-    deltas = d.deltas_on(grid)
+    deltas = d._deltas(grid)
     atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
     left, right = _running_sums(atom_vals, cont)
     return Trajectory(grid, left, right, d)
@@ -206,22 +200,30 @@ def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
-    """Continuous part of the measure of v over each grid cell (vectorized panels).
-
-    Each segment's cells go through one fixed panel each in the profile's
-    chart; the grid already holds every knot, and cells are not cut at the
-    kinks of v.
-    """
-    out = np.zeros(len(grid) - 1)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    for k, cells in _groups(d._segment_index(mids)):
-        seg = d.segments[k]
-        if seg.direction == CONSTANT:
-            continue
-        edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
-        integrand, u_edges, weight = seg.profile._chart(seg.lo, v, edges)
-        out[cells] = weight * quadrature.panel_integrals(integrand, u_edges)
-    return out
+    """Continuous part of the measure of v over each grid cell, cut at the
+    kinks of v: one 15-point panel per piece in its segment's chart, in
+    batches of one profile kind in grid order, then summed back per cell."""
+    kinks = v._kinks[(v._kinks > grid[0]) & (v._kinks < grid[-1])]
+    edges, seg = grid, d._segment_index(0.5 * (grid[:-1] + grid[1:]))
+    if kinks.size:
+        edges = np.union1d(grid, kinks)
+        seg = seg[np.searchsorted(grid, edges[:-1], side="right") - 1]
+    kind = d._seg_kind[seg]
+    out = np.zeros(len(edges) - 1)
+    for code in set(d._seg_kind.tolist()) - {_CONSTANT}:
+        rows = np.flatnonzero(kind == code)
+        for start in range(0, rows.size, _PANEL_ROWS):
+            r = rows[start:start + _PANEL_ROWS]
+            k, los, his = seg[r], edges[r], edges[r + 1]
+            segs = k[0] if k[0] == k[-1] else k  # a batch in one segment takes scalars
+            slope = d._seg_slope[segs]
+            if code == _TABULATED:  # pieces lie in knot cells, where g grows at the cell slope
+                inc = d._increments(np.concatenate([k, k]), np.concatenate([los, his]))
+                slope = (inc[r.size:] - inc[:r.size]) / (his - los)
+            integrand, u_los, u_his, weight = _chart(code, v, los, his, d._seg_lo[segs], slope,
+                                                     d._seg_exp[segs], d._seg_scale[segs])
+            out[r] = weight * quadrature.panel_integrals(integrand, u_los, u_his)
+    return np.add.reduceat(out, np.searchsorted(edges, grid[:-1])) if kinks.size else out
 
 
 # ------------------------------------------------------- derivative estimates

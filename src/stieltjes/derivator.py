@@ -14,12 +14,13 @@ t itself only affects ``eval_right(t)``. Bounded variation is structural
 (finitely many monotone pieces), and sign changes of the slope are allowed.
 
 Construction also lays the segments out as one table of columns: bounds, a
-point class per segment, prefix sums of the totals, of the rising totals and
-of minus the falling totals, and prefix sums of the signed, positive and
-negative jumps. ``eval`` and ``variation_cumulative`` read a prefix at each
-point's owning segment and add that segment's own increment; the runs behind
-``structural_sets``, ``run_boundaries`` and ``classify`` are cut from the
-class column. ``variation(lo, hi)`` still sums the segments it meets.
+point class, the profile kind with its slope, exponent and scale, and prefix
+sums of the totals, rising totals, minus the falling totals and the signed,
+positive and negative jumps. Each kind's increment and chart is one function
+of scalars (the profile methods) or of one entry per point or grid cell (the
+table), so ``eval``, ``variation_cumulative`` and the grid integrals work on
+all segments at once; tabulated segments take one ``np.interp`` each. Runs
+are cut from the class column; ``variation(lo, hi)`` still loops segments.
 
 Conventions that the rest of the package relies on:
 
@@ -70,23 +71,58 @@ _POINT_KINDS = {
 
 def _prefix(values: np.ndarray) -> np.ndarray:
     """Running sums with a leading 0.0: entry k sums ``values[:k]`` in order."""
-    return np.concatenate([[0.0], np.cumsum(values)])
+    return np.concatenate([[0.0], values.cumsum()])
 
 
-def _groups(labels: np.ndarray):
-    """Yield (label, positions) per distinct label of an int array, labels ascending.
+# kind codes of the table: powers below 1 chart apart, constant direction wins
+_LINEAR, _CONSTANT, _TABULATED, _POWER, _ROOT = range(5)
 
-    Positions ascend within each group: they are contiguous slices of a
-    stable argsort, so a per-label computation runs once on its points in
-    input order, whatever the number of labels.
-    """
-    if labels.size == 0:
-        return
-    order = np.argsort(labels, kind="stable")
-    ordered = labels[order]
-    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [ordered.size]):
-        yield int(ordered[lo]), order[lo:hi]
+
+def _pow(x, e):
+    """``x ** e``, also for a column of exponents e, rounded as numpy rounds an
+    array to a scalar power: a square for 2 and a square root for 0.5."""
+    out = x ** e
+    if isinstance(e, np.ndarray) and ((e == 2.0) | (e == 0.5)).any():
+        x, e = np.broadcast_arrays(x, e)
+        out[e == 2.0], out[e == 0.5] = np.square(x[e == 2.0]), np.sqrt(x[e == 0.5])
+    return out
+
+
+# each kind's increment over x = t - lo >= 0, and density; scalars or one per point
+def _linear_increment(x, slope):
+    return slope * x
+
+
+def _power_increment(x, exponent, scale):
+    return scale * _pow(x, exponent)
+
+
+def _power_density(x, exponent, scale):
+    return scale * exponent * _pow(x, exponent - 1.0)
+
+
+def _direction_of(sign: float) -> str:
+    return NONDECREASING if sign > 0 else NONINCREASING if sign < 0 else CONSTANT
+
+
+def _chart(kind: int, f, los, his, lo, slope, exponent, scale):
+    """Integration rule of one profile kind over cells [los, his]: ``(integrand,
+    u_los, u_his, weight)``, where ``weight`` (or ``weight[i]``) times the
+    integral of the integrand over [u_los[i], u_his[i]] is that of f against
+    g over cell i. Segment parameters are scalars or one per cell (one row of
+    nodes per cell); a tabulated slope is each cell's knot-cell slope. Powers
+    below 1 chart ``u = (t - lo)**exponent``, cancelling the singularity."""
+    c_lo, c_slope, c_exp, c_scale = (a[:, None] if isinstance(a, np.ndarray) else a
+                                     for a in (lo, slope, exponent, scale))
+    if kind == _LINEAR:
+        return (lambda t: f(t) * c_slope), los, his, 1.0
+    if kind == _POWER:
+        return (lambda t: f(t) * _power_density(t - c_lo, c_exp, c_scale)), los, his, 1.0
+    if kind == _ROOT:
+        inv = 1.0 / c_exp
+        return ((lambda u: f(c_lo + _pow(np.maximum(u, 0.0), inv))),
+                _pow(los - lo, exponent), _pow(his - lo, exponent), scale)
+    return f, los, his, slope
 
 
 @dataclass(frozen=True)
@@ -97,20 +133,13 @@ class LinearProfile:
     kind: str = field(default="linear", init=False)
 
     def increment(self, lo: float, hi: float, t):
-        return self.slope * (np.asarray(t, dtype=float) - lo)
+        return _linear_increment(np.asarray(t, dtype=float) - lo, self.slope)
 
     def density(self, lo: float, hi: float, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
-    def _chart(self, lo: float, f, edges: np.ndarray):
-        return (lambda t: np.asarray(f(t), dtype=float) * self.slope), edges, 1.0
-
     def inferred_direction(self) -> str:
-        if self.slope > 0:
-            return NONDECREASING
-        if self.slope < 0:
-            return NONINCREASING
-        return CONSTANT
+        return _direction_of(self.slope)
 
 
 @dataclass(frozen=True)
@@ -131,27 +160,13 @@ class PowerProfile:
             raise DomainError(f"power profile exponent must be positive, got {self.exponent}")
 
     def increment(self, lo: float, hi: float, t):
-        return self.scale * (np.asarray(t, dtype=float) - lo) ** self.exponent
+        return _power_increment(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
 
     def density(self, lo: float, hi: float, t):
-        t = np.asarray(t, dtype=float)
-        return self.scale * self.exponent * (t - lo) ** (self.exponent - 1.0)
-
-    def _chart(self, lo: float, f, edges: np.ndarray):
-        if self.exponent >= 1.0:
-            return (lambda t: np.asarray(f(t), dtype=float) * self.density(lo, None, t),
-                    edges, 1.0)
-        # substitute u = (t - lo)**exponent: the density singularity at lo cancels
-        inv = 1.0 / self.exponent
-        return (lambda u: f(lo + np.maximum(u, 0.0) ** inv),
-                (edges - lo) ** self.exponent, self.scale)
+        return _power_density(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
 
     def inferred_direction(self) -> str:
-        if self.scale > 0:
-            return NONDECREASING
-        if self.scale < 0:
-            return NONINCREASING
-        return CONSTANT
+        return _direction_of(self.scale)
 
 
 @dataclass(frozen=True)
@@ -165,9 +180,6 @@ class ConstantProfile:
 
     def density(self, lo: float, hi: float, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def _chart(self, lo: float, f, edges: np.ndarray):
-        return f, edges, 0.0
 
     def inferred_direction(self) -> str:
         return CONSTANT
@@ -194,39 +206,22 @@ class TabulatedProfile:
             raise DomainError("tabulated sample abscissae must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
-    def _arrays(self):
-        xs = np.array([p[0] for p in self.points])
-        ys = np.array([p[1] for p in self.points])
-        return xs, ys
-
     def increment(self, lo: float, hi: float, t):
-        xs, ys = self._arrays()
+        xs, ys = np.array(self.points).T
         # np.interp extends constantly outside the sample range already
         return np.interp(np.asarray(t, dtype=float), xs, ys) - ys[0]
 
     def density(self, lo: float, hi: float, t):
         raise DomainError("tabulated profiles expose no density; integrate per knot cell")
 
-    def _chart(self, lo: float, f, edges: np.ndarray):
-        # edges cut at every knot, so the profile is linear on each cell and
-        # the measure there is the cell slope times dt
-        return f, edges, np.diff(self.increment(lo, None, edges)) / np.diff(edges)
-
     def inferred_direction(self) -> str:
-        _, ys = self._arrays()
-        d = np.diff(ys)
-        if np.all(d >= 0):
-            return CONSTANT if np.all(d == 0) else NONDECREASING
-        if np.all(d <= 0):
-            return NONINCREASING
-        raise DomainError("tabulated samples are not monotone")
+        ys = np.array(self.points)[:, 1]
+        if not (np.all(np.diff(ys) >= 0) or np.all(np.diff(ys) <= 0)):
+            raise DomainError("tabulated samples are not monotone")
+        return _direction_of(ys[-1] - ys[0])
 
 
-#: Each profile's ``_chart(lo, f, edges)`` is its integration rule: it returns
-#: ``(integrand, u_edges, weight)`` such that, over cell i of ``edges`` in a
-#: segment starting at ``lo``, the integral of f against the profile's growth
-#: is ``weight[i]`` (or the scalar ``weight``) times the plain integral of
-#: ``integrand`` over ``[u_edges[i], u_edges[i + 1]]``.
+#: A segment's monotone growth; :func:`_chart` holds each kind's integration rule.
 Profile = LinearProfile | PowerProfile | ConstantProfile | TabulatedProfile
 
 
@@ -251,12 +246,9 @@ class Segment:
             raise DomainError(
                 f"declared direction {self.direction!r} conflicts with profile ({inferred})"
             )
-        if isinstance(self.profile, TabulatedProfile):
-            xs = [p[0] for p in self.profile.points]
-            if xs[0] <= self.lo or xs[-1] >= self.hi:
-                raise DomainError(
-                    f"tabulated samples must lie strictly inside ({self.lo}, {self.hi})"
-                )
+        xs = self.interior_knots()
+        if xs and (xs[0] <= self.lo or xs[-1] >= self.hi):
+            raise DomainError(f"tabulated samples must lie strictly inside ({self.lo}, {self.hi})")
 
     def increment_to(self, t):
         """Continuous increment accumulated from lo up to t (vectorized)."""
@@ -273,11 +265,16 @@ class Segment:
     def is_constant(self) -> bool:
         return self.direction == CONSTANT
 
+    def _table_row(self) -> tuple[int, float, float, float]:
+        """Kind code, slope, exponent and scale in the segment table; 0.0 or 1.0 if absent."""
+        p, exponent = self.profile, getattr(self.profile, "exponent", 1.0)
+        kind = (_CONSTANT if self.is_constant else _ROOT if exponent < 1.0
+                else {"linear": _LINEAR, "power": _POWER}.get(p.kind, _TABULATED))
+        return kind, getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0)
+
     def interior_knots(self) -> list[float]:
         """Abscissae where the profile's slope may kink (tabulated samples)."""
-        if isinstance(self.profile, TabulatedProfile):
-            return [p[0] for p in self.profile.points]
-        return []
+        return [p[0] for p in getattr(self.profile, "points", ())]
 
 
 @dataclass(frozen=True)
@@ -342,9 +339,7 @@ class Derivator:
             raise DomainError("segments must tile [a, b] exactly")
         for left, right in zip(segs, segs[1:]):
             if left.hi != right.lo:
-                raise DomainError(
-                    f"segments must tile without gaps: {left.hi} != {right.lo}"
-                )
+                raise DomainError(f"segments must tile without gaps: {left.hi} != {right.lo}")
         jmps = tuple(sorted((Jump(float(j.at), float(j.delta)) for j in jumps), key=lambda j: j.at))
         ats = [j.at for j in jmps]
         if len(set(ats)) != len(ats):
@@ -354,9 +349,8 @@ class Derivator:
             if not (a <= j.at < b):
                 raise DomainError(f"jump at {j.at} outside [{a}, {b})")
             if j.at not in boundaries:
-                raise DomainError(
-                    f"jump at {j.at} is not a segment boundary; split the segment there"
-                )
+                raise DomainError(f"jump at {j.at} is not a segment boundary; "
+                                  "split the segment there")
 
         self.interval = (a, b)
         self.segments = segs
@@ -364,10 +358,13 @@ class Derivator:
         self.anchor = float(anchor)
 
         # the segment table: per-segment columns and their prefix sums
-        self._seg_lo = np.array([s.lo for s in segs])
-        self._seg_hi = np.array([s.hi for s in segs])
-        self._seg_class = np.array([_RUN_CLASS[s.direction] for s in segs])
-        totals = np.array([s.total_increment for s in segs])
+        rows = [(s.lo, s.hi, _RUN_CLASS[s.direction], s.total_increment, *s._table_row())
+                for s in segs]
+        (self._seg_lo, self._seg_hi, seg_class, totals, seg_kind, self._seg_slope,
+         self._seg_exp, self._seg_scale) = np.array(rows, dtype=float).T.copy()
+        self._seg_class, self._seg_kind = seg_class.astype(int), seg_kind.astype(int)
+        self._curved = bool(self._seg_kind.max() >= _TABULATED)  # power or tabulated
+        self._knots = np.array([x for s in segs for x in s.interior_knots()])
         self._cum_inc = _prefix(totals)
         self._rise_cum = _prefix(np.where(self._seg_class == RISING_POINT, totals, 0.0))
         self._fall_cum = _prefix(np.where(self._seg_class == FALLING_POINT, -totals, 0.0))
@@ -378,14 +375,14 @@ class Derivator:
         self._jump_neg_cum = _prefix(np.maximum(-self._jump_delta, 0.0))
         # one trailing entry each, read through index -1 (no jump there): the
         # NaN location never compares equal, the padded delta is 0.0
-        self._jump_at_padded = np.append(self._jump_at, np.nan)
-        self._jump_delta_padded = np.append(self._jump_delta, 0.0)
+        self._jump_at_padded = np.concatenate([self._jump_at, [np.nan]])
+        self._jump_delta_padded = np.concatenate([self._jump_delta, [0.0]])
         # a run starts at segment 0, at a class change and at a jump
         starts = np.ones(len(segs), dtype=bool)
         starts[1:] = self._seg_class[1:] != self._seg_class[:-1]
         starts[np.searchsorted(self._seg_lo, self._jump_at)] = True
         self._run_lo = self._seg_lo[starts]
-        self._run_hi = self._seg_hi[np.append(starts[1:], True)]
+        self._run_hi = self._seg_hi[np.concatenate([starts[1:], [True]])]
         self._run_class = self._seg_class[starts]
 
     # ------------------------------------------------------------------ basics
@@ -417,42 +414,46 @@ class Derivator:
     def constant(cls, a: float, b: float, level: float = 0.0) -> "Derivator":
         return cls((a, b), [Segment(a, b, ConstantProfile())], anchor=level)
 
-    def _check_domain(self, t: np.ndarray):
-        """DomainError unless every time is in [a, b]; each public query checks its
-        input once, and paths with checked times call the unchecked cores."""
+    def _check_domain(self, t: np.ndarray) -> np.ndarray:
+        """t, after a DomainError unless every time is in [a, b]; each public query
+        checks its input once, and paths with checked times call the unchecked cores."""
         a, b = self.interval
         inside = (t >= a) & (t <= b)  # False for NaN, unlike t < a or t > b
         if not inside.all():
             raise DomainError(f"time {float(np.ravel(t[~inside])[0])} outside [{a}, {b}]")
+        return t
 
     def segment_index(self, t):
         """Index of the segment owning t; boundaries belong to the left segment."""
-        t = np.asarray(t, dtype=float)
-        self._check_domain(t)
-        return self._segment_index(t)
+        return self._segment_index(self._check_domain(np.asarray(t, dtype=float)))
 
     def _segment_index(self, t: np.ndarray):
         # every time in [a, b] but a itself has a segment lo strictly left of it
         return np.maximum(np.searchsorted(self._seg_lo, t, side="left") - 1, 0)
 
-    def _locate(self, flat: np.ndarray):
-        """Owning segment of each time in a flat array and the increment from
-        that segment's lo; raises DomainError for times outside [a, b]."""
-        idx = self.segment_index(flat)
-        if flat.size == 1:
-            return idx, self.segments[int(idx[0])].increment_to(flat)
-        inc = np.empty_like(flat)
-        for k, sel in _groups(idx):
-            inc[sel] = self.segments[k].increment_to(flat[sel])
-        return idx, inc
+    def _increments(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Increment from the lo of segment ``idx[i]`` up to ``t[i]``: one
+        expression per profile kind over the table's columns, and one
+        ``np.interp`` per tabulated segment."""
+        if t.size == 1:
+            return self.segments[int(idx[0])].increment_to(t)
+        x = t - self._seg_lo[idx]
+        out = _linear_increment(x, self._seg_slope[idx])  # 0.0 off linear segments
+        if self._curved:
+            p = np.flatnonzero(self._seg_kind[idx] >= _POWER)
+            out[p] = _power_increment(x[p], self._seg_exp[idx[p]], self._seg_scale[idx[p]])
+            for k in np.flatnonzero(self._seg_kind == _TABULATED).tolist():
+                p = np.flatnonzero(idx == k)
+                out[p] = self.segments[k].increment_to(t[p])
+        return out
 
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
         arr = np.asarray(t, dtype=float)
         flat = arr.reshape(-1)
-        idx, inc = self._locate(flat)
+        idx = self._segment_index(self._check_domain(flat))
         jumps_before = self._jump_cum[np.searchsorted(self._jump_at, flat, side="left")]
-        out = self.anchor + (self._cum_inc[idx] + inc) + jumps_before
+        out = self.anchor + (self._cum_inc[idx] + self._increments(idx, flat)) + jumps_before
         return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
     def eval_right(self, t):
@@ -476,6 +477,9 @@ class Derivator:
     def deltas_on(self, times) -> np.ndarray:
         """Jump mass at each time, 0.0 where g is continuous."""
         return self._jump_delta_padded[self.jump_index(times)]
+
+    def _deltas(self, ts: np.ndarray) -> np.ndarray:  # unchecked, for grids built in [a, b]
+        return self._jump_delta_padded[self._jump_index(ts)]
 
     def delta_at(self, t: float) -> float:
         """Jump mass at t, 0.0 when g is continuous there."""
@@ -508,11 +512,7 @@ class Derivator:
             deltas = self._jump_delta[sel]
             pos += float(np.sum(deltas[deltas > 0]))
             neg += float(-np.sum(deltas[deltas < 0]))
-        if kind == POSITIVE:
-            return pos
-        if kind == NEGATIVE:
-            return neg
-        return pos + neg
+        return pos if kind == POSITIVE else neg if kind == NEGATIVE else pos + neg
 
     def variation_cumulative(self, times, kind: str = TOTAL) -> np.ndarray:
         """Vectorized ``variation(a, t, kind)``: the class prefix before t's
@@ -520,8 +520,8 @@ class Derivator:
         the jumps strictly left of t."""
         ts = np.asarray(times, dtype=float)
         flat = ts.reshape(-1)
-        idx, inc = self._locate(flat)
-        cls = self._seg_class[idx]
+        idx = self._segment_index(self._check_domain(flat))
+        inc, cls = self._increments(idx, flat), self._seg_class[idx]
         at = np.searchsorted(self._jump_at, flat, side="left")
         pos = (self._rise_cum[idx] + np.where(cls == RISING_POINT, inc, 0.0)
                + self._jump_pos_cum[at])
@@ -586,12 +586,10 @@ class Derivator:
 
     def breakpoints(self) -> tuple[float, ...]:
         """Segment boundaries plus tabulated knots; natural grid refinement points."""
-        pts = {self.a, self.b}
-        for seg in self.segments:
-            pts.add(seg.lo)
-            pts.add(seg.hi)
-            pts.update(seg.interior_knots())
-        return tuple(sorted(pts))
+        return tuple(self._breakpoints().tolist())
+
+    def _breakpoints(self) -> np.ndarray:  # knots lie strictly inside their segments
+        return np.sort(np.concatenate([self._seg_lo, [self.b], self._knots]))
 
     def __repr__(self):
         return (

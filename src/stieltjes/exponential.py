@@ -165,7 +165,7 @@ class GExponential:
         d = lc.derivator
         grid = uniform_grid(d, grid_hint)
         cont = _cell_integrals(d, lc.c, grid)
-        jump = d.jump_index(grid)
+        jump = d._jump_index(grid)
         factors = lc._factors[jump]
         integral, _ = _running_sums(lc._log_factors[jump], cont)
         # the sign flips and the annihilation at grid[i] come from the jumps

@@ -17,7 +17,7 @@ Integration splits into a continuous part and an atomic part:
 * every segment is cut at the integrand's own kinks (the breaks of tabulated
   and piecewise integrands) before adaptive Gauss-Kronrod quadrature runs on
   each piece; the grid routines of :mod:`~stieltjes.calculus` use the same
-  charts with one fixed panel per grid cell, and leave grid cells uncut;
+  charts and cuts with one fixed panel per piece of a grid cell;
 * each jump in ``[lo, hi)`` contributes ``f(at)`` times its (signed, clipped,
   or absolute) mass, with f taken at its left value.
 """
@@ -31,6 +31,7 @@ import numpy as np
 
 from . import quadrature
 from .derivator import (
+    _TABULATED,
     CONSTANT,
     NEGATIVE,
     NONDECREASING,
@@ -38,8 +39,9 @@ from .derivator import (
     Derivator,
     Segment,
     TOTAL,
+    _chart,
 )
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 
 SIGNED = "signed"
 POSITIVE_PART = "positive_part"
@@ -73,17 +75,17 @@ class Integrand:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
+        if arr.ndim > 1:  # the function sees one flat array, whatever the shape of t
+            return self(arr.reshape(-1)).reshape(arr.shape)
         if self._vectorized is None:
             # a scalar probe cannot tell a vectorized closure from a scalar one
             sample = np.atleast_1d(arr)
             try:
-                probe = np.asarray(self._fn(sample), dtype=float)
-                if probe.shape != sample.shape:
+                if np.asarray(self._fn(sample), dtype=float).shape != sample.shape:
                     raise ValueError
-                self._vectorized = True
             except Exception:
                 self._fn = np.vectorize(self._fn, otypes=[float])
-                self._vectorized = True
+            self._vectorized = True
         out = np.asarray(self._fn(arr), dtype=float)
         return float(out) if np.isscalar(t) else out
 
@@ -208,9 +210,12 @@ class StieltjesMeasure:
 
     def integrate(self, f: Integrand | Callable, lo: float, hi: float,
                   rel_tol: float = 1e-10) -> float:
-        """Integral of f over [lo, hi) against this measure."""
-        return (self._integrate_continuous(f, lo, hi, rel_tol)
-                + self._integrate_atoms(f, lo, hi))
+        """Integral of f over [lo, hi) against this measure; QuadratureError if not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self._integrate_continuous(f, lo, hi, rel_tol) + self._integrate_atoms(f, lo, hi)
+        if not np.isfinite(value):
+            raise QuadratureError(f"integral over [{lo}, {hi}) is not finite", value, np.nan)
+        return value
 
     def _integrate_atoms(self, f: Integrand | Callable, lo: float, hi: float) -> float:
         f = _as_integrand(f)
@@ -308,16 +313,20 @@ def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
     [lo, hi] is cut at the profile's knots and at f's own kinks: a kink that
     falls between a panel's outer node and its end is invisible to the
     Kronrod error estimate. Each piece goes to adaptive Gauss-Kronrod
-    quadrature in the profile's chart (see ``Profile`` in
-    :mod:`~stieltjes.derivator`); pieces of weight zero cost nothing.
+    quadrature in the profile's chart (:func:`~stieltjes.derivator._chart`);
+    pieces of weight zero cost nothing.
     """
     knots = np.concatenate([seg.interior_knots(), f._kinks])
     cuts = knots[(knots > lo) & (knots < hi)]
     edges = np.unique(np.concatenate([[lo], cuts, [hi]])) if cuts.size else np.array([lo, hi])
-    integrand, u_edges, weight = seg.profile._chart(seg.lo, f, edges)
-    weights = weight.tolist() if np.ndim(weight) else [weight] * (len(edges) - 1)
+    kind, slope, exponent, scale = seg._table_row()
+    if kind == _TABULATED:
+        slope = np.diff(seg.increment_to(edges)) / np.diff(edges)
+    integrand, u_los, u_his, weight = _chart(kind, f, edges[:-1], edges[1:], seg.lo, slope,
+                                             exponent, scale)
+    weights = weight.tolist() if isinstance(weight, np.ndarray) else [weight] * len(u_los)
     total = 0.0
-    for c, e, w in zip(u_edges[:-1].tolist(), u_edges[1:].tolist(), weights):
+    for c, e, w in zip(u_los.tolist(), u_his.tolist(), weights):
         if w != 0.0:
             total += w * quadrature.integrate_adaptive(integrand, c, e, rel_tol)
     return total

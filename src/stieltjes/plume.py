@@ -64,8 +64,9 @@ class AmbientDensity:
     def __init__(self, rho: Derivator):
         self.rho = rho
         # each segment is monotone, so the lowest values sit at breakpoints
-        knots = np.asarray(rho.breakpoints())
-        if np.any(rho.eval(knots) <= 0.0) or np.any(rho.eval_right(knots) <= 0.0):
+        knots = rho._breakpoints()
+        left = rho.eval(knots)
+        if np.any(left <= 0.0) or np.any(left + rho._deltas(knots) <= 0.0):
             raise DomainError("ambient density must stay positive")
 
     @classmethod

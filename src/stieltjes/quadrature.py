@@ -52,7 +52,8 @@ def kronrod_panel(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     ik = half * float(np.dot(_WEIGHTS_K, y))
     ig = half * float(np.dot(_WEIGHTS_G, y))
     diff = abs(ik - ig)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
+    # min() picks diff from 1.25e-7 on; skip the float power that overflows and raises
+    err = diff if diff >= 1.0 else min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
     return ik, err
 
 
@@ -96,22 +97,15 @@ def integrate_adaptive(
     return total
 
 
-def panel_integrals(f: Callable, edges: np.ndarray) -> np.ndarray:
-    """Non-adaptive 15-point integral of f over each cell of a sorted edge array.
+def panel_integrals(f: Callable, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Non-adaptive 15-point integral of f over each cell ``[los[i], his[i]]``;
+    f is called once on the (cells x 15) node matrix, one row per cell.
 
-    Vectorized: f is evaluated once on a (cells x 15) node matrix. Meant for
-    cumulative primitives over fine grids where each cell is already smooth.
-
-    A row's last bits can depend on how many rows share the call, since BLAS
-    blocks the rows of ``vals @ _WEIGHTS_K`` (with OpenBLAS 0.3.31 on x86-64,
-    calls of 1, 2, 3, 7 or 9 rows moved bits that 4, 8, 16 or 256 did not),
-    so regrouping cells across calls can move last bits.
+    BLAS sums the rows of ``vals @ _WEIGHTS_K`` in blocks of 4 and the last
+    ``cells % 4`` rows another way (OpenBLAS 0.3.31, x86-64): a cell keeps its
+    bits in another call only if it stays in a block of 4 there.
     """
-    edges = np.asarray(edges, dtype=float)
-    los = edges[:-1]
-    his = edges[1:]
     mids = 0.5 * (los + his)
     halfs = 0.5 * (his - los)
     nodes = mids[:, None] + halfs[:, None] * _NODES[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return halfs * (vals @ _WEIGHTS_K)
+    return halfs * (np.asarray(f(nodes), dtype=float) @ _WEIGHTS_K)

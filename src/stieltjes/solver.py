@@ -162,12 +162,9 @@ def system_grid(derivators: Sequence[Derivator], horizon: float, mesh: int) -> n
     a = derivators[0].interval[0]
     if mesh < 2:
         raise DomainError("mesh must be at least 2")
-    pieces = [np.linspace(a, horizon, mesh + 1)]
-    for d in derivators:
-        pts = np.asarray(d.breakpoints(), dtype=float)
-        pieces.append(pts[(pts > a) & (pts < horizon)])
-    grid = np.unique(np.concatenate(pieces))
-    return grid
+    pts = np.concatenate([d._breakpoints() for d in derivators])
+    return np.unique(np.concatenate([np.linspace(a, horizon, mesh + 1),
+                                     pts[(pts > a) & (pts < horizon)]]))
 
 
 def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096) -> float:
@@ -178,15 +175,14 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
     start time counts from the first positive time onward. The returned time
     is a point of the selection grid, not a supremum over the continuum.
     """
-    a, b = spec.interval
-    grid = system_grid(spec.derivators, b, mesh)
+    grid = system_grid(spec.derivators, spec.interval[1], mesh)
     worst = np.zeros(len(grid))
     for j, d in enumerate(spec.derivators):
         h = bound.dominator_for(j, spec.dim)
         hv = np.asarray(h(grid), dtype=float)
         if np.any(hv < 0):
             raise DomainError(f"dominator for component {j} is negative on the grid")
-        atoms = hv * np.abs(d.deltas_on(grid))
+        atoms = hv * np.abs(d._deltas(grid))
         worst = np.maximum(worst, _resum(atoms, np.abs(_cell_integrals(d, h, grid))))
     ok = worst <= bound.radius
     ok[0] = False
@@ -194,17 +190,16 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
         raise HorizonSelectionError(
             f"no positive grid time keeps the dominator mass within radius {bound.radius}"
         )
-    last = int(np.max(np.nonzero(ok)[0]))
-    return float(grid[last])
+    return float(grid[np.flatnonzero(ok)[-1]])
 
 
 def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
-    """deltas[k, j] = jump of derivator j at grid[k] (zero off jumps)."""
+    """deltas[k, j] = jump of derivator j at grid[k]; the solvers' eval of g checks the grid."""
     for d in derivators:
         missing = _missing_jumps(d, grid)
         if missing:
             raise DomainError(f"solver grid is missing jump time {missing[0]}")
-    return np.stack([d.deltas_on(grid) for d in derivators], axis=1)
+    return np.stack([d._deltas(grid) for d in derivators], axis=1)
 
 
 def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray,

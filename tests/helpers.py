@@ -382,35 +382,53 @@ def assert_same_outcome(got, want):
 
 
 def reference_cell_integrals(d, v, grid):
-    """Continuous part of the measure of v over each grid cell, one branch per kind."""
+    """Continuous part of the measure of v over each grid cell, one branch per
+    kind and one panel call per segment; cells are cut at the kinks of v."""
     from stieltjes import quadrature
-    from stieltjes.derivator import CONSTANT, _groups
+    from stieltjes.derivator import CONSTANT
 
     out = np.zeros(len(grid) - 1)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    for k, cells in _groups(d.segment_index(mids)):
-        seg = d.segments[k]
-        if seg.direction == CONSTANT:
+    owner = d.segment_index(0.5 * (grid[:-1] + grid[1:]))
+    for k, seg in enumerate(d.segments):
+        cells = np.flatnonzero(owner == k)
+        if seg.direction == CONSTANT or cells.size == 0:
             continue
-        edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
+        cell_edges = np.concatenate([grid[cells], [grid[cells[-1] + 1]]])
+        edges = np.union1d(cell_edges, v._kinks[(v._kinks > cell_edges[0])
+                                                & (v._kinks < cell_edges[-1])])
         profile = seg.profile
         if isinstance(profile, TabulatedProfile):
             ginc = seg.increment_to(edges)
             slopes = np.diff(ginc) / np.diff(edges)
-            out[cells] = slopes * quadrature.panel_integrals(v, edges)
+            pieces = slopes * quadrature.panel_integrals(v, edges[:-1], edges[1:])
         elif isinstance(profile, PowerProfile) and profile.exponent < 1.0:
             p, s = profile.exponent, profile.scale
             u_edges = (edges - seg.lo) ** p
             inv = 1.0 / p
-            out[cells] = s * quadrature.panel_integrals(
-                lambda u: v(seg.lo + np.maximum(u, 0.0) ** inv), u_edges
+            pieces = s * quadrature.panel_integrals(
+                lambda u: v(seg.lo + np.maximum(u, 0.0) ** inv), u_edges[:-1], u_edges[1:]
             )
         else:
-            out[cells] = quadrature.panel_integrals(
+            pieces = quadrature.panel_integrals(
                 lambda t: np.asarray(v(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float),
-                edges,
+                edges[:-1], edges[1:],
             )
+        out[cells] = np.add.reduceat(pieces, np.searchsorted(edges, cell_edges[:-1]))
     return out
+
+
+def reference_uniform_grid(d, per_segment):
+    """``uniform_grid`` with one power grading per span, in a loop."""
+    bks = np.asarray(d.breakpoints())
+    u = np.linspace(0.0, 1.0, per_segment + 1)
+    lo, hi = bks[:-1], bks[1:]
+    spans = lo[:, None] + (hi - lo)[:, None] * u
+    for i, k in enumerate(d.segment_index(0.5 * (lo + hi)).tolist()):
+        profile = d.segments[k].profile
+        if isinstance(profile, PowerProfile) and profile.exponent != 1.0:
+            spans[i] = lo[i] + (hi[i] - lo[i]) * u ** (1.0 / profile.exponent)
+    spans[:, -1] = hi
+    return np.unique(np.concatenate([bks, spans.ravel()]))
 
 
 def reference_segment_integral(f, seg, lo, hi, rel_tol):
@@ -480,6 +498,51 @@ def reference_variation_cumulative(d, times, kind="total"):
     if kind == "negative":
         return neg
     return pos + neg
+
+
+def reference_located(d, times):
+    """Owning segment of each time and its increment, one profile call per segment."""
+    ts = np.asarray(times, dtype=float).ravel()
+    idx = d.segment_index(ts)
+    inc = np.empty_like(ts)
+    for k, seg in enumerate(d.segments):
+        sel = idx == k
+        if sel.any():
+            inc[sel] = seg.increment_to(ts[sel])
+    return ts, idx, inc
+
+
+def reference_eval(d, times):
+    ts, idx, inc = reference_located(d, times)
+    return d.anchor + (d._cum_inc[idx] + inc) + d._jump_cum[np.searchsorted(d._jump_at, ts)]
+
+
+def reference_eval_right(d, times):
+    out = reference_eval(d, times)
+    if d.jumps:
+        out = out + np.array([d.delta_at(t) for t in np.ravel(times)])
+    return out
+
+
+def reference_variation_by_segment(d, times, kind="total"):
+    """``variation_cumulative`` from the class and jump prefixes plus the owning
+    segment's increment, taken one segment at a time."""
+    ts, idx, inc = reference_located(d, times)
+    cls = d._seg_class[idx]
+    at = np.searchsorted(d._jump_at, ts)
+    pos = d._rise_cum[idx] + np.where(cls == 1, inc, 0.0) + d._jump_pos_cum[at]
+    neg = d._fall_cum[idx] - np.where(cls == 2, inc, 0.0) + d._jump_neg_cum[at]
+    return {"positive": pos, "negative": neg}.get(kind, pos + neg)
+
+
+def exact_power_derivator(rng):
+    """Power segments whose exponents hit numpy's exact scalar powers (square and
+    square root) in the increment, the density and the substitution."""
+    edges = np.linspace(0.0, 1.0, 9)
+    exponents = rng.permutation([0.5, 1.5, 2.0, 3.0, 1.0, 0.25, 4.0, 1.25])
+    segments = [Segment(lo, hi, PowerProfile(float(p), float(rng.uniform(0.2, 2.0))))
+                for lo, hi, p in zip(edges[:-1], edges[1:], exponents)]
+    return Derivator((0.0, 1.0), segments, [Jump(0.5, 0.75)], anchor=0.1)
 
 
 def reference_runs(d):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    exact_power_derivator,
     long_derivator,
     random_derivator,
     random_polynomial_coeffs,
     reference_cell_integrals,
     reference_estimate_table,
     reference_modulus,
+    reference_uniform_grid,
     same_bits,
 )
 from stieltjes import (
@@ -36,6 +38,7 @@ from stieltjes import (
     uniform_grid,
     verify_linear_solution,
 )
+from stieltjes import calculus
 from stieltjes.calculus import _cell_integrals, _estimate_table
 
 FTC_TOL = 1e-6
@@ -132,6 +135,16 @@ class TestPrimitive:
             left, right = reference_primitive(d, v, 64)
             assert np.array_equal(h.left_values, left)
             assert np.array_equal(h.right_values, right)
+
+    def test_grid_cells_are_cut_at_the_integrand_kinks(self):
+        b = 0.7813563413389097
+        step = Integrand.piecewise_polynomial([0.0, b, 1.0], [[0.0], [1.0]])
+        d = Derivator.identity(0.0, 1.0)
+        h = primitive(StieltjesMeasure(d), step, grid_hint=512)
+        assert np.array_equal(h.grid, uniform_grid(d, 512))
+        assert abs(h.left_values[-1] - (1.0 - b)) <= 1e-14 * (1.0 - b)
+        e = GExponential(LinearCoefficient(d, step)).trajectory(512)
+        assert abs(e.left_values[-1] - np.exp(1.0 - b)) <= 1e-14 * np.exp(1.0 - b)
 
     def test_matches_measure_integrate(self):
         d = identity_with_jump(delta=-0.7)
@@ -349,15 +362,61 @@ def test_grid_paths_make_no_per_point_queries(monkeypatch):
     assert select_horizon(spec, bound, mesh=256) == 1.0
 
 
+def test_grids_built_inside_the_interval_skip_the_domain_check(monkeypatch):
+    """Only the public entry points check times against [a, b]."""
+    from stieltjes import solver
+    from stieltjes.derivator import Derivator as DerivatorClass
+
+    d = long_derivator(np.random.default_rng(43))
+    checked = []
+    check = DerivatorClass._check_domain
+    monkeypatch.setattr(DerivatorClass, "_check_domain",
+                        lambda self, t: checked.append(np.size(t)) or check(self, t))
+    grid = uniform_grid(d, 16)
+    assert checked == []
+    lc = LinearCoefficient(d, Integrand.polynomial([0.4]))
+    checked.clear()
+    GExponential(lc).trajectory(grid_hint=16)
+    assert checked == [len(grid)]  # the Trajectory record checks its grid once
+    checked.clear()
+    spec = SystemSpec([d], lambda t, x: x, [1.0])
+    solver._jump_table([d], solver.system_grid([d], 1.0, 256))
+    bound = CaratheodoryBound(radius=1e6, dominators=[Integrand.polynomial([1.0])])
+    select_horizon(spec, bound, mesh=256)
+    assert checked == []
+    with pytest.raises(DomainError):
+        d.deltas_on([2.0])
+
+
 def test_cell_integrals_match_the_per_kind_branches():
-    """The charted grid-cell integrals keep the bits of one branch per kind."""
+    """Batched across segments, the charted grid-cell integrals keep the bits of
+    one panel call per segment when every segment brings a multiple of 4 cells;
+    cells cut at an integrand's kinks agree to rounding."""
     rng = np.random.default_rng(44)
-    draws = [random_derivator(rng) for _ in range(200)] + [long_derivator(rng)]
-    for d in draws:
-        grid = uniform_grid(d, 16)
-        for v in (Integrand.polynomial(random_polynomial_coeffs(rng)),
-                  Integrand.tabulated([(0.1, 1.0), (0.45, -0.5), (0.8, 2.0)])):
+    tabulated = Integrand.tabulated([(0.1, 1.0), (0.45, -0.5), (0.8, 2.0)])
+    for hint, draws in ((8, 200), (12, 200), (16, 200), (512, 40)):
+        for d in ([random_derivator(rng) for _ in range(draws)] + [long_derivator(rng, 2000)]
+                  + [exact_power_derivator(rng) for _ in range(5)]):
+            grid = uniform_grid(d, hint)
+            assert same_bits(grid, reference_uniform_grid(d, hint))
+            v = Integrand.polynomial(random_polynomial_coeffs(rng))
             assert same_bits(_cell_integrals(d, v, grid), reference_cell_integrals(d, v, grid))
+            np.testing.assert_allclose(_cell_integrals(d, tabulated, grid),
+                                       reference_cell_integrals(d, tabulated, grid),
+                                       rtol=1e-13, atol=1e-17)
+
+
+def test_cell_integrals_keep_their_bits_across_batch_sizes(monkeypatch):
+    """Batches of any multiple of 8 pieces give the bits of one batch per kind."""
+    rng = np.random.default_rng(47)
+    draws = [random_derivator(rng) for _ in range(40)] + [long_derivator(rng)]
+    for d in draws:
+        grid = uniform_grid(d, 8)
+        v = Integrand.polynomial(random_polynomial_coeffs(rng))
+        whole = _cell_integrals(d, v, grid)
+        monkeypatch.setattr(calculus, "_PANEL_ROWS", 8)
+        assert same_bits(_cell_integrals(d, v, grid), whole)
+        monkeypatch.undo()
 
 
 def test_estimate_table_matches_the_per_offset_windows():

@@ -106,6 +106,33 @@ class TestIntegrate:
         value = json.loads(Path(out).read_text())["value"]
         assert value == pytest.approx(1.0 - b, rel=1e-12)
 
+    @staticmethod
+    def _one_segment(tmp_path, profile):
+        return write(tmp_path, "big.json", {
+            "interval": [0.0, 1.0],
+            "segments": [{"lo": 0.0, "hi": 1.0, "profile": profile}],
+        })
+
+    def test_huge_but_finite_integral(self, tmp_path):
+        # the Kronrod error estimate of a panel this large overflowed a float power
+        dpath = self._one_segment(tmp_path, {"kind": "power", "exponent": 2.5, "scale": 1e300})
+        fpath = write(tmp_path, "f.json", {"kind": "polynomial", "coefficients": [1, 2, 3]})
+        out = str(tmp_path / "out.json")
+        assert cli.main(["integrate", dpath, fpath, "-o", out]) == 0
+        # scale * (1 + 2p/(p + 1) + 3p/(p + 2)) with p = 2.5
+        value = json.loads(Path(out).read_text())["value"]
+        assert value == pytest.approx(1e300 * (1.0 + 5.0 / 3.5 + 7.5 / 4.5), rel=1e-9)
+
+    def test_an_integral_that_overflows_is_a_quadrature_error(self, tmp_path, capsys):
+        dpath = self._one_segment(tmp_path, {"kind": "linear", "slope": 1e308})
+        fpath = write(tmp_path, "f.json", {"kind": "polynomial", "coefficients": [1, 2, 3]})
+        out = str(tmp_path / "out.json")
+        assert cli.main(["integrate", dpath, fpath, "-o", out]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "QuadratureError"
+        assert "not finite" in err["error"]["message"]
+        assert not Path(out).exists()
+
 
 class TestDerive:
     def test_repeatable_points(self, tmp_path, deriv_path, ident_integrand_path):

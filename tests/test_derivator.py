@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    exact_power_derivator,
     long_derivator,
     random_derivator,
     random_subinterval,
+    reference_eval,
+    reference_eval_right,
     reference_run_boundaries,
     reference_runs,
     reference_structural_sets,
+    reference_variation_by_segment,
     reference_variation_cumulative,
     same_bits,
     variation_oracle,
@@ -28,6 +32,7 @@ from stieltjes import (
     PowerProfile,
     Segment,
     TabulatedProfile,
+    uniform_grid,
 )
 
 VAR_ATOL = 1e-12
@@ -430,6 +435,21 @@ class TestSegmentTable:
                     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
                 else:
                     assert same_bits(got, want)
+
+    def test_eval_and_variation_keep_the_bits_of_the_per_segment_loop(self):
+        """The kind columns give each point the bits its own profile gives it,
+        exponents with an exact numpy scalar power included."""
+        rng, draws = table_corpus(63)
+        draws += [exact_power_derivator(rng) for _ in range(20)]
+        draws += [long_derivator(rng, 2000)]
+        for d in draws:
+            ts = np.concatenate([probe_times(rng, d), uniform_grid(d, 8)])
+            for t in (ts, ts[:1]):
+                assert same_bits(d.eval(t), reference_eval(d, t))
+                assert same_bits(d.eval_right(t), reference_eval_right(d, t))
+                for kind in ("total", "positive", "negative"):
+                    assert same_bits(d.variation_cumulative(t, kind),
+                                     reference_variation_by_segment(d, t, kind))
 
     def test_variation_cumulative_keeps_the_input_shape(self):
         d = identity_with_jump()
