@@ -122,6 +122,10 @@ def _cmd_ftc_check(args) -> int:
     return 0
 
 
+# the sign column's text for np.sign -1, 0 and 1; a trajectory holds no NaN
+_SIGN_TEXT = np.array(["-1", "0", "1"])
+
+
 def _cmd_exp(args) -> int:
     d = specio.parse_derivator(specio.load_json(args.derivator, "derivator"))
     c = specio.parse_integrand(specio.load_json(args.coefficient, "coefficient"))
@@ -139,7 +143,7 @@ def _cmd_exp(args) -> int:
         }, args.output)
         return 0
     traj = exponential.GExponential(lc).trajectory(grid_hint=args.grid_hint)
-    signs = [str(int(s)) for s in np.sign(traj.left_values).tolist()]
+    signs = _SIGN_TEXT[np.sign(traj.left_values).astype(int) + 1].tolist()
     columns = (traj.grid, traj.left_values, traj.right_values, signs,
                [lc.regime] * len(signs))
     _emit_csv(("t", "value", "value_right", "sign", "regime"), columns, args.output)

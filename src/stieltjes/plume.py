@@ -108,25 +108,34 @@ def plume_rhs(A: float, B: float, C: float):
     """The flux right-hand side (A m^(1/4), B q beta, C q) as one function.
 
     It takes a height ``z`` and a state ``(q, m, beta)``, or heights ``z[:]``
-    and states ``X[:, 3]``; row k of the second gives the bits of the first
-    at ``(z[k], X[k])``, since the quarter power of an array goes through
-    libm ``pow`` per element. It raises :class:`RhsEvaluationError` when the
-    momentum flux is not positive, for an array at its first such row.
+    and states ``X[:, 3]``, and gives a row or a C-contiguous (n, 3) array;
+    row k of the second gives the bits of the first at ``(z[k], X[k])``,
+    since every quarter power goes through libm ``pow``. Its float row form
+    ``rhs._row(z, q, m, beta)``, which the scalar call wraps, returns a
+    tuple; Euler runs it over Python floats. All three raise
+    :class:`RhsEvaluationError` when the momentum flux is not positive, the
+    array call at its first such row.
     """
+
+    def row(z, q, m, beta):
+        if m <= 0.0:
+            raise _breakdown(m, z)
+        return A * math.pow(m, 0.25), B * q * beta, C * q
 
     def rhs(z, x):
         q, m, beta = np.asarray(x).T
-        if isinstance(m, np.ndarray):
-            bad = np.flatnonzero(m <= 0.0)
-            if bad.size:
-                raise _breakdown(m[bad[0]], z[bad[0]])
-            quarter = _libm_pow(m, 0.25)
-        else:
-            if m <= 0.0:
-                raise _breakdown(m, z)
-            quarter = m ** 0.25
-        return np.array([A * quarter, B * q * beta, C * q]).T
+        if not isinstance(m, np.ndarray):
+            return np.array(row(z, q, m, beta))
+        if (m <= 0.0).any():
+            k = np.flatnonzero(m <= 0.0)[0]
+            raise _breakdown(m[k], z[k])
+        out = np.empty((len(m), 3))
+        np.multiply(A, _libm_pow(m, 0.25), out=out[:, 0])
+        np.multiply(B * q, beta, out=out[:, 1])
+        np.multiply(C, q, out=out[:, 2])
+        return out
 
+    rhs._row = row
     return rhs
 
 

@@ -79,7 +79,7 @@ def integrate_adaptive(
     # tolerance is anchored to the integral's mass so that exact cancellation
     # across the panel set does not demand an impossible absolute accuracy
     while total_err > rel_tol * max(abs(total), 1e-3 * total_abs, 1e-15):
-        neg_err, depth, c, d, v, e = heapq.heappop(heap)
+        _, depth, c, d, v, e = heapq.heappop(heap)
         if depth >= MAX_LEVELS or len(heap) + 2 > MAX_PANELS or d - c <= 0:
             raise QuadratureError(
                 f"quadrature stalled on [{lo}, {hi}] after depth {depth}",

@@ -16,7 +16,11 @@ plume right-hand sides are one function that serves both calls, so their
 specs pass it as both ``rhs`` and ``rhs_batch``. Picard sweeps and the jump
 audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`, which
 uses the batch form when there is one and loops the scalar form when there
-is not; the checks and error messages are the scalar ones either way.
+is not; the checks and error messages are the scalar ones either way. A
+Picard sweep makes one such call: the left states, then the jump rows' right
+states. Each scheme builds its grid's tables once, evaluating each distinct
+derivator once, and :func:`solve` raises :class:`RhsEvaluationError` at the
+first grid time whose state is not finite.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -38,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (Trajectory, _cell_integrals, _missing_jumps, _resum,
-                       _running_sums, _trapezoid_cells)
+                       _running_sums)
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -119,7 +123,7 @@ class SystemSpec:
         of the scalar loop: its first failing row, its text. The batch runs
         with float warnings off, so only those scalar calls warn.
         """
-        out = np.empty((len(ts), self.dim))
+        shape = (len(ts), self.dim)
         if len(ts) and self.rhs_batch is not None:
             try:
                 with np.errstate(all="ignore"):
@@ -127,13 +131,14 @@ class SystemSpec:
             except Exception:
                 pass
             else:
-                if batch.shape != out.shape:
+                if batch.shape != shape:
                     raise RhsEvaluationError(
                         f"batch right-hand side returned shape {batch.shape}, "
-                        f"expected {out.shape}"
+                        f"expected {shape}"
                     )
                 if np.isfinite(batch).all():
                     return batch
+        out = np.empty(shape)
         for k in range(len(ts)):
             out[k] = self.call_rhs(ts[k], X[k])
         return out
@@ -193,28 +198,34 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
     return float(grid[np.flatnonzero(ok)[-1]])
 
 
+def _once_each(derivators: Sequence[Derivator], column) -> list:
+    """``column(d)`` for each derivator, computed once per distinct object (in
+    the order they first appear): the plume's height drives two components."""
+    done = {id(d): column(d) for d in {id(d): d for d in derivators}.values()}
+    return [done[id(d)] for d in derivators]
+
+
 def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
     """deltas[k, j] = jump of derivator j at grid[k]; the solvers' eval of g checks the grid."""
-    for d in derivators:
+    def column(d):
         missing = _missing_jumps(d, grid)
         if missing:
             raise DomainError(f"solver grid is missing jump time {missing[0]}")
-    return np.stack([d._deltas(grid) for d in derivators], axis=1)
+        return d._deltas(grid)
+    return np.stack(_once_each(derivators, column), axis=1)
 
 
 def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray,
                            deltas: np.ndarray) -> np.ndarray:
     """inc[k, j] = g_j(t_{k+1}) - g_j(t_k+), from one evaluation of g_j and the jump table."""
-    inc = np.empty((len(grid) - 1, len(derivators)))
-    for j, d in enumerate(derivators):
-        g = d.eval(grid)
-        inc[:, j] = g[1:] - (g[:-1] + deltas[:-1, j])
-    return inc
+    g = np.stack(_once_each(derivators, lambda d: d.eval(grid)), axis=1)
+    return g[1:] - (g[:-1] + deltas[:-1])
 
 
-def _moving_components(moved: np.ndarray) -> list[int]:
-    """Per row of a (rows, dim) mask: 0 if no component moves, 2 if all do, 1 otherwise."""
-    return (moved.any(axis=1).astype(int) + moved.all(axis=1)).tolist()
+def _tables(spec: SystemSpec, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The jump table and the continuous increments of a solver grid."""
+    deltas = _jump_table(spec.derivators, grid)
+    return deltas, _continuous_increments(spec.derivators, grid, deltas)
 
 
 def solve_euler(spec: SystemSpec, grid: np.ndarray,
@@ -226,10 +237,11 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
     initial value unchanged. Catalog right-hand sides that ignore the state
     (``_time_only``) or are linear (``_linear`` = c in f = c * x) skip the
     loop but keep its bits and errors: a left Stieltjes sum in one cumsum, or
-    a scalar recurrence per component.
+    a scalar recurrence per component. Every other right-hand side runs the
+    loop over Python floats, through its float row form ``_row`` when it has
+    one (the plume's).
     """
-    deltas = _jump_table(spec.derivators, grid)
-    cont = _continuous_increments(spec.derivators, grid, deltas)
+    deltas, cont = _tables(spec, grid)
     if getattr(spec.rhs, "_time_only", False):
         left, right = _euler_time_only(spec, grid, deltas, cont)
     elif getattr(spec.rhs, "_linear", None) is not None:
@@ -249,33 +261,36 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
 
 
 def _euler_loop(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
-    """One rhs call per jump row and per moving cell. Which components move
-    at each row is known from the grid tables, so the loop only steps the state."""
-    n = len(grid)
-    jumps = deltas != 0.0
-    moves = cont != 0.0
-    jumping = _moving_components(jumps)
-    moving = _moving_components(moves)
-    times = grid.tolist()
-    left = np.empty((n, spec.dim))
-    left[0] = spec.initial
-    jumped = []
-    for k in range(n):
-        x = left[k]
-        if jumping[k]:
-            step = x + spec.call_rhs(times[k], x) * deltas[k]
-            x = step if jumping[k] == 2 else np.where(jumps[k], step, x)
-            jumped.append((k, x))
-        if k == n - 1:
-            break
-        if moving[k]:
-            step = x + spec.call_rhs(times[k], x) * cont[k]
-            x = step if moving[k] == 2 else np.where(moves[k], step, x)
-        left[k + 1] = x
-    right = left.copy()
-    for k, x in jumped:
-        right[k] = x
-    return left, right
+    """One rhs call per jump row and per moving cell, stepping the state as
+    Python floats; a component steps only where its increment is nonzero.
+    A float row form ``_row(t, *x)`` (the plume's) stands in for call_rhs
+    until it raises or gives a value that is not finite; then call_rhs
+    raises the loop's error."""
+    row = getattr(spec.rhs, "_row", None)
+
+    def f(t, x):
+        if row is not None:
+            try:
+                fx = row(t, *x)
+                if all(map(math.isfinite, fx)):
+                    return fx
+            except Exception:
+                pass
+        return spec.call_rhs(t, np.array(x)).tolist()
+
+    def step(t, x, ds):
+        return [xj + fj * dj if dj != 0.0 else xj for xj, fj, dj in zip(x, f(t, x), ds)]
+
+    x = spec.initial.tolist()
+    lefts, rights = [], []
+    for t, ds, es in zip(grid.tolist(), deltas.tolist(), cont.tolist() + [[]]):
+        lefts += x
+        if any(ds):
+            x = step(t, x, ds)
+        rights += x
+        if any(es):
+            x = step(t, x, es)
+    return np.reshape(lefts, deltas.shape), np.reshape(rights, deltas.shape)
 
 
 def _euler_time_only(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
@@ -284,10 +299,12 @@ def _euler_time_only(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, con
     at = np.nonzero(jumps.any(axis=1) | np.append(moves.any(axis=1), False))[0]
     f = np.zeros_like(deltas)
     f[at] = spec.call_rhs_many(grid[at], f[at])
-    # x + -0.0 keeps the bits of x, as the loop's masking does
-    atoms = np.where(jumps, f * deltas, -0.0)
-    cells = np.where(moves, f[:-1] * cont, -0.0)
-    return _running_sums(atoms, cells, spec.initial)
+    # x + -0.0 keeps the bits of x, as the loop's masking does; a state that
+    # overflows is reported by solve, without float warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        atoms = np.where(jumps, f * deltas, -0.0)
+        cells = np.where(moves, f[:-1] * cont, -0.0)
+        return _running_sums(atoms, cells, spec.initial)
 
 
 def _euler_linear(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
@@ -323,32 +340,47 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     Each sweep rebuilds the cumulative integral with a trapezoid rule in each
     driving function; atoms use the left value of the previous iterate. After
     the last sweep the jump rows are recomputed from the final left values so
-    the jump audit closes exactly.
+    the jump audit closes exactly. ``max_iter`` below 1 is a DomainError.
 
     Returns (left, right, converged, iterations, last_change, warnings).
     """
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1")
+    deltas, cont = _tables(spec, grid)
     n = len(grid)
-    deltas = _jump_table(spec.derivators, grid)
-    cont = _continuous_increments(spec.derivators, grid, deltas)
-    jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
-
+    jump_rows = np.flatnonzero(deltas.any(axis=1))
+    # one rhs batch per sweep: the left rows, then the right states of the
+    # jump rows; cell k starts at row starts[k] of that batch
+    times = np.concatenate([grid, grid[jump_rows]])
+    starts = np.arange(n)
+    starts[jump_rows] = n + np.arange(len(jump_rows))
+    starts = starts[:-1]
     left = np.tile(spec.initial, (n, 1))
     right = left.copy()
+    steps = np.empty_like(cont)
     warnings: list[str] = []
     converged = False
     last_change = np.inf
     iterations = 0
     for sweep in range(max_iter):
         iterations = sweep + 1
-        f_left = spec.call_rhs_many(grid, left)
-        f_right = f_left.copy()
-        f_right[jump_rows] = spec.call_rhs_many(grid[jump_rows], right[jump_rows])
-        atoms = f_left * deltas
-        new_left = spec.initial + _resum(atoms, _trapezoid_cells(f_right, f_left, cont))
-        # x + 0.0 turns an initial -0.0 into +0.0
-        new_left[0] = spec.initial
-        new_right = new_left + atoms
-        last_change = float(np.max(np.abs(new_left - left)))
+        f = spec.call_rhs_many(times, np.concatenate([left, right[jump_rows]]))
+        f_left = f[:n]
+        # a state that overflows is reported by solve, without float warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            atoms = f_left * deltas
+            # initial + _resum(atoms, _trapezoid_cells(...)) computed in place,
+            # with the same bits: IEEE addition and multiplication commute
+            np.add(f[starts], f_left[1:], out=steps)
+            steps *= 0.5
+            steps *= cont
+            steps += atoms[:-1]
+            new_left = np.empty_like(left)
+            new_left[0] = spec.initial
+            np.cumsum(steps, axis=0, out=new_left[1:])
+            new_left[1:] += spec.initial
+            new_right = new_left + atoms
+            last_change = float(abs(new_left - left).max())
         left, right = new_left, new_right
         if last_change < tol:
             converged = True
@@ -360,9 +392,9 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
         )
     # exact jump resweep against the final left values
     right = left.copy()
-    right[jump_rows] = left[jump_rows] + (
-        spec.call_rhs_many(grid[jump_rows], left[jump_rows]) * deltas[jump_rows]
-    )
+    f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        right[jump_rows] = left[jump_rows] + f * deltas[jump_rows]
     return left, right, converged, iterations, last_change, warnings
 
 
@@ -430,6 +462,8 @@ def _audit_jumps(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray,
 
 
 def _run(spec: SystemSpec, grid: np.ndarray, config: SolveConfig):
+    """The configured scheme on a grid; a state that is not finite raises
+    RhsEvaluationError at its first grid time."""
     if config.picard:
         left, right, conv, iters, change, warns = solve_picard(
             spec, grid, tol=config.tol, max_iter=config.max_iter
@@ -439,6 +473,11 @@ def _run(spec: SystemSpec, grid: np.ndarray, config: SolveConfig):
             spec, grid, safety_radius=config.safety_radius
         )
         conv, iters, change = True, 1, 0.0
+    bad = ~(np.isfinite(left) & np.isfinite(right)).all(axis=1)
+    if bad.any():
+        raise RhsEvaluationError(
+            f"state is not finite at t={float(grid[np.argmax(bad)])}; the solution overflows"
+        )
     return left, right, conv, iters, change, warns
 
 
@@ -450,8 +489,7 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
     ``SolveConfig(error_estimate=False)`` to skip the second run.
     """
     config = config or SolveConfig()
-    a, b = spec.interval
-    horizon = spec.horizon if spec.horizon is not None else b
+    horizon = spec.horizon if spec.horizon is not None else spec.interval[1]
     grid = system_grid(spec.derivators, horizon, config.mesh)
     left, right, conv, iters, change, warns = _run(spec, grid, config)
 

@@ -234,6 +234,17 @@ class TestExp:
         assert all(c[3] == "1" for c in cells)
         assert all(c[4] == "positive_factors" for c in cells)
 
+    @pytest.mark.parametrize("c, signs", [(-0.5, "0"), (-1.0, "-1")])
+    def test_sign_column_after_a_vanishing_or_reversing_jump(self, tmp_path, deriv_path,
+                                                           c, signs):
+        cpath = write(tmp_path, "c.json", {"kind": "constant", "value": c})
+        out = tmp_path / "traj.csv"
+        assert cli.main(["exp", deriv_path, cpath, "--grid-hint", "8", "-o", str(out)]) == 0
+        cells = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        # the left value's sign; the factor 1 + c * 2 applies after t = 0.5
+        assert [row[3] for row in cells] == ["1"] * 9 + [signs] * 8
+        assert [row[3] for row in cells] == [str(int(np.sign(float(row[1])))) for row in cells]
+
     def test_verify_report(self, tmp_path, deriv_path):
         cpath = write(tmp_path, "c.json", {"kind": "constant", "value": 1.0})
         out = str(tmp_path / "verify.json")
@@ -319,6 +330,38 @@ class TestSolve:
         assert json.loads(captured.out)["converged"] is False
         assert json.loads(captured.err)["error"]["type"] == "ConvergenceError"
 
+
+    @pytest.mark.parametrize("method, at", [(["--euler"], "0.5"), ([], "0.015625")])
+    def test_a_state_that_overflows_exits_2_before_any_row(self, tmp_path, capsys,
+                                                          method, at):
+        doc = system_doc()
+        doc["derivators"][0]["jumps"] = [{"at": 0.5, "delta": 1.0}]
+        doc["rhs"] = {"kind": "polynomial", "coefficients": [[1.7e308]]}
+        spath = write(tmp_path, "sys.json", doc)
+        out = tmp_path / "s.csv"
+        code = cli.main(["solve", spath, "--mesh", "64", *method, "-o", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # stderr holds the error object and nothing else: no float warning
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "RhsEvaluationError"
+        assert err["message"] == f"state is not finite at t={at}; the solution overflows"
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_one_is_an_input_error(self, tmp_path, capsys, max_iter):
+        spath = write(tmp_path, "sys.json", system_doc())
+        out = tmp_path / "s.csv"
+        code = cli.main(["solve", spath, "--mesh", "16", "--max-iter", max_iter,
+                         "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == "max_iter must be at least 1"
 
     def test_plume_breakdown_exits_2_naming_the_model(self, tmp_path, capsys):
         doc = {
@@ -408,6 +451,20 @@ class TestPlume:
         r_rows = [ln for ln in lines[1:] if ln.split(",")[1] == "R"]
         assert len(r_rows) == 1
         assert float(r_rows[0].split(",")[0]) == 4.0
+
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one_is_an_input_error(self, tmp_path, capsys, max_iter):
+        ppath = write(tmp_path, "plume.json", self.plume_doc())
+        out = tmp_path / "plume.csv"
+        code = cli.main(["plume", ppath, "--mesh", "64", "--max-iter", max_iter,
+                         "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == "max_iter must be at least 1"
 
     def test_ambient_dipping_below_zero_is_an_input_error(self, tmp_path, capsys):
         doc = self.plume_doc()

@@ -3,8 +3,9 @@
 The checks read the syntax trees of ``src/stieltjes/*.py`` with the standard
 library's ``ast``: an import must be used in its module (a name listed in
 ``__all__`` counts as used), a module-level private function or constant
-must be referenced from some module of the package, and ``specio`` turns
-errors into document errors in one place.
+must be referenced from some module of the package, a local name assigned
+in a function must be read there (``_`` marks a value thrown away), and
+``specio`` turns errors into document errors in one place.
 """
 
 import ast
@@ -72,6 +73,40 @@ def unreferenced_privates() -> list[str]:
     return found
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """Nodes of a function's body outside the functions and classes nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals() -> list[str]:
+    """``module: function.name`` for each local assigned and never read in its
+    function or the functions nested in it."""
+    found = []
+    for module, tree in TREES.items():
+        for scope in ast.walk(tree):
+            if not isinstance(scope, _SCOPES):
+                continue
+            own = list(_own_nodes(scope))
+            stored = {n.id for n in own
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            shared = {name for n in own if isinstance(n, (ast.Global, ast.Nonlocal))
+                      for name in n.names}
+            read = {n.id for n in ast.walk(scope)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(scope, "name", "<lambda>")
+            found += [f"{module}: {name}.{local}"
+                      for local in sorted(stored - read - shared - {"_"})]
+    return found
+
+
 def except_owners(tree) -> set[str]:
     """Module-level definitions holding an ``except`` handler, at any depth;
     ``<module>`` for a handler outside every definition."""
@@ -90,6 +125,10 @@ def test_every_module_level_private_is_referenced():
     assert unreferenced_privates() == []
 
 
+def test_every_local_is_read():
+    assert unread_locals() == []
+
+
 def test_specio_catches_errors_in_two_functions_only():
     # _built re-raises constructor errors at a path; load_json reads the file
     assert except_owners(TREES["specio.py"]) <= {"_built", "load_json"}
@@ -102,6 +141,14 @@ def test_the_checks_see_a_planted_fault():
     try:
         assert unused_imports() == ["planted.py: os"]
         assert unreferenced_privates() == ["planted.py: _SPARE", "planted.py: _idle"]
+    finally:
+        del TREES["planted.py"]
+    tree = ast.parse("def f(x):\n    a, b = x\n    _, c = x\n    def g():\n        return b\n"
+                     "    return g\n\nclass K:\n    def h(self):\n        global n\n"
+                     "        n = [k for k in self]\n        m = n\n")
+    TREES["planted.py"] = tree
+    try:
+        assert unread_locals() == ["planted.py: f.a", "planted.py: f.c", "planted.py: h.m"]
     finally:
         del TREES["planted.py"]
     tree = ast.parse("def f():\n    def g():\n        try:\n            pass\n"

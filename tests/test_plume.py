@@ -262,6 +262,58 @@ def random_stepped_ambient(rng):
     return AmbientDensity.step(lo, hi, float(rng.uniform(990.0, 1010.0)), drops)
 
 
+def random_ambient(rng):
+    """A stepped ambient, or a linear one (constant when the gradient is 0.0)."""
+    if rng.random() < 0.5:
+        return random_stepped_ambient(rng)
+    hi = float(rng.uniform(2.0, 12.0))
+    gradient = float(rng.choice([0.0, -1.0, 1.0]) * rng.uniform(0.1, 5.0))
+    return AmbientDensity.linear(0.0, hi, float(rng.uniform(990.0, 1010.0)), gradient)
+
+
+class TestEulerRowForm:
+    """Plume Euler runs the float row form and keeps the per-step loop's bits."""
+
+    def test_random_ambients_keep_the_bits_of_the_loop(self):
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            amb = random_ambient(rng)
+            spec = build_plume_system(PlumeParams(), amb, float(rng.uniform(0.01, 0.1)),
+                                      float(rng.uniform(0.005, 0.05)),
+                                      float(rng.uniform(-0.05, 0.3)))
+            grid = system_grid(spec.derivators, amb.rho.b, int(rng.integers(2, 200)))
+            want = outcome(reference_euler, spec, grid, safety_radius=0.01)
+            assert_same_outcome(outcome(solve_euler, spec, grid, safety_radius=0.01), want)
+
+    def test_a_still_component_keeps_a_negative_zero(self):
+        # a constant ambient never moves beta, so -0.0 stays -0.0
+        amb = AmbientDensity.linear(0.0, 10.0, 1000.0, 0.0)
+        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, -0.0)
+        grid = system_grid(spec.derivators, 10.0, 64)
+        left, right, _ = solve_euler(spec, grid)
+        assert_same_outcome((left, right), reference_euler(spec, grid)[:2])
+        assert same_bits(right[:, 2], np.full(len(grid), -0.0))
+
+    def test_breakdown_mid_run_is_the_loops_error(self):
+        amb = AmbientDensity.linear(0.0, 10.0, 1000.0, -2.0)
+        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, -0.5)
+        grid = system_grid(spec.derivators, 10.0, 256)
+        want = outcome(reference_euler, spec, grid)
+        assert want.startswith("RhsEvaluationError: momentum flux -")
+        assert want.endswith("; the plume model has broken down")
+        # the first rows are fine: the breakdown comes part-way up
+        assert "at height 0.0;" not in want
+        assert outcome(solve_euler, spec, grid) == want
+
+    def test_the_row_form_is_the_scalar_call(self):
+        rhs = build_plume_system(PlumeParams(), AmbientDensity.linear(0.0, 1.0, 1.0, 0.0),
+                                 0.05, 0.01, 0.1).rhs
+        x = (0.05, 0.0123, -0.4)
+        assert np.array(rhs._row(2.0, *x)).tobytes() == rhs(2.0, np.array(x)).tobytes()
+        with pytest.raises(RhsEvaluationError, match=r"^momentum flux -0\.0 is not positive"):
+            rhs._row(2.0, 0.05, -0.0, 0.1)
+
+
 class TestAuditFromSolverRows:
     def test_rows_equal_the_per_jump_recomputation(self):
         rng = np.random.default_rng(73)

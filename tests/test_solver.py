@@ -16,6 +16,7 @@ from helpers import (
     same_bits,
 )
 from stieltjes import (
+    AmbientDensity,
     CaratheodoryBound,
     ConstantProfile,
     Derivator,
@@ -23,10 +24,12 @@ from stieltjes import (
     HorizonSelectionError,
     Jump,
     LinearProfile,
+    PlumeParams,
     RhsEvaluationError,
     Segment,
     SolveConfig,
     SystemSpec,
+    build_plume_system,
     select_horizon,
     solve,
     solve_euler,
@@ -544,7 +547,7 @@ def count_rhs_calls(monkeypatch):
 
 
 class TestEulerPathTaken:
-    @pytest.mark.parametrize("kind", ["zero", "polynomial", "tabulated", "linear"])
+    @pytest.mark.parametrize("kind", ["zero", "polynomial", "tabulated", "linear", "plume"])
     def test_catalog_kinds_make_no_scalar_rhs_call(self, monkeypatch, kind):
         rng = np.random.default_rng(3 + len(kind))
         spec = catalog_system(rng, kind)
@@ -562,6 +565,127 @@ class TestEulerPathTaken:
         want = len(calls)
         solve_euler(spec, grid)
         assert want == 97 and len(calls) == 2 * want
+
+
+def stepped_flat_spec(rhs, rhs_batch=None):
+    """x' = rhs driven by a step of 1.0 at 0.5 in the second component only."""
+    step = flat(0.0, 1.0, [Jump(0.5, 1.0)])
+    return SystemSpec([identity(), step], rhs, [1.0, 1.0], rhs_batch=rhs_batch)
+
+
+@pytest.mark.parametrize("fail", ["raise", "nan", "shape"])
+def test_a_closure_that_fails_mid_run_gives_the_loops_error(fail):
+    def rhs(t, x):
+        if t >= 0.5 and x[0] > 1.2:
+            if fail == "raise":
+                raise ArithmeticError("refused")
+            return np.array([np.nan, 0.0]) if fail == "nan" else np.zeros(3)
+        return np.array([x[1], -x[0]])
+
+    spec = stepped_flat_spec(rhs)
+    grid = system_grid(spec.derivators, 1.0, 64)
+    want = outcome(reference_euler, spec, grid)
+    assert want.startswith("RhsEvaluationError: right-hand side ")
+    assert outcome(solve_euler, spec, grid) == want
+
+
+class TestPicardBatches:
+    """One rhs batch per sweep: the left rows, then the jump rows' right states."""
+
+    @staticmethod
+    def rotation(t, x):
+        return np.array([x[1] * math.cos(t), -x[0]])
+
+    @staticmethod
+    def rotation_batch(ts, X):
+        return np.column_stack([X[:, 1] * np.cos(ts), -X[:, 0]])
+
+    def test_a_closure_with_its_own_batch_form_keeps_the_loops_bits(self):
+        spec = stepped_flat_spec(self.rotation, self.rotation_batch)
+        for mesh in (2, 3, 32, 97):
+            grid = system_grid(spec.derivators, 1.0, mesh)
+            want = reference_picard(spec, grid)
+            assert_same_outcome(solve_picard(spec, grid), want)
+            assert_same_outcome(solve_picard(scalar_only(spec), grid), want)
+
+    def test_a_failure_only_at_a_jumps_right_state_is_the_loops_error(self):
+        def rhs(t, x):
+            # the left state at 0.5 is 1.0; only the right state there exceeds it
+            if t == 0.5 and x[1] > 1.5:
+                raise ValueError("right state refused")
+            return np.array([0.0, 1.0])
+
+        def batch(ts, X):
+            return np.array([rhs(t, x) for t, x in zip(ts, X)])
+
+        spec = stepped_flat_spec(rhs, batch)
+        grid = system_grid(spec.derivators, 1.0, 16)
+        want = outcome(reference_picard, spec, grid)
+        assert want == "RhsEvaluationError: right-hand side failed at t=0.5: right state refused"
+        assert outcome(solve_picard, spec, grid) == want
+        assert outcome(solve_picard, scalar_only(spec), grid) == want
+
+    def test_one_batch_call_per_sweep_and_one_for_the_resweep(self):
+        rows = []
+
+        def counting(ts, X):
+            rows.append(len(ts))
+            return self.rotation_batch(ts, X)
+
+        spec = stepped_flat_spec(self.rotation, counting)
+        grid = system_grid(spec.derivators, 1.0, 64)
+        *_, converged, iterations, _, _ = solve_picard(spec, grid)
+        assert converged and iterations > 3
+        # every sweep: 65 left rows and the right state of the one jump row
+        assert rows == [len(grid) + 1] * iterations + [1]
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_is_a_domain_error(self, max_iter):
+        spec = scalar_growth()
+        grid = system_grid(spec.derivators, 1.0, 8)
+        with pytest.raises(DomainError, match="^max_iter must be at least 1$"):
+            solve_picard(spec, grid, max_iter=max_iter)
+        with pytest.raises(DomainError, match="^max_iter must be at least 1$"):
+            solve(spec, SolveConfig(mesh=8, max_iter=max_iter))
+
+
+class TestStateThatOverflows:
+    # f = 1.7e308 everywhere: the jump of 1.0 at 0.5 takes Euler's state past
+    # the largest float, and Picard's trapezoid (f + f) / 2 overflows at once
+    RHS = {"kind": "polynomial", "coefficients": [[1.7e308]]}
+
+    def spec(self):
+        d = Derivator((0.0, 1.0), [Segment(0.0, 0.5, LinearProfile(1.0)),
+                                   Segment(0.5, 1.0, LinearProfile(1.0))], [Jump(0.5, 1.0)])
+        return system_doc([d], self.RHS, [1.0])
+
+    @pytest.mark.parametrize("picard, at", [(False, 0.5), (True, 0.015625)])
+    def test_solve_names_the_first_time_whose_state_is_not_finite(self, picard, at):
+        # warnings are errors in this suite, so the solve also raises none
+        with pytest.raises(RhsEvaluationError) as exc:
+            solve(self.spec(), SolveConfig(mesh=64, picard=picard))
+        assert str(exc.value) == f"state is not finite at t={at}; the solution overflows"
+
+
+class TestGridTables:
+    def test_each_distinct_derivator_is_evaluated_once_per_grid(self, monkeypatch):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
+        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
+        assert spec.derivators[0] is spec.derivators[1]
+        sizes = []
+        evaluate = Derivator.eval
+
+        def counting(self, t):
+            sizes.append((id(self), np.size(t)))
+            return evaluate(self, t)
+        monkeypatch.setattr(Derivator, "eval", counting)
+        for picard in (True, False):
+            sizes.clear()
+            report = solve(spec, SolveConfig(mesh=64, picard=picard))
+            fine = len(system_grid(spec.derivators, 10.0, 128))
+            # height and density, once on the coarse grid and once on the fine one
+            assert sorted(sizes) == sorted((id(d), n) for d in spec.derivators[1:]
+                                           for n in (len(report.grid), fine))
 
 
 class TestJumpTable:
