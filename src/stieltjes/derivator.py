@@ -405,10 +405,15 @@ class Derivator:
             (j.at, j.delta) if isinstance(j, Jump) else (float(j[0]), float(j[1]))
             for j in jumps
         )
-        cuts = [a] + [at for at, _ in jmps if a < at < b] + [b]
-        cuts = sorted(set(cuts))
-        segs = [Segment(lo, hi, LinearProfile(1.0)) for lo, hi in zip(cuts, cuts[1:])]
-        return cls((a, b), segs, [Jump(at, d) for at, d in jmps], anchor=a)
+        return cls._cut_at_jumps(a, b, jmps, LinearProfile(1.0), anchor=a)
+
+    @classmethod
+    def _cut_at_jumps(cls, a: float, b: float, jumps: Sequence[tuple[float, float]],
+                      profile, anchor: float) -> "Derivator":
+        """One ``profile`` segment per piece of [a, b] cut at the sorted jumps ``(at, delta)``."""
+        cuts = sorted(set([a] + [at for at, _ in jumps if a < at < b] + [b]))
+        segs = [Segment(lo, hi, profile) for lo, hi in zip(cuts, cuts[1:])]
+        return cls((a, b), segs, [Jump(at, d) for at, d in jumps], anchor=anchor)
 
     @classmethod
     def constant(cls, a: float, b: float, level: float = 0.0) -> "Derivator":
@@ -422,6 +427,14 @@ class Derivator:
         if not inside.all():
             raise DomainError(f"time {float(np.ravel(t[~inside])[0])} outside [{a}, {b}]")
         return t
+
+    def _span(self, lo: float, hi: float) -> tuple[float, float]:
+        """(lo, hi) as floats, after a DomainError unless [lo, hi) lies in [a, b]."""
+        lo, hi = float(lo), float(hi)
+        a, b = self.interval
+        if not (a <= lo <= hi <= b):
+            raise DomainError(f"[{lo}, {hi}) not inside [{a}, {b}]")
+        return lo, hi
 
     def segment_index(self, t):
         """Index of the segment owning t; boundaries belong to the left segment."""
@@ -489,10 +502,7 @@ class Derivator:
 
     def variation(self, lo: float, hi: float, kind: str = TOTAL) -> float:
         """Variation of g over [lo, hi), split by kind (total/positive/negative)."""
-        lo, hi = float(lo), float(hi)
-        a, b = self.interval
-        if not (a <= lo <= hi <= b):
-            raise DomainError(f"[{lo}, {hi}) not inside [{a}, {b}]")
+        lo, hi = self._span(lo, hi)
         if kind not in (TOTAL, POSITIVE, NEGATIVE):
             raise DomainError(f"unknown variation kind {kind!r}")
         if lo == hi:

@@ -175,11 +175,8 @@ class StieltjesMeasure:
 
     def interval(self, lo: float, hi: float) -> float:
         """Mass of the half-open interval [lo, hi): a jump at lo counts, one at hi does not."""
-        lo, hi = float(lo), float(hi)
         d = self.derivator
-        a, b = d.interval
-        if not (a <= lo <= hi <= b):
-            raise DomainError(f"[{lo}, {hi}) not inside [{a}, {b}]")
+        lo, hi = d._span(lo, hi)
         if self.signature == SIGNED:
             return float(d.eval(hi) - d.eval(lo))
         kind = {POSITIVE_PART: POSITIVE, NEGATIVE_PART: NEGATIVE,
@@ -231,11 +228,8 @@ class StieltjesMeasure:
     def _integrate_continuous(self, f: Integrand | Callable, lo: float, hi: float,
                               rel_tol: float = 1e-10) -> float:
         f = _as_integrand(f)
-        lo, hi = float(lo), float(hi)
         d = self.derivator
-        a, b = d.interval
-        if not (a <= lo <= hi <= b):
-            raise DomainError(f"[{lo}, {hi}) not inside [{a}, {b}]")
+        lo, hi = d._span(lo, hi)
         total = 0.0
         for seg in d.segments:
             c, dd = max(lo, seg.lo), min(hi, seg.hi)

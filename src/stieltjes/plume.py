@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .derivator import ConstantProfile, Derivator, Jump, LinearProfile, Segment
+from .derivator import ConstantProfile, Derivator, LinearProfile, Segment
 from .errors import DomainError, RhsEvaluationError
 from .solver import SolutionReport, SolveConfig, SystemSpec, solve
 
@@ -74,11 +74,7 @@ class AmbientDensity:
              drops: Sequence[tuple[float, float]]) -> "AmbientDensity":
         """Piecewise-constant profile: base value plus density steps at heights."""
         jumps = sorted((float(z), float(dz)) for z, dz in drops)
-        cuts = [lo] + [z for z, _ in jumps if lo < z < hi] + [hi]
-        cuts = sorted(set(cuts))
-        segs = [Segment(c0, c1, ConstantProfile()) for c0, c1 in zip(cuts, cuts[1:])]
-        d = Derivator((lo, hi), segs, [Jump(z, dz) for z, dz in jumps], anchor=base)
-        return cls(d)
+        return cls(Derivator._cut_at_jumps(lo, hi, jumps, ConstantProfile(), anchor=base))
 
     @classmethod
     def linear(cls, lo: float, hi: float, start: float, gradient: float) -> "AmbientDensity":

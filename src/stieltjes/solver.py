@@ -18,9 +18,9 @@ audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`, which
 uses the batch form when there is one and loops the scalar form when there
 is not; the checks and error messages are the scalar ones either way. A
 Picard sweep makes one such call: the left states, then the jump rows' right
-states. Each scheme builds its grid's tables once, evaluating each distinct
-derivator once, and :func:`solve` raises :class:`RhsEvaluationError` at the
-first grid time whose state is not finite.
+states. Each scheme builds its grid's tables once, evaluating each
+component's derivator once, and :func:`solve` raises
+:class:`RhsEvaluationError` at the first grid time whose state is not finite.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (Trajectory, _cell_integrals, _missing_jumps, _resum,
-                       _running_sums)
+                       _running_sums, _trapezoid_cells)
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -81,8 +81,6 @@ class SystemSpec:
                 "initial state must be one value per derivator "
                 f"(got shape {self.initial.shape} for {len(self.derivators)} components)"
             )
-        # the shape every call_rhs result must have, built once: Euler calls it per row
-        self._row_shape = (len(self.derivators),)
         if self.horizon is not None:
             a, b = base
             if not (a < self.horizon <= b):
@@ -105,7 +103,7 @@ class SystemSpec:
             raise RhsEvaluationError(
                 f"right-hand side failed at t={t}: {exc}"
             ) from exc
-        if out.shape != self._row_shape:
+        if out.shape != (self.dim,):
             raise RhsEvaluationError(
                 f"right-hand side returned shape {out.shape}, expected ({self.dim},)"
             )
@@ -198,27 +196,19 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
     return float(grid[np.flatnonzero(ok)[-1]])
 
 
-def _once_each(derivators: Sequence[Derivator], column) -> list:
-    """``column(d)`` for each derivator, computed once per distinct object (in
-    the order they first appear): the plume's height drives two components."""
-    done = {id(d): column(d) for d in {id(d): d for d in derivators}.values()}
-    return [done[id(d)] for d in derivators]
-
-
 def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
     """deltas[k, j] = jump of derivator j at grid[k]; the solvers' eval of g checks the grid."""
-    def column(d):
+    for d in derivators:
         missing = _missing_jumps(d, grid)
         if missing:
             raise DomainError(f"solver grid is missing jump time {missing[0]}")
-        return d._deltas(grid)
-    return np.stack(_once_each(derivators, column), axis=1)
+    return np.stack([d._deltas(grid) for d in derivators], axis=1)
 
 
 def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray,
                            deltas: np.ndarray) -> np.ndarray:
     """inc[k, j] = g_j(t_{k+1}) - g_j(t_k+), from one evaluation of g_j and the jump table."""
-    g = np.stack(_once_each(derivators, lambda d: d.eval(grid)), axis=1)
+    g = np.stack([d.eval(grid) for d in derivators], axis=1)
     return g[1:] - (g[:-1] + deltas[:-1])
 
 
@@ -349,15 +339,10 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     deltas, cont = _tables(spec, grid)
     n = len(grid)
     jump_rows = np.flatnonzero(deltas.any(axis=1))
-    # one rhs batch per sweep: the left rows, then the right states of the
-    # jump rows; cell k starts at row starts[k] of that batch
+    # one rhs batch per sweep: the left rows, then the right states of the jump rows
     times = np.concatenate([grid, grid[jump_rows]])
-    starts = np.arange(n)
-    starts[jump_rows] = n + np.arange(len(jump_rows))
-    starts = starts[:-1]
     left = np.tile(spec.initial, (n, 1))
     right = left.copy()
-    steps = np.empty_like(cont)
     warnings: list[str] = []
     converged = False
     last_change = np.inf
@@ -366,19 +351,13 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
         iterations = sweep + 1
         f = spec.call_rhs_many(times, np.concatenate([left, right[jump_rows]]))
         f_left = f[:n]
+        f_right = f_left.copy()
+        f_right[jump_rows] = f[n:]
         # a state that overflows is reported by solve, without float warnings
         with np.errstate(over="ignore", invalid="ignore"):
             atoms = f_left * deltas
-            # initial + _resum(atoms, _trapezoid_cells(...)) computed in place,
-            # with the same bits: IEEE addition and multiplication commute
-            np.add(f[starts], f_left[1:], out=steps)
-            steps *= 0.5
-            steps *= cont
-            steps += atoms[:-1]
-            new_left = np.empty_like(left)
+            new_left = spec.initial + _resum(atoms, _trapezoid_cells(f_right, f_left, cont))
             new_left[0] = spec.initial
-            np.cumsum(steps, axis=0, out=new_left[1:])
-            new_left[1:] += spec.initial
             new_right = new_left + atoms
             last_change = float(abs(new_left - left).max())
         left, right = new_left, new_right

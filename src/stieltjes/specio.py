@@ -237,13 +237,10 @@ def _build_rhs(obj: dict, dim: int, path: str):
     ``rhs_batch``: ``(t, x)`` gives shape (dim,) and ``(ts[:], X[:, dim])``
     gives shape (n, dim), whose row k has the bits of ``(ts[k], X[k])``.
 
-    Euler skips its loop for kinds marked ``_time_only`` and for ``_linear`` = c."""
+    ``zero``, ``polynomial`` and ``tabulated`` ignore the state: one
+    :class:`Integrand` per component, evaluated at the times. Euler skips its
+    loop for them (``_time_only``) and for ``linear`` (``_linear`` = c)."""
     kind = _field(obj, "kind", path, _as_is)
-    if kind == "zero":
-        def rhs(t, x):
-            return np.zeros(np.shape(x))
-        rhs._time_only = True
-        return rhs
     if kind == "linear":
         coeffs = _field(obj, "coefficients", path, _expect_list)
         if len(coeffs) != dim:
@@ -256,51 +253,42 @@ def _build_rhs(obj: dict, dim: int, path: str):
             return c * x
         rhs._linear = c
         return rhs
-    if kind == "polynomial":
+    if kind == "plume":
+        if dim != 3:
+            raise SpecValidationError(path, "the plume right-hand side needs exactly 3 components")
+        return plume_rhs(_field(obj, "A", path), _field(obj, "B", path), _field(obj, "C", path))
+    if kind == "zero":
+        columns = [Integrand.constant(0.0)] * dim
+    elif kind == "polynomial":
         rows = _field(obj, "coefficients", path, _expect_list)
         if len(rows) != dim:
             raise SpecValidationError(
                 f"{path}.coefficients", f"expected {dim} coefficient rows, got {len(rows)}"
             )
-        polys = [np.array(_numbers(row, f"{path}.coefficients[{i}]"))
-                 for i, row in enumerate(rows)]
-        for i, p in enumerate(polys):
-            if p.size == 0:
-                raise SpecValidationError(f"{path}.coefficients[{i}]",
-                                          "expected at least one coefficient")
-
-        def rhs(t, x):
-            return np.array([np.polynomial.polynomial.polyval(t, p) for p in polys]).T
-        rhs._time_only = True
-        return rhs
-    if kind == "tabulated":
-        rows = _field(obj, "points", path, _expect_list)
-        if not rows:
-            raise SpecValidationError(f"{path}.points", "expected at least one point")
+        rows = [_numbers(row, f"{path}.coefficients[{i}]") for i, row in enumerate(rows)]
+        columns = [_built(f"{path}.coefficients[{i}]", Integrand.polynomial, row)
+                   for i, row in enumerate(rows)]
+    elif kind == "tabulated":
         table = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(_field(obj, "points", path, _expect_list)):
             row = _expect_list(row, f"{path}.points[{i}]")
             if len(row) != dim + 1:
                 raise SpecValidationError(
                     f"{path}.points[{i}]", f"expected [t, v1..v{dim}], got {len(row)} entries"
                 )
             table.append(_numbers(row, f"{path}.points[{i}]"))
-        knots, *columns = np.array(table).T.copy()
-        if np.any(np.diff(knots) <= 0):
-            raise SpecValidationError(f"{path}.points", "times must be strictly increasing")
+        columns = [_built(f"{path}.points", Integrand.tabulated, [(r[0], r[j]) for r in table])
+                   for j in range(1, dim + 1)]
+    else:
+        raise SpecValidationError(
+            f"{path}.kind",
+            f"unknown right-hand side {kind!r}; catalog: {', '.join(RHS_CATALOG)}",
+        )
 
-        def rhs(t, x):
-            return np.array([np.interp(t, knots, v) for v in columns]).T
-        rhs._time_only = True
-        return rhs
-    if kind == "plume":
-        if dim != 3:
-            raise SpecValidationError(path, "the plume right-hand side needs exactly 3 components")
-        return plume_rhs(_field(obj, "A", path), _field(obj, "B", path), _field(obj, "C", path))
-    raise SpecValidationError(
-        f"{path}.kind",
-        f"unknown right-hand side {kind!r}; catalog: {', '.join(RHS_CATALOG)}",
-    )
+    def rhs(t, x):
+        return np.array([c(t) for c in columns]).T
+    rhs._time_only = True
+    return rhs
 
 
 def parse_system(obj, path: str = "system") -> tuple[SystemSpec, CaratheodoryBound | None]:

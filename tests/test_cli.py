@@ -331,7 +331,7 @@ class TestSolve:
         assert json.loads(captured.err)["error"]["type"] == "ConvergenceError"
 
 
-    @pytest.mark.parametrize("method, at", [(["--euler"], "0.5"), ([], "0.015625")])
+    @pytest.mark.parametrize("method, at", [(["--euler"], "0.5"), ([], "0.5")])
     def test_a_state_that_overflows_exits_2_before_any_row(self, tmp_path, capsys,
                                                           method, at):
         doc = system_doc()
@@ -614,6 +614,8 @@ class TestErrors:
     @pytest.mark.parametrize("rhs, where", [
         ({"kind": "tabulated", "points": []}, "system.rhs.points"),
         ({"kind": "polynomial", "coefficients": [[]]}, "system.rhs.coefficients[0]"),
+        ({"kind": "tabulated", "points": [[0.5, 1.0], [0.2, 2.0]]}, "system.rhs.points"),
+        ({"kind": "tabulated", "points": [[0.5, 1.0], [0.5, 2.0]]}, "system.rhs.points"),
     ])
     def test_degenerate_rhs_names_its_path(self, tmp_path, capsys, rhs, where):
         doc = system_doc()

@@ -650,8 +650,8 @@ class TestPicardBatches:
 
 
 class TestStateThatOverflows:
-    # f = 1.7e308 everywhere: the jump of 1.0 at 0.5 takes Euler's state past
-    # the largest float, and Picard's trapezoid (f + f) / 2 overflows at once
+    # f = 1.7e308 everywhere: the jump of 1.0 at 0.5 takes both schemes' state
+    # past the largest float; Picard's trapezoid mean of f and f stays finite
     RHS = {"kind": "polynomial", "coefficients": [[1.7e308]]}
 
     def spec(self):
@@ -659,7 +659,7 @@ class TestStateThatOverflows:
                                    Segment(0.5, 1.0, LinearProfile(1.0))], [Jump(0.5, 1.0)])
         return system_doc([d], self.RHS, [1.0])
 
-    @pytest.mark.parametrize("picard, at", [(False, 0.5), (True, 0.015625)])
+    @pytest.mark.parametrize("picard, at", [(False, 0.5), (True, 0.5)])
     def test_solve_names_the_first_time_whose_state_is_not_finite(self, picard, at):
         # warnings are errors in this suite, so the solve also raises none
         with pytest.raises(RhsEvaluationError) as exc:
@@ -668,10 +668,10 @@ class TestStateThatOverflows:
 
 
 class TestGridTables:
-    def test_each_distinct_derivator_is_evaluated_once_per_grid(self, monkeypatch):
+    def test_each_component_is_evaluated_once_per_grid(self, monkeypatch):
         amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
         spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
-        assert spec.derivators[0] is spec.derivators[1]
+        # the height derivator drives q and m: it is evaluated for each of them
         sizes = []
         evaluate = Derivator.eval
 
@@ -683,9 +683,23 @@ class TestGridTables:
             sizes.clear()
             report = solve(spec, SolveConfig(mesh=64, picard=picard))
             fine = len(system_grid(spec.derivators, 10.0, 128))
-            # height and density, once on the coarse grid and once on the fine one
-            assert sorted(sizes) == sorted((id(d), n) for d in spec.derivators[1:]
+            # every component, once on the coarse grid and once on the fine one
+            assert sorted(sizes) == sorted((id(d), n) for d in spec.derivators
                                            for n in (len(report.grid), fine))
+
+
+class TestConstancy:
+    @pytest.mark.xfail(strict=True, reason="the continuous increment g(t_{k+1}) - "
+                       "(g(t_k) + delta_k) carries the anchor and the running jump "
+                       "sum, so a constant cell can get an increment of one ulp")
+    def test_beta_keeps_its_bits_across_constant_density_cells(self):
+        amb = AmbientDensity.step(0.0, 10.0, 1001.31,
+                                  [(1.74, -2.0), (3.39, -2.32), (7.51, -0.97)])
+        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
+        report = solve(spec, SolveConfig(mesh=64, picard=False, error_estimate=False))
+        beta = report.trajectories[2]
+        # the step ambient is constant on every cell, so only its jumps move beta
+        assert same_bits(beta.left_values[1:], beta.right_values[:-1])
 
 
 class TestJumpTable:
