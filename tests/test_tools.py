@@ -11,24 +11,45 @@ ROOT = Path(__file__).resolve().parents[1]
 def op_diff(parent, change):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "op_diff.py"), "--parent", str(parent),
-         "--change", str(change), "--seed", "7", "--parts", "warmup"],
+         "--change", str(change), "--seed", "7"],
         capture_output=True, text=True,
     )
+
+
+def planted(checkout: Path, main_body: str) -> Path:
+    """A copy of the library whose ``cli.main`` is replaced; returns its cli.py."""
+    shutil.copytree(ROOT / "src" / "stieltjes", checkout / "src" / "stieltjes",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = (checkout / "src" / "stieltjes" / "cli.py").resolve()
+    with open(cli, "a", encoding="utf-8") as fh:
+        fh.write(f"\n\ndef main(argv=None):\n{main_body}")
+    return cli
 
 
 def test_a_checkout_against_itself_differs_nowhere():
     proc = op_diff(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["seed 7: 0 of 33 ops differ"]
+    assert proc.stdout.splitlines() == ["seed 7: 0 of 590 ops differ"]
 
 
 def test_a_planted_change_is_named_op_by_op(tmp_path):
-    shutil.copytree(ROOT / "src" / "stieltjes", tmp_path / "src" / "stieltjes",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "stieltjes" / "cli.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\ndef main(argv=None):\n    return 3\n")
+    planted(tmp_path, "    return 3\n")
     proc = op_diff(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "seed 7: 33 of 33 ops differ"
+    assert lines[-1] == "seed 7: 590 of 590 ops differ"
     assert all(line.split(": ")[1].startswith("exit") for line in lines[:-1])
+
+
+def test_each_op_prints_its_warnings_as_a_fresh_call_would(tmp_path):
+    # under the default filter a warning shows once per code location; each
+    # op must still show it, as each op is one CLI call of its own
+    call = "warnings.warn('planted', RuntimeWarning)"
+    warns = planted(tmp_path / "warns", f"    import warnings\n    {call}\n    return 0\n")
+    line = len(warns.read_text(encoding="utf-8").splitlines()) - 1
+    printed = f"{warns}:{line}: RuntimeWarning: planted\n  {call}\n"
+    planted(tmp_path / "prints", f"    import sys\n    sys.stderr.write({printed!r})\n"
+            "    return 0\n")
+    proc = op_diff(tmp_path / "warns", tmp_path / "prints")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["seed 7: 0 of 590 ops differ"]

@@ -5,100 +5,72 @@
 
 Every op of both workloads in ``bench/workloads.py`` (the timed and warm-up
 lists and the ``derive`` probe, the same ops ``bench/run.py`` runs for the
-seed) goes through each checkout's own ``stieltjes.cli.main``. Each checkout
-runs in its own process, in a fresh empty directory with relative file
-names, so a path that shows up in an output is the same for both. The exit
-code, any exception raised out of ``main``, stdout, stderr and the bytes of
-the op's output file are compared. The ids of the ops that differ are
-printed with the fields that differ; the exit code is 1 if any op differs.
+seed) goes through each checkout's own ``stieltjes.cli.main`` by
+``bench/run.py``'s ``run_op``. Each checkout runs in its own process, in a
+fresh empty directory with relative file names, so a path that shows up in an
+output is the same for both. The exit code, any exception raised out of
+``main``, stdout, stderr and the op's output file are compared. The ids of
+the ops that differ are printed with the fields that differ; the exit code is
+1 if any op differs.
 
-``bench/workloads.py`` is imported from the checkout this tool lives in and
-is only read. ``--parts`` narrows the run to some of ``timed``, ``warmup``
-and ``probe``.
+``bench/workloads.py`` and ``bench/run.py`` are imported from the checkout
+this tool lives in and are only read.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-PARTS = ("timed", "warmup", "probe")
 FIELDS = ("exit", "exception", "stdout", "stderr", "file")
 
 
-def _ops(seed: int, parts) -> list:
+def _run(checkout: str, seed: int) -> dict:
+    """Each op's outcome under ``checkout``'s sources, run in the current
+    directory: {op id: {field: value or sha256 of the text}}."""
     sys.path.insert(0, str(BENCH))
+    # run.py fixes the BLAS thread count on import, before numpy is loaded
+    from run import run_op
     from workloads import WORKLOADS, build_derive_probe
 
-    ops = []
-    for build in WORKLOADS.values():
-        ops += [op for part in ("warmup", "timed") if part in parts for op in build(seed, part)]
-    if "probe" in parts:
-        ops += build_derive_probe(seed)
-    return ops
-
-
-def _digest(data) -> str | None:
-    return None if data is None else hashlib.sha256(data).hexdigest()
-
-
-def _run(checkout: str, seed: int, parts) -> dict:
-    """Each op's outcome under ``checkout``'s sources, run in the current
-    directory: {op id: {field: value or sha256 of the bytes}}."""
     src = str(Path(checkout, "src").resolve())
     sys.path.insert(0, src)
     from stieltjes import cli
 
     if not str(Path(cli.__file__).resolve()).startswith(src):
         raise SystemExit(f"op_diff.py: imported {cli.__file__}, not {src}")
-    ops = _ops(seed, parts)
+    ops = [op for build in WORKLOADS.values() for part in ("warmup", "timed")
+           for op in build(seed, part)] + build_derive_probe(seed)
     for op in ops:
         for name, text in op.file_texts().items():
             Path(name).write_text(text, encoding="utf-8")
     outcomes = {}
     for op in ops:
-        target = Path(op.output) if op.output else None
-        if target is not None and target.exists():
-            target.unlink()
-        out, err = io.StringIO(), io.StringIO()
-        code = exc = None
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(op.resolved_argv("."))
-            except SystemExit as e:
-                code = e.code if isinstance(e.code, int) else 1
-            except Exception as e:  # noqa: BLE001 - an escaping error is an outcome too
-                exc = f"{type(e).__name__}: {e}"
-        outcomes[op.id] = {
-            "exit": code,
-            "exception": exc,
-            "stdout": _digest(out.getvalue().encode()),
-            "stderr": _digest(err.getvalue().encode()),
-            "file": _digest(target.read_bytes()) if target is not None and target.exists()
-            else None,
-        }
+        # entering catch_warnings clears every once-per-location record, so
+        # an op's stderr holds the warnings a fresh CLI call would print
+        with warnings.catch_warnings():
+            _, outcome = run_op(cli, op, ".")
+        code, exc, *texts = outcome
+        outcomes[op.id] = dict(zip(FIELDS, [code, exc] + [
+            None if text is None else hashlib.sha256(text.encode()).hexdigest()
+            for text in texts]))
     return outcomes
 
 
-def _outcomes(checkout: str, seed: int, parts) -> dict:
+def _outcomes(checkout: str, seed: int) -> dict:
     """``_run`` in a new process and a new empty directory."""
-    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory(prefix="op_diff-") as workdir:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--run", str(Path(checkout).resolve()),
-             "--seed", str(seed), "--parts", *parts],
-            cwd=workdir, env=env, capture_output=True, text=True,
+             "--seed", str(seed)],
+            cwd=workdir, capture_output=True, text=True,
         )
     if proc.returncode != 0:
         raise SystemExit(f"op_diff.py: running {checkout} failed:\n{proc.stderr}")
@@ -110,16 +82,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="checkout to compare against")
     parser.add_argument("--change", help="checkout with the change")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     parser.add_argument("--run", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.run:
-        print(json.dumps(_run(args.run, args.seed, args.parts)))
+        print(json.dumps(_run(args.run, args.seed)))
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
-    parent = _outcomes(args.parent, args.seed, args.parts)
-    change = _outcomes(args.change, args.seed, args.parts)
+    parent = _outcomes(args.parent, args.seed)
+    change = _outcomes(args.change, args.seed)
     differ = 0
     for op_id in sorted(parent.keys() | change.keys()):
         a, b = parent.get(op_id), change.get(op_id)
