@@ -43,7 +43,9 @@ class Trajectory:
     The grid lies in the governing derivator's interval and holds every jump
     between its ends; ``right_values`` may differ from ``left_values`` only
     there. Between grid points the record is linear, from the right value at
-    the left end to the left value at the right end.
+    the left end to the left value at the right end. Construction looks up
+    the jump masses on the grid once, to check it, and keeps them for every
+    reader of the trajectory (``g_values``, ``ftc_roundtrip`` and the rest).
     """
 
     grid: np.ndarray
@@ -63,8 +65,9 @@ class Trajectory:
         missing = _missing_jumps(self.governing, self.grid)
         if missing:
             raise DomainError(f"grid is missing jump times {missing}")
+        self._deltas = self.governing._deltas(self.grid)
         moved = self.right_values != self.left_values
-        moved &= self.governing._jump_index(self.grid) < 0
+        moved &= self._deltas == 0.0
         if np.any(moved):
             t = self.grid[np.argmax(moved)]
             raise DomainError(f"right value differs from left at non-jump time {t}")
@@ -75,7 +78,7 @@ class Trajectory:
     def g_values(self):
         if self._g_left is None:
             self._g_left = self.governing.eval(self.grid)
-            self._g_right = self._g_left + self.governing._deltas(self.grid)
+            self._g_right = self._g_left + self._deltas
         return self._g_left, self._g_right
 
     def index_of(self, t: float) -> int:
@@ -190,6 +193,12 @@ def _trapezoid_cells(starts: np.ndarray, ends: np.ndarray,
     return (0.5 * starts[:-1] + 0.5 * ends[1:]) * increments
 
 
+def _cell_increments(g: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """g(t_{k+1}) - g(t_k+) per grid cell from g and its jump masses on the
+    grid; arrays with columns hold one derivator per column."""
+    return g[1:] - (g[:-1] + deltas[:-1])
+
+
 def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Cumulative atoms-plus-cells sum over a grid, 0.0 at the first time.
 
@@ -252,7 +261,7 @@ def _estimate_table(h: Trajectory) -> _EstimateTable:
     gl, gr = h.g_values()
     hl, hr = h.left_values, h.right_values
 
-    deltas = d.deltas_on(grid)
+    deltas = h._deltas
     is_jump = deltas != 0.0
 
     mids = 0.5 * (grid[:-1] + grid[1:])
@@ -519,12 +528,9 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
     continuous part with exact atom terms, so the reported deviation measures
     the genuine consistency of h with its numerical derivative.
     """
-    d = h.governing
-    grid = h.grid
-    gl, gr = h.g_values()
+    gl, _ = h.g_values()
     table = _estimate_table(h)
-    deltas = d.deltas_on(grid)
-    atom = table.values * deltas
+    atom = table.values * h._deltas
 
     # trapezoid samples per cell: jump rows and excluded rows (say a direction
     # flip) both carry clean one-sided values, and each adjacent cell must see
@@ -534,7 +540,7 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
                          np.where(table.right_ok, np.nan_to_num(table.right_est), 0.0))
     from_right = np.where(interior, table.values,
                           np.where(table.left_ok, np.nan_to_num(table.left_est), 0.0))
-    cum = _resum(atom, _trapezoid_cells(from_left, from_right, gl[1:] - gr[:-1]))
+    cum = _resum(atom, _trapezoid_cells(from_left, from_right, _cell_increments(gl, h._deltas)))
     target = h.left_values - h.left_values[0]
     deviations = np.abs(cum - target)
     max_dev = float(np.max(deviations))
@@ -542,7 +548,7 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
         max_deviation=max_dev,
         passed=bool(max_dev < pass_tol),
         excluded_points=int(np.sum(~table.eligible)),
-        grid=grid,
+        grid=h.grid,
         deviations=deviations,
     )
 
@@ -597,7 +603,7 @@ def g_continuity_modulus(h: Trajectory, epsilon: float) -> float:
     zero variation.
     """
     d = h.governing
-    deltas, V = d.deltas_on(h.grid), d.variation_cumulative(h.grid)
+    deltas, V = h._deltas, d.variation_cumulative(h.grid)
     jumps = np.flatnonzero(deltas)
     x = np.insert(h.left_values, jumps + 1, h.right_values[jumps])
     v = np.insert(V, jumps + 1, V[jumps] + np.abs(deltas[jumps]))

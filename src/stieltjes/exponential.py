@@ -27,6 +27,7 @@ import numpy as np
 
 from .calculus import (
     Trajectory,
+    _cell_increments,
     _cell_integrals,
     _resum,
     _running_sums,
@@ -199,13 +200,12 @@ def verify_linear_solution(lc: LinearCoefficient, grid_hint: int = 1024,
     expo = GExponential(lc)
     traj = expo.trajectory(grid_hint)
     grid = traj.grid
-    d = lc.derivator
-    gl, gr = traj.g_values()
+    gl, _ = traj.g_values()
+    deltas = traj._deltas
     cvals = np.asarray(lc.c(grid), dtype=float)
-    deltas = d.deltas_on(grid)
     f_left = cvals * traj.left_values
     f_right = cvals * traj.right_values
-    cum = _resum(f_left * deltas, _trapezoid_cells(f_right, f_left, gl[1:] - gr[:-1]))
+    cum = _resum(f_left * deltas, _trapezoid_cells(f_right, f_left, _cell_increments(gl, deltas)))
     residual = traj.left_values - 1.0 - cum
     max_res = float(np.max(np.abs(residual)))
 

@@ -18,9 +18,12 @@ audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`, which
 uses the batch form when there is one and loops the scalar form when there
 is not; the checks and error messages are the scalar ones either way. A
 Picard sweep makes one such call: the left states, then the jump rows' right
-states. Each scheme builds its grid's tables once, evaluating each
-component's derivator once, and :func:`solve` raises
-:class:`RhsEvaluationError` at the first grid time whose state is not finite.
+states. Each scheme builds its grid's jump table (:func:`_jump_table`) and
+continuous increments once, evaluating each component's derivator once. The
+report's trajectories keep the jump masses they look up to check the grid;
+:func:`solve` stacks those for the jump audit and the simultaneous-jump rows,
+and raises :class:`RhsEvaluationError` at the first grid time whose state is
+not finite.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -41,8 +44,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import (Trajectory, _cell_integrals, _missing_jumps, _resum,
-                       _running_sums, _trapezoid_cells)
+from .calculus import (Trajectory, _cell_increments, _cell_integrals, _missing_jumps,
+                       _resum, _running_sums, _trapezoid_cells)
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -205,17 +208,11 @@ def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray
     return np.stack([d._deltas(grid) for d in derivators], axis=1)
 
 
-def _continuous_increments(derivators: Sequence[Derivator], grid: np.ndarray,
-                           deltas: np.ndarray) -> np.ndarray:
-    """inc[k, j] = g_j(t_{k+1}) - g_j(t_k+), from one evaluation of g_j and the jump table."""
-    g = np.stack([d.eval(grid) for d in derivators], axis=1)
-    return g[1:] - (g[:-1] + deltas[:-1])
-
-
 def _tables(spec: SystemSpec, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The jump table and the continuous increments of a solver grid."""
+    """The jump table and the increments g_j(t_{k+1}) - g_j(t_k+) of a solver grid."""
     deltas = _jump_table(spec.derivators, grid)
-    return deltas, _continuous_increments(spec.derivators, grid, deltas)
+    g = np.stack([d.eval(grid) for d in spec.derivators], axis=1)
+    return deltas, _cell_increments(g, deltas)
 
 
 def solve_euler(spec: SystemSpec, grid: np.ndarray,
@@ -330,7 +327,9 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     Each sweep rebuilds the cumulative integral with a trapezoid rule in each
     driving function; atoms use the left value of the previous iterate. After
     the last sweep the jump rows are recomputed from the final left values so
-    the jump audit closes exactly. ``max_iter`` below 1 is a DomainError.
+    the jump audit closes exactly. Sweeping stops at a change below ``tol`` or
+    at a sweep that repeats the last one bit for bit, NaN and inf included.
+    ``max_iter`` below 1 is a DomainError.
 
     Returns (left, right, converged, iterations, last_change, warnings).
     """
@@ -343,12 +342,7 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     times = np.concatenate([grid, grid[jump_rows]])
     left = np.tile(spec.initial, (n, 1))
     right = left.copy()
-    warnings: list[str] = []
-    converged = False
-    last_change = np.inf
-    iterations = 0
-    for sweep in range(max_iter):
-        iterations = sweep + 1
+    for iterations in range(1, max_iter + 1):
         f = spec.call_rhs_many(times, np.concatenate([left, right[jump_rows]]))
         f_left = f[:n]
         f_right = f_left.copy()
@@ -360,15 +354,15 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
             new_left[0] = spec.initial
             new_right = new_left + atoms
             last_change = float(abs(new_left - left).max())
+        # a repeated iterate changes by 0, or by NaN where it holds inf or NaN
+        repeated = not last_change > 0.0 and (np.array_equal(new_left, left, equal_nan=True)
+                                              and np.array_equal(new_right, right, equal_nan=True))
         left, right = new_left, new_right
-        if last_change < tol:
-            converged = True
+        converged = last_change < tol
+        if converged or repeated:
             break
-    if not converged:
-        warnings.append(
-            f"fixed-point sweep stopped after {iterations} iterations "
-            f"with change {last_change:.3e} (tolerance {tol:.1e})"
-        )
+    warnings = [] if converged else [f"fixed-point sweep stopped after {iterations} iterations "
+                                     f"with change {last_change:.3e} (tolerance {tol:.1e})"]
     # exact jump resweep against the final left values
     right = left.copy()
     f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
@@ -489,7 +483,7 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
         Trajectory(grid, left[:, j], right[:, j], spec.derivators[j])
         for j in range(spec.dim)
     )
-    deltas = _jump_table(spec.derivators, grid)
+    deltas = np.stack([tr._deltas for tr in trajectories], axis=1)
     together = np.count_nonzero(deltas, axis=1) >= 2
     sim = tuple(grid[together].tolist())
     all_warns = list(warns)

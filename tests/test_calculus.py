@@ -20,6 +20,7 @@ from stieltjes import (
     DomainError,
     GExponential,
     Integrand,
+    Jump,
     LinearCoefficient,
     LinearProfile,
     Segment,
@@ -432,6 +433,50 @@ def test_estimate_table_matches_the_per_offset_windows():
                          "left_ok", "right_ok"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestKeptJumpMasses:
+    """A trajectory looks its grid's jump masses up once, when it checks the
+    grid; the routines that take it read them from there."""
+
+    def test_kept_masses_are_the_derivators_masses(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            d = random_derivator(rng, rng.uniform(-2.0, 0.0), rng.uniform(0.5, 3.0))
+            grid = uniform_grid(d, int(rng.integers(8, 33)))
+            lo, hi = sorted(rng.choice(len(grid), size=2, replace=False))
+            for ts in (grid, grid[lo:hi + 1]):
+                h = Trajectory(ts, np.zeros(len(ts)), np.zeros(len(ts)), d)
+                assert same_bits(h._deltas, d.deltas_on(ts))
+            h = primitive(StieltjesMeasure(d), Integrand.polynomial([0.5, -1.0]), grid_hint=16)
+            assert same_bits(h._deltas, d.deltas_on(h.grid))
+
+    @staticmethod
+    def no_lookups(monkeypatch, *names):
+        def boom(*args, **kwargs):
+            raise AssertionError("the jumps of a trajectory's grid were looked up again")
+        for name in names:
+            monkeypatch.setattr(Derivator, name, boom)
+
+    def test_roundtrip_and_modulus_read_the_trajectory(self, monkeypatch):
+        d = Derivator((0.0, 1.0), [Segment(0.0, 0.5, LinearProfile(1.0)),
+                                   Segment(0.5, 1.0, LinearProfile(-2.0))],
+                      [Jump(0.0, 0.4), Jump(0.5, -1.3)])
+        want = ftc_roundtrip(record(d, np.sin)), g_continuity_modulus(record(d, np.sin), 0.1)
+        h = record(d, np.sin)
+        self.no_lookups(monkeypatch, "deltas_on", "_deltas")
+        report = ftc_roundtrip(h)
+        assert same_bits(report.deviations, want[0].deviations)
+        assert report.excluded_points == want[0].excluded_points
+        assert g_continuity_modulus(h, 0.1) == want[1]
+
+    def test_linear_verification_reads_its_trajectory(self, monkeypatch):
+        d = identity_with_jump(delta=-0.6, at=0.5)
+        lc = LinearCoefficient(d, Integrand.polynomial([0.3, -0.7]))
+        want = verify_linear_solution(lc, grid_hint=64)
+        # the trajectory it builds makes the one lookup, through _deltas
+        self.no_lookups(monkeypatch, "deltas_on")
+        assert verify_linear_solution(lc, grid_hint=64) == want
 
 
 class TestUniformGridEnds:

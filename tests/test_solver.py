@@ -36,6 +36,7 @@ from stieltjes import (
     solve_picard,
     system_grid,
 )
+from stieltjes import solver
 from stieltjes.solver import _jump_table
 from stieltjes.specio import RHS_CATALOG, parse_system, serialize_derivator
 
@@ -666,6 +667,16 @@ class TestStateThatOverflows:
             solve(self.spec(), SolveConfig(mesh=64, picard=picard))
         assert str(exc.value) == f"state is not finite at t={at}; the solution overflows"
 
+    def test_picard_stops_once_a_sweep_repeats_itself(self):
+        # f ignores the state, so the second sweep repeats the first, inf included;
+        # its change is nan, which no tolerance accepts
+        spec = self.spec()
+        _, _, converged, iterations, change, warns = solve_picard(
+            spec, system_grid(spec.derivators, 1.0, 64))
+        assert (converged, iterations, math.isnan(change)) == (False, 2, True)
+        assert warns == ["fixed-point sweep stopped after 2 iterations "
+                         "with change nan (tolerance 1.0e-10)"]
+
 
 class TestGridTables:
     def test_each_component_is_evaluated_once_per_grid(self, monkeypatch):
@@ -686,6 +697,21 @@ class TestGridTables:
             # every component, once on the coarse grid and once on the fine one
             assert sorted(sizes) == sorted((id(d), n) for d in spec.derivators
                                            for n in (len(report.grid), fine))
+
+    @pytest.mark.parametrize("picard", [True, False])
+    @pytest.mark.parametrize("error_estimate", [True, False])
+    def test_each_solver_grid_builds_one_jump_table(self, monkeypatch, picard, error_estimate):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
+        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
+        sizes = []
+        build = solver._jump_table
+        monkeypatch.setattr(solver, "_jump_table",
+                            lambda ds, grid: sizes.append(len(grid)) or build(ds, grid))
+        report = solve(spec, SolveConfig(mesh=64, picard=picard, error_estimate=error_estimate))
+        fine = [len(system_grid(spec.derivators, 10.0, 128))] if error_estimate else []
+        assert sizes == [len(report.grid)] + fine
+        # the audit and the simultaneous-jump rows read the trajectories' masses
+        assert [r.time for r in report.jump_audit] == [3.0, 7.0]
 
 
 class TestConstancy:

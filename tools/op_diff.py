@@ -6,10 +6,10 @@
 Every op of both workloads in ``bench/workloads.py`` (the timed and warm-up
 lists and the ``derive`` probe, the same ops ``bench/run.py`` runs for the
 seed) goes through each checkout's own ``stieltjes.cli.main`` by
-``bench/run.py``'s ``run_op``. Each checkout runs in its own process, in a
-fresh empty directory with relative file names, so a path that shows up in an
-output is the same for both. The exit code, any exception raised out of
-``main``, stdout, stderr and the op's output file are compared. The ids of
+``bench/run.py``'s ``run_op``. The two checkouts run at the same time, each in
+its own process and fresh empty directory with relative file names, so a path
+that shows up in an output is the same for both. The exit code, any exception
+raised out of ``main``, stdout, stderr and the op's output file are compared. The ids of
 the ops that differ are printed with the fields that differ; the exit code is
 1 if any op differs.
 
@@ -20,6 +20,7 @@ this tool lives in and are only read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import subprocess
@@ -64,17 +65,21 @@ def _run(checkout: str, seed: int) -> dict:
     return outcomes
 
 
-def _outcomes(checkout: str, seed: int) -> dict:
-    """``_run`` in a new process and a new empty directory."""
-    with tempfile.TemporaryDirectory(prefix="op_diff-") as workdir:
-        proc = subprocess.run(
+def _outcomes(checkouts: tuple[str, ...], seed: int) -> list[dict]:
+    """``_run`` for every checkout at once, each in a new process and a new
+    empty directory; the outcomes in checkout order."""
+    with contextlib.ExitStack() as stack:
+        procs = [subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--run", str(Path(checkout).resolve()),
              "--seed", str(seed)],
-            cwd=workdir, capture_output=True, text=True,
-        )
-    if proc.returncode != 0:
-        raise SystemExit(f"op_diff.py: running {checkout} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+            cwd=stack.enter_context(tempfile.TemporaryDirectory(prefix="op_diff-")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) for checkout in checkouts]
+        results = [proc.communicate() for proc in procs]
+    for checkout, proc, (_, err) in zip(checkouts, procs, results):
+        if proc.returncode != 0:
+            raise SystemExit(f"op_diff.py: running {checkout} failed:\n{err}")
+    return [json.loads(out) for out, _ in results]
 
 
 def main(argv=None) -> int:
@@ -89,8 +94,7 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
-    parent = _outcomes(args.parent, args.seed)
-    change = _outcomes(args.change, args.seed)
+    parent, change = _outcomes((args.parent, args.change), args.seed)
     differ = 0
     for op_id in sorted(parent.keys() | change.keys()):
         a, b = parent.get(op_id), change.get(op_id)
