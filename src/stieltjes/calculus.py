@@ -397,21 +397,21 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
         return _extrapolate(lambda eps: _quotient(func, d, t, t + eps, t, at_jump=True),
                             _right_reach(d, t), rel_tol, even=False)
     left_idx, right_idx = d.segments_adjacent(t)
-    seg_l = d.segments[left_idx] if left_idx is not None else None
-    seg_r = d.segments[right_idx] if right_idx is not None else None
-    inside_left = seg_l is not None and seg_l.lo < t
-    inside_right = seg_r is not None and t < seg_r.hi
+    left_lo = float(d._seg_lo[left_idx]) if left_idx is not None else None
+    right_hi = float(d._seg_hi[right_idx]) if right_idx is not None else None
+    inside_left = left_lo is not None and left_lo < t
+    inside_right = right_hi is not None and t < right_hi
     if inside_left and inside_right and left_idx == right_idx:
-        reach = min(t - seg_l.lo, seg_l.hi - t)
+        reach = min(t - left_lo, right_hi - t)
         return _extrapolate(lambda eps: _quotient(func, d, t - eps, t + eps, t),
                             reach, rel_tol, even=True)
     estimates = []
     if inside_right:
         estimates.append(_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
-                                      seg_r.hi - t, rel_tol, even=False))
+                                      right_hi - t, rel_tol, even=False))
     if inside_left:
         estimates.append(_extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
-                                      t - seg_l.lo, rel_tol, even=False))
+                                      t - left_lo, rel_tol, even=False))
     if not estimates:
         raise UndefinedPointError(f"no usable bracket at {t}")
     if len(estimates) == 2:
@@ -428,7 +428,7 @@ def _right_reach(d: Derivator, t: float) -> float:
     _, right_idx = d.segments_adjacent(t)
     if right_idx is None:
         raise UndefinedPointError(f"no right neighborhood at {t}")
-    return d.segments[right_idx].hi - t
+    return float(d._seg_hi[right_idx]) - t
 
 
 def _quotient(func, d, lo, hi, t, at_jump=False):

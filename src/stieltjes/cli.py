@@ -144,8 +144,13 @@ def _cmd_exp(args) -> int:
         return 0
     traj = exponential.GExponential(lc).trajectory(grid_hint=args.grid_hint)
     signs = _SIGN_TEXT[np.sign(traj.left_values).astype(int) + 1].tolist()
-    columns = (traj.grid, traj.left_values, traj.right_values, signs,
-               [lc.regime] * len(signs))
+    # each value formatted once: a right value with the left value's bits takes its text
+    left, right = traj.left_values, traj.right_values
+    values = list(map("%.17g".__mod__, left.tolist()))
+    values_right = values.copy()
+    for k in np.flatnonzero(left.view(np.int64) != right.view(np.int64)).tolist():
+        values_right[k] = "%.17g" % right[k]
+    columns = (traj.grid, values, values_right, signs, [lc.regime] * len(signs))
     _emit_csv(("t", "value", "value_right", "sign", "regime"), columns, args.output)
     return 0
 

@@ -13,14 +13,14 @@ increments up to t plus every jump strictly to the left of t, so the jump at
 t itself only affects ``eval_right(t)``. Bounded variation is structural
 (finitely many monotone pieces), and sign changes of the slope are allowed.
 
-Construction also lays the segments out as one table of columns: bounds, a
-point class, the profile kind with its slope, exponent and scale, and prefix
-sums of the totals, rising totals, minus the falling totals and the signed,
-positive and negative jumps. Each kind's increment and chart is one function
-of scalars (the profile methods) or of one entry per point or grid cell (the
-table), so ``eval``, ``variation_cumulative`` and the grid integrals work on
-all segments at once; tabulated segments take one ``np.interp`` each. Runs
-are cut from the class column; ``variation(lo, hi)`` still loops segments.
+One private builder lays the segments out as one table of columns: bounds,
+a point class, the profile kind with its slope, exponent and scale, a knot
+table and prefix sums of the totals and jumps. ``Derivator(...)`` feeds it
+its ``Segment`` objects, the document reader columns read from JSON after
+the same scalar rules; ``segments``/``jumps`` are then built on first read
+(a race builds equal tuples). Each kind's increment and chart is one
+function of scalars or of one entry per point or grid cell, so ``eval`` and
+the grid integrals work on all segments at once.
 
 Conventions that the rest of the package relies on:
 
@@ -34,6 +34,8 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,11 +71,6 @@ _POINT_KINDS = {
 }
 
 
-def _prefix(values: np.ndarray) -> np.ndarray:
-    """Running sums with a leading 0.0: entry k sums ``values[:k]`` in order."""
-    return np.concatenate([[0.0], values.cumsum()])
-
-
 # kind codes of the table: powers below 1 chart apart, constant direction wins
 _LINEAR, _CONSTANT, _TABULATED, _POWER, _ROOT = range(5)
 
@@ -103,6 +100,49 @@ def _power_density(x, exponent, scale):
 
 def _direction_of(sign: float) -> str:
     return NONDECREASING if sign > 0 else NONINCREASING if sign < 0 else CONSTANT
+
+
+# the scalar rules, shared by the constructors below and the document reader
+
+def _check_exponent(exponent: float) -> None:
+    if not exponent > 0:
+        raise DomainError(f"power profile exponent must be positive, got {exponent}")
+
+
+def _check_samples(points) -> tuple[tuple[float, float], ...]:
+    pts = tuple((float(x), float(y)) for x, y in points)
+    if len(pts) < 2:
+        raise DomainError("tabulated profile needs at least two samples")
+    if any(p[0] >= q[0] for p, q in zip(pts, pts[1:])):
+        raise DomainError("tabulated sample abscissae must be strictly increasing")
+    return pts
+
+
+def _segment_direction(lo, hi, sign: float, points, direction) -> str:
+    """The direction of a segment on [lo, hi] whose profile grows with the sign
+    of ``sign`` (slope or scale) or through tabulated ``points``."""
+    if not lo < hi:
+        raise DomainError(f"segment needs lo < hi, got [{lo}, {hi}]")
+    if points:
+        steps = [q[1] - p[1] for p, q in zip(points, points[1:])]
+        if not (all(d >= 0 for d in steps) or all(d <= 0 for d in steps)):
+            raise DomainError("tabulated samples are not monotone")
+        sign = points[-1][1] - points[0][1]
+    inferred = _direction_of(sign)
+    if direction is None:
+        direction = inferred
+    elif direction not in _DIRECTIONS:
+        raise DomainError(f"unknown direction {direction!r}")
+    elif direction != inferred:
+        raise DomainError(f"declared direction {direction!r} conflicts with profile ({inferred})")
+    if points and (points[0][0] <= lo or points[-1][0] >= hi):
+        raise DomainError(f"tabulated samples must lie strictly inside ({lo}, {hi})")
+    return direction
+
+
+def _check_jump(at: float, delta: float) -> None:
+    if delta == 0:
+        raise DomainError(f"jump at {at} has zero delta")
 
 
 def _chart(kind: int, f, los, his, lo, slope, exponent, scale):
@@ -138,9 +178,6 @@ class LinearProfile:
     def density(self, lo: float, hi: float, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
-    def inferred_direction(self) -> str:
-        return _direction_of(self.slope)
-
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -156,17 +193,13 @@ class PowerProfile:
     kind: str = field(default="power", init=False)
 
     def __post_init__(self):
-        if not self.exponent > 0:
-            raise DomainError(f"power profile exponent must be positive, got {self.exponent}")
+        _check_exponent(self.exponent)
 
     def increment(self, lo: float, hi: float, t):
         return _power_increment(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
 
     def density(self, lo: float, hi: float, t):
         return _power_density(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
-
-    def inferred_direction(self) -> str:
-        return _direction_of(self.scale)
 
 
 @dataclass(frozen=True)
@@ -180,9 +213,6 @@ class ConstantProfile:
 
     def density(self, lo: float, hi: float, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def inferred_direction(self) -> str:
-        return CONSTANT
 
 
 @dataclass(frozen=True)
@@ -198,13 +228,7 @@ class TabulatedProfile:
     kind: str = field(default="tabulated", init=False)
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        if len(pts) < 2:
-            raise DomainError("tabulated profile needs at least two samples")
-        xs = [p[0] for p in pts]
-        if any(x1 >= x2 for x1, x2 in zip(xs, xs[1:])):
-            raise DomainError("tabulated sample abscissae must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _check_samples(self.points))
 
     def increment(self, lo: float, hi: float, t):
         xs, ys = np.array(self.points).T
@@ -214,15 +238,12 @@ class TabulatedProfile:
     def density(self, lo: float, hi: float, t):
         raise DomainError("tabulated profiles expose no density; integrate per knot cell")
 
-    def inferred_direction(self) -> str:
-        ys = np.array(self.points)[:, 1]
-        if not (np.all(np.diff(ys) >= 0) or np.all(np.diff(ys) <= 0)):
-            raise DomainError("tabulated samples are not monotone")
-        return _direction_of(ys[-1] - ys[0])
-
 
 #: A segment's monotone growth; :func:`_chart` holds each kind's integration rule.
 Profile = LinearProfile | PowerProfile | ConstantProfile | TabulatedProfile
+
+#: each profile kind's name, by kind code
+_KIND_NAMES = ("linear", "constant", "tabulated", "power")
 
 
 @dataclass(frozen=True)
@@ -235,20 +256,10 @@ class Segment:
     direction: str | None = None
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
-        inferred = self.profile.inferred_direction()
-        if self.direction is None:
-            object.__setattr__(self, "direction", inferred)
-        elif self.direction not in _DIRECTIONS:
-            raise DomainError(f"unknown direction {self.direction!r}")
-        elif self.direction != inferred:
-            raise DomainError(
-                f"declared direction {self.direction!r} conflicts with profile ({inferred})"
-            )
-        xs = self.interior_knots()
-        if xs and (xs[0] <= self.lo or xs[-1] >= self.hi):
-            raise DomainError(f"tabulated samples must lie strictly inside ({self.lo}, {self.hi})")
+        p = self.profile
+        object.__setattr__(self, "direction", _segment_direction(
+            self.lo, self.hi, getattr(p, "slope", getattr(p, "scale", 0.0)),
+            getattr(p, "points", ()), self.direction))
 
     def increment_to(self, t):
         """Continuous increment accumulated from lo up to t (vectorized)."""
@@ -265,13 +276,6 @@ class Segment:
     def is_constant(self) -> bool:
         return self.direction == CONSTANT
 
-    def _table_row(self) -> tuple[int, float, float, float]:
-        """Kind code, slope, exponent and scale in the segment table; 0.0 or 1.0 if absent."""
-        p, exponent = self.profile, getattr(self.profile, "exponent", 1.0)
-        kind = (_CONSTANT if self.is_constant else _ROOT if exponent < 1.0
-                else {"linear": _LINEAR, "power": _POWER}.get(p.kind, _TABULATED))
-        return kind, getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0)
-
     def interior_knots(self) -> list[float]:
         """Abscissae where the profile's slope may kink (tabulated samples)."""
         return [p[0] for p in getattr(self.profile, "points", ())]
@@ -285,8 +289,7 @@ class Jump:
     delta: float
 
     def __post_init__(self):
-        if self.delta == 0:
-            raise DomainError(f"jump at {self.at} has zero delta")
+        _check_jump(self.at, self.delta)
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,29 @@ class StructuralSets:
     rising: tuple[tuple[float, float], ...]
     falling: tuple[tuple[float, float], ...]
     constant: tuple[tuple[float, float], ...]
+
+
+class _Rows:
+    """Table rows of checked segments and the jumps ``(at, delta)`` they come with."""
+
+    def __init__(self):
+        self.rows, self.samples, self.jumps = [], [], []
+
+    def add(self, lo, hi, kind: str, slope, exponent, scale, points, direction) -> None:
+        """Parameters a profile lacks read 0.0, 1.0, 0.0. The total is the float
+        increment, as ``Segment.total_increment`` takes it; a power overflowing is inf."""
+        point_class, width, code = _RUN_CLASS[direction], float(hi - lo), _KIND_NAMES.index(kind)
+        try:
+            total = (points[-1][1] - points[0][1] if points else _power_increment(
+                width, exponent, scale) if code == _POWER else _linear_increment(width, slope))
+        except OverflowError:
+            total = np.inf
+        self.samples.extend(points)
+        table_kind = _CONSTANT if direction == CONSTANT else _ROOT if exponent < 1.0 else code
+        self.rows.append((lo, hi, slope, exponent, scale, total,
+                          total if point_class == RISING_POINT else 0.0,
+                          -total if point_class == FALLING_POINT else 0.0,
+                          code, table_kind, point_class, len(points)))
 
 
 class Derivator:
@@ -329,54 +355,70 @@ class Derivator:
         jumps: Iterable[Jump] = (),
         anchor: float = 0.0,
     ):
+        # the one place a segment table is built: from the document reader's
+        # checked rows, jumps included, or from the rows of the segments
+        rows = segments
+        if not isinstance(segments, _Rows):
+            self.segments = tuple(segments)
+            rows = _Rows()
+            for s in self.segments:
+                p = s.profile
+                rows.add(s.lo, s.hi, p.kind, getattr(p, "slope", 0.0),
+                         getattr(p, "exponent", 1.0), getattr(p, "scale", 0.0),
+                         getattr(p, "points", ()), s.direction)
+            rows.jumps = [(float(j.at), float(j.delta)) for j in jumps]
         a, b = float(interval[0]), float(interval[1])
         if not a < b:
             raise DomainError(f"interval needs a < b, got [{a}, {b}]")
-        segs = tuple(segments)
+        segs = rows.rows
         if not segs:
             raise DomainError("at least one segment is required")
-        if segs[0].lo != a or segs[-1].hi != b:
+        if segs[0][0] != a or segs[-1][1] != b:
             raise DomainError("segments must tile [a, b] exactly")
         for left, right in zip(segs, segs[1:]):
-            if left.hi != right.lo:
-                raise DomainError(f"segments must tile without gaps: {left.hi} != {right.lo}")
-        jmps = tuple(sorted((Jump(float(j.at), float(j.delta)) for j in jumps), key=lambda j: j.at))
-        ats = [j.at for j in jmps]
+            if left[1] != right[0]:
+                raise DomainError(f"segments must tile without gaps: {left[1]} != {right[0]}")
+        for at, delta in rows.jumps:
+            _check_jump(at, delta)
+        jmps = sorted(rows.jumps, key=lambda j: j[0])
+        ats, deltas = [j[0] for j in jmps], [j[1] for j in jmps]
         if len(set(ats)) != len(ats):
             raise DomainError("duplicate jump locations")
-        boundaries = {s.lo for s in segs}
-        for j in jmps:
-            if not (a <= j.at < b):
-                raise DomainError(f"jump at {j.at} outside [{a}, {b})")
-            if j.at not in boundaries:
-                raise DomainError(f"jump at {j.at} is not a segment boundary; "
+        boundaries = {s[0] for s in segs}
+        for at in ats:
+            if not (a <= at < b):
+                raise DomainError(f"jump at {at} outside [{a}, {b})")
+            if at not in boundaries:
+                raise DomainError(f"jump at {at} is not a segment boundary; "
                                   "split the segment there")
 
-        self.interval = (a, b)
-        self.segments = segs
-        self.jumps = jmps
-        self.anchor = float(anchor)
+        self.interval, self.anchor = (a, b), float(anchor)
 
-        # the segment table: per-segment columns and their prefix sums
-        rows = [(s.lo, s.hi, _RUN_CLASS[s.direction], s.total_increment, *s._table_row())
-                for s in segs]
-        (self._seg_lo, self._seg_hi, seg_class, totals, seg_kind, self._seg_slope,
-         self._seg_exp, self._seg_scale) = np.array(rows, dtype=float).T.copy()
-        self._seg_class, self._seg_kind = seg_class.astype(int), seg_kind.astype(int)
+        # the segment table: per-segment columns and their prefix sums; a
+        # DomainError where a segment total or a running sum is not finite
+        table = np.array(segs, dtype=float).T.copy()
+        self._seg_lo, self._seg_hi, self._seg_slope, self._seg_exp, self._seg_scale = table[:5]
+        self._seg_code, self._seg_kind, self._seg_class, counts = table[8:].astype(int)
         self._curved = bool(self._seg_kind.max() >= _TABULATED)  # power or tabulated
-        self._knots = np.array([x for s in segs for x in s.interior_knots()])
-        self._cum_inc = _prefix(totals)
-        self._rise_cum = _prefix(np.where(self._seg_class == RISING_POINT, totals, 0.0))
-        self._fall_cum = _prefix(np.where(self._seg_class == FALLING_POINT, -totals, 0.0))
-        self._jump_at = np.array(ats) if ats else np.empty(0)
-        self._jump_delta = np.array([j.delta for j in jmps]) if jmps else np.empty(0)
-        self._jump_cum = _prefix(self._jump_delta)
-        self._jump_pos_cum = _prefix(np.maximum(self._jump_delta, 0.0))
-        self._jump_neg_cum = _prefix(np.maximum(-self._jump_delta, 0.0))
-        # one trailing entry each, read through index -1 (no jump there): the
-        # NaN location never compares equal, the padded delta is 0.0
-        self._jump_at_padded = np.concatenate([self._jump_at, [np.nan]])
-        self._jump_delta_padded = np.concatenate([self._jump_delta, [0.0]])
+        # segment k's tabulated samples are entries _knot_ptr[k]:_knot_ptr[k + 1]
+        self._knots, self._knot_y = np.reshape(rows.samples, (-1, 2)).T.copy()
+        self._knot_ptr = np.concatenate([[0], counts.cumsum()])
+        sums = np.zeros((3, len(segs) + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums[:, 1:] = table[5:8].cumsum(axis=1)
+        self._cum_inc, self._rise_cum, self._fall_cum = sums
+        # jumps, and one trailing entry read through index -1 (no jump there):
+        # the NaN location never compares equal, the padded delta is 0.0
+        self._jump_at_padded, self._jump_delta_padded = np.array([[*ats, np.nan], [*deltas, 0.0]])
+        self._jump_at, self._jump_delta = self._jump_at_padded[:-1], self._jump_delta_padded[:-1]
+        self._jump_cum, self._jump_pos_cum, self._jump_neg_cum = jump_sums = np.array([
+            [0.0, *accumulate(deltas)], [0.0, *accumulate(max(d, 0.0) for d in deltas)],
+            [0.0, *accumulate(max(-d, 0.0) for d in deltas)]])
+        variation = sums[1:, -1].sum() + jump_sums[1:, -1].sum()
+        if not (np.isfinite(variation) and np.isfinite(sums).all()
+                and np.isfinite(jump_sums).all()):
+            raise DomainError(f"increments or jumps overflow on [{a}, {b}]: "
+                              "a segment total or a running sum is not finite")
         # a run starts at segment 0, at a class change and at a jump
         starts = np.ones(len(segs), dtype=bool)
         starts[1:] = self._seg_class[1:] != self._seg_class[:-1]
@@ -384,6 +426,30 @@ class Derivator:
         self._run_lo = self._seg_lo[starts]
         self._run_hi = self._seg_hi[np.concatenate([starts[1:], [True]])]
         self._run_class = self._seg_class[starts]
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments, built from the table on first read."""
+        return tuple(Segment(lo, hi, (LinearProfile(slope) if kind == "linear"
+                                      else PowerProfile(e, scale) if kind == "power"
+                                      else TabulatedProfile(pts) if pts else ConstantProfile()),
+                             direction)
+                     for lo, hi, direction, kind, slope, e, scale, pts in self._rows())
+
+    @cached_property
+    def jumps(self) -> tuple[Jump, ...]:
+        """The jumps in order, built from the table on first read."""
+        return tuple(map(Jump, self._jump_at.tolist(), self._jump_delta.tolist()))
+
+    def _rows(self):
+        """Per segment: lo, hi, direction, profile kind, slope, exponent, scale
+        and tabulated samples, as floats."""
+        xs, ys, ptr = self._knots.tolist(), self._knot_y.tolist(), self._knot_ptr.tolist()
+        return zip(self._seg_lo.tolist(), self._seg_hi.tolist(),
+                   [_DIRECTIONS[c - RISING_POINT] for c in self._seg_class.tolist()],
+                   [_KIND_NAMES[c] for c in self._seg_code.tolist()],
+                   *(c.tolist() for c in (self._seg_slope, self._seg_exp, self._seg_scale)),
+                   [tuple(zip(xs[i:j], ys[i:j])) for i, j in zip(ptr, ptr[1:])])
 
     # ------------------------------------------------------------------ basics
 
@@ -444,12 +510,25 @@ class Derivator:
         # every time in [a, b] but a itself has a segment lo strictly left of it
         return np.maximum(np.searchsorted(self._seg_lo, t, side="left") - 1, 0)
 
+    def _segment_increment(self, k: int, t):
+        """Increment of segment k from its lo up to t, an array or a float;
+        a float takes numpy's scalar power, as ``Segment.increment_to`` does."""
+        kind = self._seg_kind[k]
+        if kind == _TABULATED:
+            knots = slice(self._knot_ptr[k], self._knot_ptr[k + 1])
+            ys = self._knot_y[knots]
+            return np.interp(t, self._knots[knots], ys) - ys[0]
+        x = np.asarray(t, dtype=float) - self._seg_lo[k]
+        if kind >= _POWER:
+            return _power_increment(x, float(self._seg_exp[k]), self._seg_scale[k])
+        return _linear_increment(x, self._seg_slope[k])
+
     def _increments(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Increment from the lo of segment ``idx[i]`` up to ``t[i]``: one
         expression per profile kind over the table's columns, and one
         ``np.interp`` per tabulated segment."""
         if t.size == 1:
-            return self.segments[int(idx[0])].increment_to(t)
+            return self._segment_increment(int(idx[0]), t)
         x = t - self._seg_lo[idx]
         out = _linear_increment(x, self._seg_slope[idx])  # 0.0 off linear segments
         if self._curved:
@@ -457,7 +536,7 @@ class Derivator:
             out[p] = _power_increment(x[p], self._seg_exp[idx[p]], self._seg_scale[idx[p]])
             for k in np.flatnonzero(self._seg_kind == _TABULATED).tolist():
                 p = np.flatnonzero(idx == k)
-                out[p] = self.segments[k].increment_to(t[p])
+                out[p] = self._segment_increment(k, t[p])
         return out
 
     def eval(self, t):
@@ -508,11 +587,11 @@ class Derivator:
         if lo == hi:
             return 0.0
         pos = neg = 0.0
-        for seg in self.segments:
-            c, d = max(lo, seg.lo), min(hi, seg.hi)
+        for k, (s_lo, s_hi) in enumerate(zip(self._seg_lo.tolist(), self._seg_hi.tolist())):
+            c, d = max(lo, s_lo), min(hi, s_hi)
             if c >= d:
                 continue
-            inc = float(seg.increment_to(d) - seg.increment_to(c))
+            inc = float(self._segment_increment(k, d) - self._segment_increment(k, c))
             if inc > 0:
                 pos += inc
             else:
@@ -603,6 +682,6 @@ class Derivator:
 
     def __repr__(self):
         return (
-            f"Derivator([{self.a}, {self.b}], {len(self.segments)} segments, "
-            f"{len(self.jumps)} jumps, anchor={self.anchor})"
+            f"Derivator([{self.a}, {self.b}], {self._seg_lo.size} segments, "
+            f"{self._jump_at.size} jumps, anchor={self.anchor})"
         )

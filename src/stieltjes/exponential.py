@@ -63,17 +63,17 @@ class LinearCoefficient:
         self.c = _as_integrand(c)
         factors = []
         warnings = []
-        for j in derivator.jumps:
-            cv = float(self.c(j.at))
-            factor = 1.0 + cv * j.delta
+        for at, delta in zip(derivator._jump_at.tolist(), derivator._jump_delta.tolist()):
+            cv = float(self.c(at))
+            factor = 1.0 + cv * delta
             if abs(factor) < ZERO_FACTOR_TOL:
                 factor = 0.0
             elif abs(factor) < CONDITIONING_TOL:
                 warnings.append(
-                    f"jump factor at t={j.at} is {factor:.3e}; "
+                    f"jump factor at t={at} is {factor:.3e}; "
                     "the exponential is badly conditioned there"
                 )
-            factors.append(JumpFactor(j.at, j.delta, cv, factor))
+            factors.append(JumpFactor(at, delta, cv, factor))
         self.jump_factors = tuple(factors)
         self.warnings = tuple(warnings)
         self.negative_factor_jumps = tuple(f.at for f in factors if f.factor < 0.0)

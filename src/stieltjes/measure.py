@@ -32,12 +32,11 @@ import numpy as np
 from . import quadrature
 from .derivator import (
     _TABULATED,
-    CONSTANT,
+    CONSTANCY_POINT,
     NEGATIVE,
-    NONDECREASING,
     POSITIVE,
+    RISING_POINT,
     Derivator,
-    Segment,
     TOTAL,
     _chart,
 )
@@ -196,12 +195,12 @@ class StieltjesMeasure:
         up, down = _SIGN_FACTORS[self.signature]
         return up * max(delta, 0.0) + down * min(delta, 0.0)
 
-    def _segment_weight(self, seg: Segment) -> float:
-        """Sign applied to the segment's density under this signature (0 skips)."""
-        if seg.direction == CONSTANT:
+    def _segment_weight(self, point_class: int) -> float:
+        """Sign applied to a segment's density from its point class (0 skips)."""
+        if point_class == CONSTANCY_POINT:
             return 0.0
         up, down = _SIGN_FACTORS[self.signature]
-        return up if seg.direction == NONDECREASING else down
+        return up if point_class == RISING_POINT else down
 
     # ------------------------------------------------------------ integration
 
@@ -218,11 +217,11 @@ class StieltjesMeasure:
         f = _as_integrand(f)
         d = self.derivator
         out = 0.0
-        for j in d.jumps:
-            if lo <= j.at < hi:
-                w = self._jump_weight(j.delta)
+        for at, delta in zip(d._jump_at.tolist(), d._jump_delta.tolist()):
+            if lo <= at < hi:
+                w = self._jump_weight(delta)
                 if w != 0.0:
-                    out += float(f(j.at)) * w
+                    out += float(f(at)) * w
         return out
 
     def _integrate_continuous(self, f: Integrand | Callable, lo: float, hi: float,
@@ -231,14 +230,14 @@ class StieltjesMeasure:
         d = self.derivator
         lo, hi = d._span(lo, hi)
         total = 0.0
-        for seg in d.segments:
-            c, dd = max(lo, seg.lo), min(hi, seg.hi)
+        for k, (s_lo, s_hi) in enumerate(zip(d._seg_lo.tolist(), d._seg_hi.tolist())):
+            c, dd = max(lo, s_lo), min(hi, s_hi)
             if c >= dd:
                 continue
-            w = self._segment_weight(seg)
+            w = self._segment_weight(d._seg_class[k])
             if w == 0.0:
                 continue
-            total += w * _segment_integral(f, seg, c, dd, rel_tol)
+            total += w * _segment_integral(f, d, k, c, dd, rel_tol)
         return total
 
     # ------------------------------------------------------------ diagnostics
@@ -300,9 +299,9 @@ def _as_integrand(f) -> Integrand:
     return f if isinstance(f, Integrand) else Integrand.from_callable(f)
 
 
-def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
+def _segment_integral(f: Integrand, d: Derivator, k: int, lo: float, hi: float,
                       rel_tol: float) -> float:
-    """Continuous integral of f against the segment's own growth over [lo, hi].
+    """Continuous integral of f against the growth of segment k of d over [lo, hi].
 
     [lo, hi] is cut at the profile's knots and at f's own kinks: a kink that
     falls between a panel's outer node and its end is invisible to the
@@ -310,13 +309,15 @@ def _segment_integral(f: Integrand, seg: Segment, lo: float, hi: float,
     quadrature in the profile's chart (:func:`~stieltjes.derivator._chart`);
     pieces of weight zero cost nothing.
     """
-    knots = np.concatenate([seg.interior_knots(), f._kinks])
+    knots = np.concatenate([d._knots[d._knot_ptr[k]:d._knot_ptr[k + 1]], f._kinks])
     cuts = knots[(knots > lo) & (knots < hi)]
     edges = np.unique(np.concatenate([[lo], cuts, [hi]])) if cuts.size else np.array([lo, hi])
-    kind, slope, exponent, scale = seg._table_row()
+    kind = int(d._seg_kind[k])
+    seg_lo, slope, exponent, scale = (float(c[k]) for c in (d._seg_lo, d._seg_slope, d._seg_exp,
+                                                           d._seg_scale))
     if kind == _TABULATED:
-        slope = np.diff(seg.increment_to(edges)) / np.diff(edges)
-    integrand, u_los, u_his, weight = _chart(kind, f, edges[:-1], edges[1:], seg.lo, slope,
+        slope = np.diff(d._segment_increment(k, edges)) / np.diff(edges)
+    integrand, u_los, u_his, weight = _chart(kind, f, edges[:-1], edges[1:], seg_lo, slope,
                                              exponent, scale)
     weights = weight.tolist() if isinstance(weight, np.ndarray) else [weight] * len(u_los)
     total = 0.0

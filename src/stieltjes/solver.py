@@ -329,12 +329,15 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
     the last sweep the jump rows are recomputed from the final left values so
     the jump audit closes exactly. Sweeping stops at a change below ``tol`` or
     at a sweep that repeats the last one bit for bit, NaN and inf included.
-    ``max_iter`` below 1 is a DomainError.
+    ``max_iter`` below 1 and a ``tol`` that is not positive, which no change
+    can get below, are DomainErrors.
 
     Returns (left, right, converged, iterations, last_change, warnings).
     """
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     deltas, cont = _tables(spec, grid)
     n = len(grid)
     jump_rows = np.flatnonzero(deltas.any(axis=1))

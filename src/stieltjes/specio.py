@@ -42,7 +42,9 @@ C acting on state (q, m, beta) as A m^(1/4), B q beta, C q).
 
 Every rejected field raises :class:`SpecValidationError` with its path,
 profile parameters included: a power exponent that is not positive fails at
-``derivator.segments[i].profile``, the object its constructor was building.
+``derivator.segments[i].profile``, a segment rule at ``derivator.segments[i]``.
+A derivator is read straight into its segment table, with no ``Segment``,
+profile or ``Jump`` object, and the first fault in document order is reported.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ import math
 import numpy as np
 
 from .derivator import (
-    ConstantProfile,
+    _DIRECTIONS,
     Derivator,
-    Jump,
-    LinearProfile,
-    PowerProfile,
-    Segment,
-    TabulatedProfile,
+    _check_exponent,
+    _check_jump,
+    _check_samples,
+    _Rows,
+    _segment_direction,
 )
 from .errors import DomainError, SpecValidationError
 from .measure import Integrand
@@ -107,7 +109,11 @@ def _field(obj: dict, key: str, path: str, read=_num):
     """``read`` of the required field ``key`` of ``obj``, at path ``path.key``."""
     if key not in obj:
         raise SpecValidationError(path, f"missing required field {key!r}")
-    return read(obj[key], f"{path}.{key}")
+    value = obj[key]
+    # the common cases, which need no path: a finite float number, a value as it is
+    if read is _as_is or (read is _num and type(value) is float and math.isfinite(value)):
+        return value
+    return read(value, f"{path}.{key}")
 
 
 def _built(path: str, make, *args, **kwargs):
@@ -136,18 +142,22 @@ def _point_pairs(obj, path: str) -> list[tuple[float, float]]:
 # --------------------------------------------------------------- derivators
 
 def _parse_profile(obj, path: str):
+    """Kind, slope, exponent, scale and samples of a profile, after the
+    profile's own rules; a parameter the kind lacks reads 0.0, 1.0, 0.0 or ()."""
     obj = _expect_dict(obj, path)
     kind = _field(obj, "kind", path, _as_is)
     if kind == "linear":
-        return LinearProfile(_field(obj, "slope", path))
+        return kind, _field(obj, "slope", path), 1.0, 0.0, ()
     if kind == "power":
         exponent = _field(obj, "exponent", path)
         scale = _num(obj.get("scale", 1.0), f"{path}.scale")
-        return _built(path, PowerProfile, exponent, scale)
+        _built(path, _check_exponent, exponent)
+        return kind, 0.0, exponent, scale, ()
     if kind == "constant":
-        return ConstantProfile()
+        return kind, 0.0, 1.0, 0.0, ()
     if kind == "tabulated":
-        return _built(path, TabulatedProfile, tuple(_field(obj, "points", path, _point_pairs)))
+        points = _built(path, _check_samples, _field(obj, "points", path, _point_pairs))
+        return kind, 0.0, 1.0, 0.0, points
     raise SpecValidationError(
         f"{path}.kind",
         f"unknown profile kind {kind!r}; expected linear, power, constant or tabulated",
@@ -163,44 +173,43 @@ def parse_derivator(obj, path: str = "derivator") -> Derivator:
         raise SpecValidationError(f"{path}.interval", "expected [a, b]")
     a, b = _numbers(interval, f"{path}.interval")
     anchor = _num(obj.get("anchor", 0.0), f"{path}.anchor")
-    segments = []
+    rows = _Rows()
     for i, seg in enumerate(_field(obj, "segments", path, _expect_list)):
         where = f"{path}.segments[{i}]"
         seg = _expect_dict(seg, where)
         lo = _field(seg, "lo", where)
         hi = _field(seg, "hi", where)
-        profile = _field(seg, "profile", where, _parse_profile)
+        kind, slope, exponent, scale, points = _field(seg, "profile", where, _parse_profile)
         direction = seg.get("direction")
-        if direction is not None and direction not in ("nondecreasing", "nonincreasing", "constant"):
+        if direction is not None and direction not in _DIRECTIONS:
             raise SpecValidationError(f"{where}.direction", f"unknown direction {direction!r}")
-        segments.append(_built(where, Segment, lo, hi, profile, direction))
-    jumps = []
+        direction = _built(where, _segment_direction, lo, hi,
+                           scale if kind == "power" else slope, points, direction)
+        rows.add(lo, hi, kind, slope, exponent, scale, points, direction)
     for i, jmp in enumerate(_expect_list(obj.get("jumps", []), f"{path}.jumps")):
         where = f"{path}.jumps[{i}]"
         jmp = _expect_dict(jmp, where)
-        jumps.append(_built(where, Jump, _field(jmp, "at", where), _field(jmp, "delta", where)))
-    return _built(path, Derivator, (a, b), segments, jumps, anchor=anchor)
-
-
-def _serialize_profile(profile) -> dict:
-    if isinstance(profile, LinearProfile):
-        return {"kind": "linear", "slope": profile.slope}
-    if isinstance(profile, PowerProfile):
-        return {"kind": "power", "exponent": profile.exponent, "scale": profile.scale}
-    if isinstance(profile, ConstantProfile):
-        return {"kind": "constant"}
-    if isinstance(profile, TabulatedProfile):
-        return {"kind": "tabulated", "points": [[t, y] for t, y in profile.points]}
-    raise SpecValidationError("profile", f"cannot serialize {type(profile).__name__}")
+        at, delta = _field(jmp, "at", where), _field(jmp, "delta", where)
+        _built(where, _check_jump, at, delta)
+        rows.jumps.append((at, delta))
+    return _built(path, Derivator, (a, b), rows, anchor=anchor)
 
 
 def serialize_derivator(d: Derivator) -> dict:
+    """The document of d, read from its segment table."""
+    segments = []
+    for lo, hi, direction, kind, slope, exponent, scale, points in d._rows():
+        profile = ({"kind": kind, "slope": slope} if kind == "linear"
+                   else {"kind": kind, "exponent": exponent, "scale": scale} if kind == "power"
+                   else {"kind": kind, "points": [list(p) for p in points]} if points
+                   else {"kind": kind})
+        segments.append({"lo": lo, "hi": hi, "direction": direction, "profile": profile})
     return {
         "interval": [d.a, d.b],
         "anchor": d.anchor,
-        "segments": [{"lo": s.lo, "hi": s.hi, "direction": s.direction,
-                      "profile": _serialize_profile(s.profile)} for s in d.segments],
-        "jumps": [{"at": j.at, "delta": j.delta} for j in d.jumps],
+        "segments": segments,
+        "jumps": [{"at": at, "delta": delta}
+                  for at, delta in zip(d._jump_at.tolist(), d._jump_delta.tolist())],
     }
 
 

@@ -697,3 +697,48 @@ def reference_modulus(h, epsilon, rungs=52):
             return float(delta)
         delta *= 0.5
     return 0.0
+
+
+# ------------------------------------------------------------ table reference
+
+#: the segment table's columns, as the derivator names them
+TABLE_COLUMNS = (
+    "_seg_lo", "_seg_hi", "_seg_class", "_seg_kind", "_seg_slope", "_seg_exp", "_seg_scale",
+    "_knots", "_cum_inc", "_rise_cum", "_fall_cum", "_jump_at", "_jump_delta", "_jump_cum",
+    "_jump_pos_cum", "_jump_neg_cum", "_jump_at_padded", "_jump_delta_padded", "_run_lo",
+    "_run_hi", "_run_class",
+)
+
+
+def reference_table(segments, jumps) -> dict:
+    """The table's columns built one Segment and one Jump at a time, totals
+    from ``Segment.total_increment``, as the table was first built."""
+    run_class = {"nondecreasing": 1, "nonincreasing": 2, "constant": 3}
+    rows = []
+    for s in segments:
+        p, exponent = s.profile, getattr(s.profile, "exponent", 1.0)
+        kind = (1 if s.is_constant else 4 if exponent < 1.0
+                else {"linear": 0, "power": 3}.get(p.kind, 2))
+        rows.append((s.lo, s.hi, run_class[s.direction], s.total_increment, kind,
+                     getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0)))
+    lo, hi, cls, totals, kind, slope, exp, scale = np.array(rows, dtype=float).T.copy()
+    cls, kind = cls.astype(int), kind.astype(int)
+    jmps = sorted(jumps, key=lambda j: j.at)
+    at = np.array([j.at for j in jmps]) if jmps else np.empty(0)
+    delta = np.array([j.delta for j in jmps]) if jmps else np.empty(0)
+
+    def prefix(v):
+        return np.concatenate([[0.0], v.cumsum()])
+
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = cls[1:] != cls[:-1]
+    starts[np.searchsorted(lo, at)] = True
+    return dict(zip(TABLE_COLUMNS, (
+        lo, hi, cls, kind, slope, exp, scale,
+        np.array([x for s in segments for x in s.interior_knots()]),
+        prefix(totals), prefix(np.where(cls == 1, totals, 0.0)),
+        prefix(np.where(cls == 2, -totals, 0.0)), at, delta, prefix(delta),
+        prefix(np.maximum(delta, 0.0)), prefix(np.maximum(-delta, 0.0)),
+        np.concatenate([at, [np.nan]]), np.concatenate([delta, [0.0]]),
+        lo[starts], hi[np.concatenate([starts[1:], [True]])], cls[starts],
+    )))

@@ -134,6 +134,29 @@ class TestIntegrate:
         assert not Path(out).exists()
 
 
+class TestOverflowingTable:
+    """A slope of 1e308 over [0, 4] has a total increment of 4e308: the table
+    is rejected as an input error at the derivator, with no float warning."""
+
+    @pytest.mark.parametrize("command", ["decompose", "integrate"])
+    def test_a_total_that_overflows_is_an_input_error(self, tmp_path, capsys, command):
+        dpath = write(tmp_path, "big.json", {
+            "interval": [0.0, 4.0],
+            "segments": [{"lo": 0.0, "hi": 4.0, "profile": {"kind": "linear", "slope": 1e308}}],
+        })
+        fpath = write(tmp_path, "f.json", {"kind": "polynomial", "coefficients": [1, 2, 3]})
+        out = tmp_path / "out.json"
+        argv = [command, dpath, *([fpath] if command == "integrate" else []), "-o", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "SpecValidationError"
+        assert err["path"] == "derivator"
+        assert "not finite" in err["message"]
+
+
 class TestDerive:
     def test_repeatable_points(self, tmp_path, deriv_path, ident_integrand_path):
         out = str(tmp_path / "out.json")
@@ -363,6 +386,19 @@ class TestSolve:
         assert err["type"] == "DomainError"
         assert err["message"] == "max_iter must be at least 1"
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
+    def test_tolerance_not_positive_is_an_input_error(self, tmp_path, capsys, tol):
+        spath = write(tmp_path, "sys.json", system_doc())
+        out = tmp_path / "s.csv"
+        code = cli.main(["solve", spath, "--mesh", "16", f"--tol={tol}", "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == f"tol must be positive, got {float(tol)}"
+
     def test_plume_breakdown_exits_2_naming_the_model(self, tmp_path, capsys):
         doc = {
             "derivators": [specio.serialize_derivator(Derivator.identity(0.0, 1.0))] * 3,
@@ -465,6 +501,19 @@ class TestPlume:
         err = json.loads(captured.err)["error"]
         assert err["type"] == "DomainError"
         assert err["message"] == "max_iter must be at least 1"
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_tolerance_not_positive_is_an_input_error(self, tmp_path, capsys, tol):
+        ppath = write(tmp_path, "plume.json", self.plume_doc())
+        out = tmp_path / "plume.csv"
+        code = cli.main(["plume", ppath, "--mesh", "64", "--tol", tol, "-o", str(out)])
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == f"tol must be positive, got {float(tol)}"
 
     def test_ambient_dipping_below_zero_is_an_input_error(self, tmp_path, capsys):
         doc = self.plume_doc()

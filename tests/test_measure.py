@@ -297,12 +297,12 @@ def test_segment_integrals_match_the_per_kind_branches():
     for _ in range(200):
         d = random_derivator(rng)
         f = Integrand.polynomial(random_polynomial_coeffs(rng))
-        for seg in d.segments:
+        for k, seg in enumerate(d.segments):
             if seg.is_constant:
                 continue
             lo, hi = sorted(rng.uniform(seg.lo, seg.hi, size=2).tolist())
             for a, b in ((seg.lo, seg.hi), (lo, hi)):
-                got = _segment_integral(f, seg, a, b, 1e-10)
+                got = _segment_integral(f, d, k, a, b, 1e-10)
                 want = reference_segment_integral(f, seg, a, b, 1e-10)
                 if isinstance(seg.profile, PowerProfile) and seg.profile.exponent < 1.0:
                     assert abs(got - want) <= 1e-12 * abs(want)
