@@ -24,11 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .derivator import _CONSTANT, _TABULATED, CONSTANCY_POINT, Derivator, _chart, _pow
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    UndefinedPointError,
-)
+from .errors import ConvergenceError, DomainError, RhsEvaluationError, UndefinedPointError
 from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
 
 _NEVILLE_LEVELS = 24  # bracket halvings in one Neville extrapolation
@@ -44,8 +40,8 @@ class Trajectory:
     between its ends; ``right_values`` may differ from ``left_values`` only
     there. Between grid points the record is linear, from the right value at
     the left end to the left value at the right end. Construction looks up
-    the jump masses on the grid once, to check it, and keeps them for every
-    reader of the trajectory (``g_values``, ``ftc_roundtrip`` and the rest).
+    the jumps on the grid once, to check it, and keeps their index and masses
+    for every reader (``g_values``, ``verify_linear_solution`` and the rest).
     """
 
     grid: np.ndarray
@@ -65,9 +61,9 @@ class Trajectory:
         missing = _missing_jumps(self.governing, self.grid)
         if missing:
             raise DomainError(f"grid is missing jump times {missing}")
-        self._deltas = self.governing._deltas(self.grid)
-        moved = self.right_values != self.left_values
-        moved &= self._deltas == 0.0
+        self._jumps = self.governing._jump_index(self.grid)
+        self._deltas = self.governing._jump_delta_padded[self._jumps]
+        moved = (self.right_values != self.left_values) & (self._jumps < 0)
         if np.any(moved):
             t = self.grid[np.argmax(moved)]
             raise DomainError(f"right value differs from left at non-jump time {t}")
@@ -116,6 +112,12 @@ def _missing_jumps(d: Derivator, grid: np.ndarray) -> list[float]:
     """Jump times of d between the first and last grid time that the grid lacks."""
     ats = d._jump_at[(grid[0] <= d._jump_at) & (d._jump_at <= grid[-1])]
     return ats[grid[grid.searchsorted(ats)] != ats].tolist()
+
+
+def _raise_at_first(bad, grid, what: str, why: str = "the solution overflows") -> None:
+    """RhsEvaluationError naming the first grid time where ``bad`` holds, if any."""
+    if bad.any():
+        raise RhsEvaluationError(f"{what} is not finite at t={float(grid[np.argmax(bad)])}; {why}")
 
 
 def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:

@@ -85,21 +85,13 @@ def _pow(x, e):
     return out
 
 
-# each kind's increment over x = t - lo >= 0, and density; scalars or one per point
+# each kind's increment over x = t - lo >= 0; scalars or one per point
 def _linear_increment(x, slope):
     return slope * x
 
 
 def _power_increment(x, exponent, scale):
     return scale * _pow(x, exponent)
-
-
-def _power_density(x, exponent, scale):
-    return scale * exponent * _pow(x, exponent - 1.0)
-
-
-def _direction_of(sign: float) -> str:
-    return NONDECREASING if sign > 0 else NONINCREASING if sign < 0 else CONSTANT
 
 
 # the scalar rules, shared by the constructors below and the document reader
@@ -128,7 +120,7 @@ def _segment_direction(lo, hi, sign: float, points, direction) -> str:
         if not (all(d >= 0 for d in steps) or all(d <= 0 for d in steps)):
             raise DomainError("tabulated samples are not monotone")
         sign = points[-1][1] - points[0][1]
-    inferred = _direction_of(sign)
+    inferred = NONDECREASING if sign > 0 else NONINCREASING if sign < 0 else CONSTANT
     if direction is None:
         direction = inferred
     elif direction not in _DIRECTIONS:
@@ -157,7 +149,7 @@ def _chart(kind: int, f, los, his, lo, slope, exponent, scale):
     if kind == _LINEAR:
         return (lambda t: f(t) * c_slope), los, his, 1.0
     if kind == _POWER:
-        return (lambda t: f(t) * _power_density(t - c_lo, c_exp, c_scale)), los, his, 1.0
+        return (lambda t: f(t) * (c_scale * c_exp * _pow(t - c_lo, c_exp - 1.0))), los, his, 1.0
     if kind == _ROOT:
         inv = 1.0 / c_exp
         return ((lambda u: f(c_lo + _pow(np.maximum(u, 0.0), inv))),
@@ -171,12 +163,6 @@ class LinearProfile:
 
     slope: float
     kind: str = field(default="linear", init=False)
-
-    def increment(self, lo: float, hi: float, t):
-        return _linear_increment(np.asarray(t, dtype=float) - lo, self.slope)
-
-    def density(self, lo: float, hi: float, t):
-        return np.full_like(np.asarray(t, dtype=float), self.slope)
 
 
 @dataclass(frozen=True)
@@ -195,24 +181,12 @@ class PowerProfile:
     def __post_init__(self):
         _check_exponent(self.exponent)
 
-    def increment(self, lo: float, hi: float, t):
-        return _power_increment(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
-
-    def density(self, lo: float, hi: float, t):
-        return _power_density(np.asarray(t, dtype=float) - lo, self.exponent, self.scale)
-
 
 @dataclass(frozen=True)
 class ConstantProfile:
     """No continuous growth at all."""
 
     kind: str = field(default="constant", init=False)
-
-    def increment(self, lo: float, hi: float, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def density(self, lo: float, hi: float, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -229,14 +203,6 @@ class TabulatedProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "points", _check_samples(self.points))
-
-    def increment(self, lo: float, hi: float, t):
-        xs, ys = np.array(self.points).T
-        # np.interp extends constantly outside the sample range already
-        return np.interp(np.asarray(t, dtype=float), xs, ys) - ys[0]
-
-    def density(self, lo: float, hi: float, t):
-        raise DomainError("tabulated profiles expose no density; integrate per knot cell")
 
 
 #: A segment's monotone growth; :func:`_chart` holds each kind's integration rule.
@@ -260,25 +226,6 @@ class Segment:
         object.__setattr__(self, "direction", _segment_direction(
             self.lo, self.hi, getattr(p, "slope", getattr(p, "scale", 0.0)),
             getattr(p, "points", ()), self.direction))
-
-    def increment_to(self, t):
-        """Continuous increment accumulated from lo up to t (vectorized)."""
-        return self.profile.increment(self.lo, self.hi, t)
-
-    @property
-    def total_increment(self) -> float:
-        return float(self.profile.increment(self.lo, self.hi, self.hi))
-
-    def density_at(self, t):
-        return self.profile.density(self.lo, self.hi, t)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.direction == CONSTANT
-
-    def interior_knots(self) -> list[float]:
-        """Abscissae where the profile's slope may kink (tabulated samples)."""
-        return [p[0] for p in getattr(self.profile, "points", ())]
 
 
 @dataclass(frozen=True)
@@ -317,7 +264,7 @@ class _Rows:
 
     def add(self, lo, hi, kind: str, slope, exponent, scale, points, direction) -> None:
         """Parameters a profile lacks read 0.0, 1.0, 0.0. The total is the float
-        increment, as ``Segment.total_increment`` takes it; a power overflowing is inf."""
+        increment over [lo, hi], a power's by the scalar ``**``; inf if it overflows."""
         point_class, width, code = _RUN_CLASS[direction], float(hi - lo), _KIND_NAMES.index(kind)
         try:
             total = (points[-1][1] - points[0][1] if points else _power_increment(
@@ -400,6 +347,7 @@ class Derivator:
         self._seg_lo, self._seg_hi, self._seg_slope, self._seg_exp, self._seg_scale = table[:5]
         self._seg_code, self._seg_kind, self._seg_class, counts = table[8:].astype(int)
         self._curved = bool(self._seg_kind.max() >= _TABULATED)  # power or tabulated
+        self._tab = np.flatnonzero(self._seg_kind == _TABULATED)  # tabulated segments
         # segment k's tabulated samples are entries _knot_ptr[k]:_knot_ptr[k + 1]
         self._knots, self._knot_y = np.reshape(rows.samples, (-1, 2)).T.copy()
         self._knot_ptr = np.concatenate([[0], counts.cumsum()])
@@ -512,7 +460,7 @@ class Derivator:
 
     def _segment_increment(self, k: int, t):
         """Increment of segment k from its lo up to t, an array or a float;
-        a float takes numpy's scalar power, as ``Segment.increment_to`` does."""
+        a float takes numpy's scalar power."""
         kind = self._seg_kind[k]
         if kind == _TABULATED:
             knots = slice(self._knot_ptr[k], self._knot_ptr[k + 1])
@@ -526,7 +474,8 @@ class Derivator:
     def _increments(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Increment from the lo of segment ``idx[i]`` up to ``t[i]``: one
         expression per profile kind over the table's columns, and one
-        ``np.interp`` per tabulated segment."""
+        ``np.interp`` per tabulated segment holding points, over all of them
+        in order: its slopes round with the number of points."""
         if t.size == 1:
             return self._segment_increment(int(idx[0]), t)
         x = t - self._seg_lo[idx]
@@ -534,9 +483,14 @@ class Derivator:
         if self._curved:
             p = np.flatnonzero(self._seg_kind[idx] >= _POWER)
             out[p] = _power_increment(x[p], self._seg_exp[idx[p]], self._seg_scale[idx[p]])
-            for k in np.flatnonzero(self._seg_kind == _TABULATED).tolist():
-                p = np.flatnonzero(idx == k)
-                out[p] = self._segment_increment(k, t[p])
+            if self._tab.size:  # order[i:j]: the points of tabulated segment k, in order
+                order = np.argsort(idx, kind="stable")
+                ranked = idx[order]
+                for k, i, j in zip(self._tab.tolist(), ranked.searchsorted(self._tab).tolist(),
+                                   ranked.searchsorted(self._tab, "right").tolist()):
+                    if i < j:
+                        p = order[i:j]
+                        out[p] = self._segment_increment(k, t[p])
         return out
 
     def eval(self, t):

@@ -29,6 +29,7 @@ from .calculus import (
     Trajectory,
     _cell_increments,
     _cell_integrals,
+    _raise_at_first,
     _resum,
     _running_sums,
     _trapezoid_cells,
@@ -130,7 +131,8 @@ def transform_coefficient(lc: LinearCoefficient, t: float) -> float:
 
 
 def g_exponential(lc: LinearCoefficient, t: float) -> float:
-    """Value at t of the solution of x'_g = c x, x(a) = 1."""
+    """Value at t of the solution of x'_g = c x, x(a) = 1; RhsEvaluationError
+    where it is not finite."""
     t = float(t)
     d = lc.derivator
     a, b = d.interval
@@ -140,11 +142,17 @@ def g_exponential(lc: LinearCoefficient, t: float) -> float:
     if t0 is not None and t > t0:
         return 0.0
     measure = StieltjesMeasure(d, SIGNED)
-    integral = measure._integrate_continuous(lc.c, a, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = measure._integrate_continuous(lc.c, a, t)
     for f in lc.jump_factors:
         if f.at < t:
             integral += math.log(abs(f.factor))
-    return lc.sign_before(t) * math.exp(integral)
+    try:
+        value = math.exp(integral)
+    except OverflowError:
+        value = math.inf
+    _raise_at_first(~np.isfinite([value]), np.array([t]), "exponential")
+    return lc.sign_before(t) * value
 
 
 class GExponential:
@@ -161,21 +169,23 @@ class GExponential:
         return g_exponential(self.coefficient, t)
 
     def trajectory(self, grid_hint: int = 512) -> Trajectory:
-        """Evaluate on a grid; jump rows satisfy e(t+) = e(t) * factor exactly."""
+        """Evaluate on a grid; jump rows satisfy e(t+) = e(t) * factor exactly.
+        RhsEvaluationError at the first grid time whose value is not finite."""
         lc = self.coefficient
         d = lc.derivator
         grid = uniform_grid(d, grid_hint)
-        cont = _cell_integrals(d, lc.c, grid)
         jump = d._jump_index(grid)
         factors = lc._factors[jump]
-        integral, _ = _running_sums(lc._log_factors[jump], cont)
         # the sign flips and the annihilation at grid[i] come from the jumps
         # at grid[:i]; the factor at grid[i] itself acts on the right value
         flips = np.concatenate([[0], np.cumsum(factors < 0.0)[:-1]])
         zeroed = np.concatenate([[False], np.cumsum(factors == 0.0)[:-1] > 0])
         sign = np.where(flips % 2 == 1, -1.0, 1.0)
-        left = np.where(zeroed, 0.0, sign * np.exp(integral))
-        right = left * factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral, _ = _running_sums(lc._log_factors[jump], _cell_integrals(d, lc.c, grid))
+            left = np.where(zeroed, 0.0, sign * np.exp(integral))
+            right = left * factors
+        _raise_at_first(~np.isfinite(right), grid, "exponential")  # so is right where left is
         return Trajectory(grid, left, right, d)
 
 
@@ -195,21 +205,24 @@ def verify_linear_solution(lc: LinearCoefficient, grid_hint: int = 1024,
     The continuous part is resummed by a trapezoid Riemann-Stieltjes rule and
     every atom contributes c(t) e(t) delta with e at its left value, so the
     residual isolates genuine quadrature or construction error. The jump
-    identity e(t+) = e(t) * (1 + c(t) delta) is checked for exactness.
+    identity e(t+) = e(t) * (1 + c(t) delta) is checked for exactness. A
+    value or residual that is not finite is an RhsEvaluationError.
     """
-    expo = GExponential(lc)
-    traj = expo.trajectory(grid_hint)
+    traj = GExponential(lc).trajectory(grid_hint)
     grid = traj.grid
     gl, _ = traj.g_values()
     deltas = traj._deltas
     cvals = np.asarray(lc.c(grid), dtype=float)
-    f_left = cvals * traj.left_values
-    f_right = cvals * traj.right_values
-    cum = _resum(f_left * deltas, _trapezoid_cells(f_right, f_left, _cell_increments(gl, deltas)))
-    residual = traj.left_values - 1.0 - cum
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_left = cvals * traj.left_values
+        f_right = cvals * traj.right_values
+        cum = _resum(f_left * deltas,
+                     _trapezoid_cells(f_right, f_left, _cell_increments(gl, deltas)))
+        residual = traj.left_values - 1.0 - cum
+    _raise_at_first(~np.isfinite(residual), grid, "residual", "c * e overflows")
     max_res = float(np.max(np.abs(residual)))
 
-    exact = bool(np.all(traj.right_values == traj.left_values * lc.factors_on(grid)))
+    exact = bool(np.all(traj.right_values == traj.left_values * lc._factors[traj._jumps]))
     return LinearSolutionReport(
         max_residual=max_res,
         passed=bool(max_res < pass_tol),

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (Trajectory, _cell_increments, _cell_integrals, _missing_jumps,
-                       _resum, _running_sums, _trapezoid_cells)
+                       _raise_at_first, _resum, _running_sums, _trapezoid_cells)
 from .derivator import Derivator
 from .errors import (
     DomainError,
@@ -449,11 +449,7 @@ def _run(spec: SystemSpec, grid: np.ndarray, config: SolveConfig):
             spec, grid, safety_radius=config.safety_radius
         )
         conv, iters, change = True, 1, 0.0
-    bad = ~(np.isfinite(left) & np.isfinite(right)).all(axis=1)
-    if bad.any():
-        raise RhsEvaluationError(
-            f"state is not finite at t={float(grid[np.argmax(bad)])}; the solution overflows"
-        )
+    _raise_at_first(~(np.isfinite(left) & np.isfinite(right)).all(axis=1), grid, "state")
     return left, right, conv, iters, change, warns
 
 

@@ -372,6 +372,36 @@ def assert_same_outcome(got, want):
             assert a == b
 
 
+# ------------------------------------------------------------ per-kind formulas
+#
+# Each profile kind's growth from its segment's lo, written from the record's
+# fields apart from the derivator's segment table: a float-exponent array
+# power, and np.interp over the samples (constant outside them).
+
+
+def reference_increment(seg, t):
+    """Continuous increment of ``seg`` from its lo up to t (vectorized)."""
+    t = np.asarray(t, dtype=float)
+    p = seg.profile
+    if isinstance(p, LinearProfile):
+        return p.slope * (t - seg.lo)
+    if isinstance(p, PowerProfile):
+        return p.scale * (t - seg.lo) ** p.exponent
+    if isinstance(p, TabulatedProfile):
+        xs, ys = np.array(p.points).T
+        return np.interp(t, xs, ys) - ys[0]
+    return np.zeros_like(t)
+
+
+def reference_density(seg, t):
+    """Density of a linear, power or constant segment at t (vectorized)."""
+    t = np.asarray(t, dtype=float)
+    p = seg.profile
+    if isinstance(p, PowerProfile):
+        return p.scale * p.exponent * (t - seg.lo) ** (p.exponent - 1.0)
+    return np.full_like(t, getattr(p, "slope", 0.0))
+
+
 # ------------------------------------------------------ integration references
 #
 # The per-kind integration rules as they were written before each profile
@@ -398,7 +428,7 @@ def reference_cell_integrals(d, v, grid):
                                                 & (v._kinks < cell_edges[-1])])
         profile = seg.profile
         if isinstance(profile, TabulatedProfile):
-            ginc = seg.increment_to(edges)
+            ginc = reference_increment(seg, edges)
             slopes = np.diff(ginc) / np.diff(edges)
             pieces = slopes * quadrature.panel_integrals(v, edges[:-1], edges[1:])
         elif isinstance(profile, PowerProfile) and profile.exponent < 1.0:
@@ -410,7 +440,7 @@ def reference_cell_integrals(d, v, grid):
             )
         else:
             pieces = quadrature.panel_integrals(
-                lambda t: np.asarray(v(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float),
+                lambda t: np.asarray(v(t), dtype=float) * reference_density(seg, t),
                 edges[:-1], edges[1:],
             )
         out[cells] = np.add.reduceat(pieces, np.searchsorted(edges, cell_edges[:-1]))
@@ -438,9 +468,9 @@ def reference_segment_integral(f, seg, lo, hi, rel_tol):
 
     profile = seg.profile
     if isinstance(profile, TabulatedProfile):
-        knots = np.concatenate([seg.interior_knots(), f._kinks])
+        knots = np.concatenate([[x for x, _ in profile.points], f._kinks])
         edges = np.unique(np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]]))
-        slopes = np.diff(seg.increment_to(edges)) / np.diff(edges)
+        slopes = np.diff(reference_increment(seg, edges)) / np.diff(edges)
         total = 0.0
         for c, e, slope in zip(edges[:-1].tolist(), edges[1:].tolist(), slopes.tolist()):
             if slope != 0.0:
@@ -460,7 +490,7 @@ def reference_segment_integral(f, seg, lo, hi, rel_tol):
         return s * quadrature.integrate_adaptive(transformed, u_lo, u_hi, rel_tol)
 
     def weighted(t):
-        return np.asarray(f(t), dtype=float) * np.asarray(seg.density_at(t), dtype=float)
+        return np.asarray(f(t), dtype=float) * reference_density(seg, t)
 
     return quadrature.integrate_adaptive(weighted, lo, hi, rel_tol)
 
@@ -481,7 +511,7 @@ def reference_variation_cumulative(d, times, kind="total"):
     neg = np.zeros_like(ts)
     for seg in d.segments:
         upper = np.clip(ts, seg.lo, seg.hi)
-        inc = seg.increment_to(upper) - 0.0
+        inc = reference_increment(seg, upper) - 0.0
         if seg.direction == "nondecreasing":
             pos = pos + inc
         elif seg.direction == "nonincreasing":
@@ -508,7 +538,7 @@ def reference_located(d, times):
     for k, seg in enumerate(d.segments):
         sel = idx == k
         if sel.any():
-            inc[sel] = seg.increment_to(ts[sel])
+            inc[sel] = reference_increment(seg, ts[sel])
     return ts, idx, inc
 
 
@@ -712,14 +742,16 @@ TABLE_COLUMNS = (
 
 def reference_table(segments, jumps) -> dict:
     """The table's columns built one Segment and one Jump at a time, totals
-    from ``Segment.total_increment``, as the table was first built."""
+    from ``reference_increment`` at each segment's hi, as the table was first
+    built."""
     run_class = {"nondecreasing": 1, "nonincreasing": 2, "constant": 3}
     rows = []
     for s in segments:
         p, exponent = s.profile, getattr(s.profile, "exponent", 1.0)
-        kind = (1 if s.is_constant else 4 if exponent < 1.0
+        kind = (1 if s.direction == "constant" else 4 if exponent < 1.0
                 else {"linear": 0, "power": 3}.get(p.kind, 2))
-        rows.append((s.lo, s.hi, run_class[s.direction], s.total_increment, kind,
+        total = float(reference_increment(s, s.hi))
+        rows.append((s.lo, s.hi, run_class[s.direction], total, kind,
                      getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0)))
     lo, hi, cls, totals, kind, slope, exp, scale = np.array(rows, dtype=float).T.copy()
     cls, kind = cls.astype(int), kind.astype(int)
@@ -735,7 +767,7 @@ def reference_table(segments, jumps) -> dict:
     starts[np.searchsorted(lo, at)] = True
     return dict(zip(TABLE_COLUMNS, (
         lo, hi, cls, kind, slope, exp, scale,
-        np.array([x for s in segments for x in s.interior_knots()]),
+        np.array([x for s in segments for x, _ in getattr(s.profile, "points", ())]),
         prefix(totals), prefix(np.where(cls == 1, totals, 0.0)),
         prefix(np.where(cls == 2, -totals, 0.0)), at, delta, prefix(delta),
         prefix(np.maximum(delta, 0.0)), prefix(np.maximum(-delta, 0.0)),

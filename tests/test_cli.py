@@ -134,6 +134,26 @@ class TestIntegrate:
         assert not Path(out).exists()
 
 
+class TestOverflowingExponential:
+    """exp(1e300 t) overflows past t = 0: exit 2 at the first such grid time,
+    with nothing written before the error object and no float warning."""
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_an_exponential_that_overflows_exits_2_before_any_output(self, tmp_path, capsys,
+                                                                     verify):
+        dpath = write(tmp_path, "big.json", {
+            "interval": [0.0, 1.0],
+            "segments": [{"lo": 0.0, "hi": 1.0, "profile": {"kind": "linear", "slope": 1e300}}],
+        })
+        cpath = write(tmp_path, "c.json", {"kind": "polynomial", "coefficients": [1.0]})
+        assert cli.main(["exp", dpath, cpath, "--grid-hint", "8", *verify]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "RhsEvaluationError"
+        assert err["message"] == "exponential is not finite at t=0.125; the solution overflows"
+
+
 class TestOverflowingTable:
     """A slope of 1e308 over [0, 4] has a total increment of 4e308: the table
     is rejected as an input error at the derivator, with no float warning."""

@@ -248,15 +248,16 @@ class TestValidation:
 def test_power_profile_increment_shape():
     seg = Segment(0.0, 1.0, PowerProfile(0.5, 2.0))
     ts = np.array([0.0, 0.25, 1.0])
-    np.testing.assert_allclose(seg.profile.increment(0.0, 1.0, ts), [0.0, 1.0, 2.0])
+    np.testing.assert_allclose(Derivator((0.0, 1.0), [seg]).eval(ts), [0.0, 1.0, 2.0])
 
 
 def test_tabulated_profile_extends_constantly():
     prof = TabulatedProfile(((0.3, 0.0), (0.7, 1.0)))
     seg = Segment(0.0, 1.0, prof)
     # flat before the first knot and after the last one
-    assert prof.increment(0.0, 1.0, 0.1) == 0.0
-    assert prof.increment(0.0, 1.0, 0.9) == 1.0
+    d = Derivator((0.0, 1.0), [seg])
+    assert d.eval(0.1) == 0.0
+    assert d.eval(0.9) == 1.0
     assert seg.direction == "nondecreasing"
 
 
@@ -430,7 +431,7 @@ class TestSegmentTable:
                 got = d.variation_cumulative(ts, kind)
                 want = reference_variation_cumulative(d, ts, kind)
                 if has_power:
-                    # the prefix takes power totals from total_increment, the
+                    # the prefix takes power totals from a scalar power, the
                     # loop from an array power: the last bit may differ
                     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
                 else:
@@ -450,6 +451,19 @@ class TestSegmentTable:
                 for kind in ("total", "positive", "negative"):
                     assert same_bits(d.variation_cumulative(t, kind),
                                      reference_variation_by_segment(d, t, kind))
+
+    def test_points_in_one_tabulated_segment_take_one_interpolation(self, monkeypatch):
+        """Only the tabulated segments that hold points are interpolated, once
+        each over all their points, however many others the derivator has."""
+        d = long_derivator(np.random.default_rng(64), 2000)
+        seg = [s for s in d.segments if isinstance(s.profile, TabulatedProfile)][100]
+        ts = seg.lo + (seg.hi - seg.lo) * np.array([0.75, 0.25])
+        want = reference_eval(d, ts)
+        calls, interp = [], np.interp
+        monkeypatch.setattr(np, "interp", lambda x, *args: calls.append(len(x)) or interp(x, *args))
+        got = d.eval(ts)
+        assert calls == [2]
+        assert same_bits(got, want)
 
     def test_variation_cumulative_keeps_the_input_shape(self):
         d = identity_with_jump()

@@ -18,6 +18,7 @@ from stieltjes import (
     Jump,
     LinearCoefficient,
     LinearProfile,
+    RhsEvaluationError,
     Segment,
     TabulatedProfile,
     g_exponential,
@@ -257,6 +258,47 @@ class TestVerification:
         report = verify_linear_solution(lc)
         assert report.passed and report.jump_identity_exact
         assert report.warnings == ()
+
+    def test_the_grid_jumps_are_looked_up_twice(self, monkeypatch):
+        """Once for the trajectory's factors and once when its ``Trajectory``
+        checks the grid; the jump identity reads the index the latter keeps."""
+        calls = []
+        lookup = Derivator._jump_index
+        monkeypatch.setattr(Derivator, "_jump_index",
+                            lambda self, ts: calls.append(len(ts)) or lookup(self, ts))
+        lc = LinearCoefficient(identity_with_jump(-2.0), lambda t: 1.0)
+        report = verify_linear_solution(lc, grid_hint=64)
+        assert len(calls) == 2
+        assert report.jump_identity_exact
+
+
+class TestOverflow:
+    """e = exp(1e300 t) on the slope-1e300 identity overflows for every t > 0."""
+
+    @staticmethod
+    def steep(slope=1e300):
+        return Derivator((0.0, 1.0), [Segment(0.0, 1.0, LinearProfile(slope))])
+
+    @pytest.mark.parametrize("c", [1.0, 1e10])  # 1e10: the integral itself overflows
+    def test_a_point_value_that_overflows_is_a_typed_error(self, c):
+        lc = LinearCoefficient(self.steep(), Integrand.polynomial([c]))
+        assert g_exponential(lc, 0.0) == 1.0
+        with pytest.raises(RhsEvaluationError,
+                           match=r"^exponential is not finite at t=0\.5; the solution overflows$"):
+            g_exponential(lc, 0.5)
+
+    def test_a_trajectory_that_overflows_names_its_first_grid_time(self):
+        lc = LinearCoefficient(self.steep(), lambda t: 1.0)
+        with pytest.raises(RhsEvaluationError,
+                           match=r"^exponential is not finite at t=0\.125; the solution overflows$"):
+            GExponential(lc).trajectory(grid_hint=8)
+
+    def test_a_residual_that_overflows_names_its_first_grid_time(self):
+        # e(t) = exp(t) stays finite, but c * e passes the largest float once e > 1.797
+        lc = LinearCoefficient(self.steep(1e-308), Integrand.polynomial([1e308]))
+        with pytest.raises(RhsEvaluationError,
+                           match=r"^residual is not finite at t=0\.625; c \* e overflows$"):
+            verify_linear_solution(lc, grid_hint=8)
 
 
 class TestScalarClosureCoefficient:

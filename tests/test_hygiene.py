@@ -3,7 +3,8 @@
 The checks read the syntax trees of ``src/stieltjes/*.py`` with the standard
 library's ``ast``: an import must be used in its module (a name listed in
 ``__all__`` counts as used), a module-level private function or constant
-must be referenced from some module of the package, a local name assigned
+and a private method or property of a class must be referenced from some
+module of the package, a local name assigned
 in a function must be read there (``_`` marks a value thrown away), and
 ``specio`` turns errors into document errors in one place.
 """
@@ -73,6 +74,16 @@ def unreferenced_privates() -> list[str]:
     return found
 
 
+def unreferenced_private_methods() -> list[str]:
+    """``module: Class.name`` for each private method or property of a
+    module-level class that no module of the package reads."""
+    used = set().union(*(_loaded_names(tree) for tree in TREES.values()))
+    return [f"{module}: {node.name}.{f.name}" for module, tree in TREES.items()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)
+            and _is_private(f.name) and f.name not in used]
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -125,6 +136,10 @@ def test_every_module_level_private_is_referenced():
     assert unreferenced_privates() == []
 
 
+def test_every_private_method_is_referenced():
+    assert unreferenced_private_methods() == []
+
+
 def test_every_local_is_read():
     assert unread_locals() == []
 
@@ -141,6 +156,14 @@ def test_the_checks_see_a_planted_fault():
     try:
         assert unused_imports() == ["planted.py: os"]
         assert unreferenced_privates() == ["planted.py: _SPARE", "planted.py: _idle"]
+    finally:
+        del TREES["planted.py"]
+    tree = ast.parse("class K:\n    def _used(self):\n        return 1\n\n    @property\n"
+                     "    def _spare(self):\n        return self._used()\n\n"
+                     "    def __len__(self):\n        return 0\n")
+    TREES["planted.py"] = tree
+    try:
+        assert unreferenced_private_methods() == ["planted.py: K._spare"]
     finally:
         del TREES["planted.py"]
     tree = ast.parse("def f(x):\n    a, b = x\n    _, c = x\n    def g():\n        return b\n"
