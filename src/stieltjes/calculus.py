@@ -17,6 +17,7 @@ because the derivative at a jump is the stored exact quotient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,17 +152,21 @@ def primitive(m: StieltjesMeasure, v, grid_hint: int = 256) -> Trajectory:
 
     The jump increment h(t+) - h(t) equals v(t) * delta exactly by
     construction. Only the signed measure makes a primitive in the
-    fundamental-theorem sense.
+    fundamental-theorem sense. RhsEvaluationError at the first grid time
+    whose value is not finite.
     """
     if m.signature != SIGNED:
         raise DomainError("primitive requires the signed measure")
     v = _as_integrand(v)
     d = m.derivator
     grid = uniform_grid(d, grid_hint)
-    cont = _cell_integrals(d, v, grid)
     deltas = d._deltas(grid)
-    atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
-    left, right = _running_sums(atom_vals, cont)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cont = _cell_integrals(d, v, grid)
+        atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
+        left, right = _running_sums(atom_vals, cont)
+    _raise_at_first(~np.isfinite(left) | ~np.isfinite(right), grid, "primitive",
+                    "the integral overflows")
     return Trajectory(grid, left, right, d)
 
 
@@ -474,7 +479,7 @@ def _extrapolate(quotient: Callable, reach: float, rel_tol: float, even: bool) -
         if eps == 0.0:
             break
         val = quotient(eps)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             break
         quot_scale = max(quot_scale, abs(val))
         eps_seq.append(eps ** power)
@@ -528,23 +533,27 @@ def ftc_roundtrip(h: Trajectory, pass_tol: float = 1e-6) -> FtcReport:
 
     Re-integration pairs a trapezoid Riemann-Stieltjes resummation over the
     continuous part with exact atom terms, so the reported deviation measures
-    the genuine consistency of h with its numerical derivative.
+    the genuine consistency of h with its numerical derivative. A deviation
+    that is not finite is an RhsEvaluationError at its first grid time.
     """
     gl, _ = h.g_values()
-    table = _estimate_table(h)
-    atom = table.values * h._deltas
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _estimate_table(h)
+        atom = table.values * h._deltas
 
-    # trapezoid samples per cell: jump rows and excluded rows (say a direction
-    # flip) both carry clean one-sided values, and each adjacent cell must see
-    # its own side; the jump quotient itself belongs only in the atom term
-    interior = table.eligible & ~table.is_jump
-    from_left = np.where(interior, table.values,
-                         np.where(table.right_ok, np.nan_to_num(table.right_est), 0.0))
-    from_right = np.where(interior, table.values,
-                          np.where(table.left_ok, np.nan_to_num(table.left_est), 0.0))
-    cum = _resum(atom, _trapezoid_cells(from_left, from_right, _cell_increments(gl, h._deltas)))
-    target = h.left_values - h.left_values[0]
-    deviations = np.abs(cum - target)
+        # trapezoid samples per cell: jump rows and excluded rows (say a direction
+        # flip) both carry clean one-sided values, and each adjacent cell must see
+        # its own side; the jump quotient itself belongs only in the atom term
+        interior = table.eligible & ~table.is_jump
+        from_left = np.where(interior, table.values,
+                             np.where(table.right_ok, np.nan_to_num(table.right_est), 0.0))
+        from_right = np.where(interior, table.values,
+                              np.where(table.left_ok, np.nan_to_num(table.left_est), 0.0))
+        cum = _resum(atom, _trapezoid_cells(from_left, from_right, _cell_increments(gl, h._deltas)))
+        target = h.left_values - h.left_values[0]
+        deviations = np.abs(cum - target)
+    _raise_at_first(~np.isfinite(deviations), h.grid, "deviation",
+                    "the re-integrated derivative overflows")
     max_dev = float(np.max(deviations))
     return FtcReport(
         max_deviation=max_dev,

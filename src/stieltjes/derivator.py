@@ -442,6 +442,14 @@ class Derivator:
             raise DomainError(f"time {float(np.ravel(t[~inside])[0])} outside [{a}, {b}]")
         return t
 
+    def _point(self, t) -> float:
+        """t as a float, after ``_check_domain``'s DomainError unless a <= t <= b."""
+        t = float(t)
+        a, b = self.interval
+        if not a <= t <= b:  # False for NaN
+            raise DomainError(f"time {t} outside [{a}, {b}]")
+        return t
+
     def _span(self, lo: float, hi: float) -> tuple[float, float]:
         """(lo, hi) as floats, after a DomainError unless [lo, hi) lies in [a, b]."""
         lo, hi = float(lo), float(hi)
@@ -476,8 +484,6 @@ class Derivator:
         expression per profile kind over the table's columns, and one
         ``np.interp`` per tabulated segment holding points, over all of them
         in order: its slopes round with the number of points."""
-        if t.size == 1:
-            return self._segment_increment(int(idx[0]), t)
         x = t - self._seg_lo[idx]
         out = _linear_increment(x, self._seg_slope[idx])  # 0.0 off linear segments
         if self._curved:
@@ -495,6 +501,12 @@ class Derivator:
 
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
+        if np.isscalar(t):
+            t = self._point(t)
+            k = max(int(self._seg_lo.searchsorted(t)) - 1, 0)  # as in _segment_index
+            inc = self._segment_increment(k, np.array([t]))[0]  # the array power's bits
+            return float(self.anchor + (self._cum_inc[k] + inc)
+                         + self._jump_cum[self._jump_at.searchsorted(t)])
         arr = np.asarray(t, dtype=float)
         flat = arr.reshape(-1)
         idx = self._segment_index(self._check_domain(flat))
@@ -504,11 +516,16 @@ class Derivator:
 
     def eval_right(self, t):
         """Right limit g(t+); equals ``eval(t) + delta`` at a jump, ``eval(t)`` otherwise."""
+        if np.isscalar(t):
+            value = self.eval(t)
+            if self._jump_at.size:  # as the array path: no padded 0.0 without jumps
+                value += float(self._jump_delta_padded[self._jump_pos(float(t))])
+            return value
         arr = np.asarray(t, dtype=float)
         base = self.eval(arr)
         if self._jump_at.size:
             base = base + self._jump_delta_padded[self._jump_index(arr)]
-        return float(base) if np.isscalar(t) else base
+        return base
 
     def jump_index(self, times) -> np.ndarray:
         """Index into ``jumps`` of the jump at each time, -1 where g is continuous."""
@@ -519,6 +536,10 @@ class Derivator:
     def _jump_index(self, ts: np.ndarray) -> np.ndarray:
         pos = self._jump_at.searchsorted(ts)
         return np.where(self._jump_at_padded[pos] == ts, pos, -1)
+
+    def _jump_pos(self, t: float) -> int:  # _jump_index of one float
+        pos = int(self._jump_at.searchsorted(t))
+        return pos if self._jump_at_padded[pos] == t else -1
 
     def deltas_on(self, times) -> np.ndarray:
         """Jump mass at each time, 0.0 where g is continuous."""
@@ -611,17 +632,24 @@ class Derivator:
         inside a rising/falling run, or ``("excluded", reason)`` for run
         boundaries and anything in the closure of a constancy interval.
         """
-        code = int(self.classify(t))
-        if code == JUMP_POINT:
-            return ("jump", float(self._jump_delta_padded[self._jump_index(t)]))
-        return _POINT_KINDS[code]
+        if not np.isscalar(t):
+            code = int(self.classify(t))
+            if code == JUMP_POINT:
+                return ("jump", float(self._jump_delta_padded[self._jump_index(t)]))
+            return _POINT_KINDS[code]
+        t = self._point(t)
+        j = self._jump_pos(t)
+        if j >= 0:
+            return ("jump", float(self._jump_delta[j]))
+        run = int(self._run_lo.searchsorted(t, side="right")) - 1
+        inside = self._run_lo[run] < t < self._run_hi[run]
+        return _POINT_KINDS[int(self._run_class[run]) if inside else BOUNDARY_POINT]
 
     def segments_adjacent(self, t: float) -> tuple[int | None, int | None]:
         """Indices of the segments just left and just right of t (None at a or b)."""
-        t = float(t)
-        self._check_domain(np.asarray(t))
-        left = int(np.searchsorted(self._seg_lo, t, side="left")) - 1
-        right = int(np.searchsorted(self._seg_lo, t, side="right")) - 1
+        t = self._point(t)
+        left = int(self._seg_lo.searchsorted(t)) - 1
+        right = int(self._seg_lo.searchsorted(t, side="right")) - 1
         return (left if left >= 0 and t <= self._seg_hi[left] else None,
                 right if right >= 0 and t < self._seg_hi[right] else None)
 

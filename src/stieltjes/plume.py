@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -93,20 +92,14 @@ def _breakdown(m, z) -> RhsEvaluationError:
     )
 
 
-def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """``x ** p`` element by element through ``math.pow``, the libm ``pow``
-    that a scalar power calls; numpy's array power may round differently."""
-    out = np.fromiter(map(math.pow, x.ravel().tolist(), repeat(p)), float, x.size)
-    return out.reshape(x.shape)
-
-
 def plume_rhs(A: float, B: float, C: float):
     """The flux right-hand side (A m^(1/4), B q beta, C q) as one function.
 
     It takes a height ``z`` and a state ``(q, m, beta)``, or heights ``z[:]``
     and states ``X[:, 3]``, and gives a row or a C-contiguous (n, 3) array;
     row k of the second gives the bits of the first at ``(z[k], X[k])``,
-    since every quarter power goes through libm ``pow``. Its float row form
+    since both quarter powers are libm ``pow``: ``math.pow`` in the row and
+    ``np.float_power``, which has no SIMD loop, in the array. Its float row form
     ``rhs._row(z, q, m, beta)``, which the scalar call wraps, returns a
     tuple; Euler runs it over Python floats. All three raise
     :class:`RhsEvaluationError` when the momentum flux is not positive, the
@@ -126,7 +119,7 @@ def plume_rhs(A: float, B: float, C: float):
             k = np.flatnonzero(m <= 0.0)[0]
             raise _breakdown(m[k], z[k])
         out = np.empty((len(m), 3))
-        np.multiply(A, _libm_pow(m, 0.25), out=out[:, 0])
+        np.multiply(A, np.float_power(m, 0.25), out=out[:, 0])
         np.multiply(B * q, beta, out=out[:, 1])
         np.multiply(C, q, out=out[:, 2])
         return out
@@ -223,7 +216,7 @@ def flux_to_geometry(q, m, beta):
     beta = np.asarray(beta, dtype=float)
     if np.any(q <= 0) or np.any(m <= 0):
         raise DomainError("geometry inversion needs positive volume and momentum fluxes")
-    b = q * _libm_pow(m, -0.25)
+    b = q * np.float_power(m, -0.25)
     w = np.sqrt(m) / q
     theta = beta / q
     return b, w, theta

@@ -23,6 +23,7 @@ from stieltjes import (
     Jump,
     LinearCoefficient,
     LinearProfile,
+    RhsEvaluationError,
     Segment,
     StieltjesMeasure,
     SystemSpec,
@@ -147,6 +148,15 @@ class TestPrimitive:
         e = GExponential(LinearCoefficient(d, step)).trajectory(512)
         assert abs(e.left_values[-1] - np.exp(1.0 - b)) <= 1e-14 * np.exp(1.0 - b)
 
+    def test_an_integral_that_overflows_raises_at_its_first_grid_time(self):
+        # 1e300 (1 + t) against a slope of 1e300: every cell overflows, with
+        # no float warning on the way
+        d = Derivator((0.0, 1.0), [Segment(0.0, 1.0, LinearProfile(1e300))])
+        v = Integrand.polynomial([1e300, 1e300])
+        with pytest.raises(RhsEvaluationError,
+                           match=r"^primitive is not finite at t=0\.125; the integral overflows$"):
+            primitive(StieltjesMeasure(d), v, grid_hint=8)
+
     def test_matches_measure_integrate(self):
         d = identity_with_jump(delta=-0.7)
         m = StieltjesMeasure(d, "signed")
@@ -246,6 +256,13 @@ class TestFtcRoundtrip:
         report = ftc_roundtrip(h)
         assert report.excluded_points >= 1
         assert report.passed, report.max_deviation
+
+    def test_a_deviation_that_overflows_raises_at_its_first_grid_time(self):
+        d = Derivator.identity(0.0, 1.0)
+        grid = uniform_grid(d, 8)
+        values = np.where(np.arange(grid.size) % 2, -1.7e308, 1.7e308)
+        with pytest.raises(RhsEvaluationError, match=r"^deviation is not finite at t=0\.125;"):
+            ftc_roundtrip(Trajectory(grid, values, values.copy(), d))
 
     def test_deviation_grows_with_coarser_grid(self):
         d = Derivator.identity(0.0, 1.0)

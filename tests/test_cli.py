@@ -258,6 +258,20 @@ class TestFtcCheck:
         assert doc["max_deviation"] < 1e-6
         assert doc["grid_points"] > 1000
 
+    def test_a_primitive_that_overflows_exits_2_before_any_output(self, tmp_path, capsys):
+        # the deviation used to come out as Infinity, which is not JSON
+        dpath = write(tmp_path, "big.json", {
+            "interval": [0.0, 1.0],
+            "segments": [{"lo": 0.0, "hi": 1.0, "profile": {"kind": "linear", "slope": 1e300}}],
+        })
+        vpath = write(tmp_path, "v.json", {"kind": "polynomial", "coefficients": [1e300, 1e300]})
+        assert cli.main(["ftc-check", dpath, vpath, "--grid-hint", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "RhsEvaluationError"
+        assert err["message"] == "primitive is not finite at t=0.125; the integral overflows"
+
 
 class TestExp:
     def test_trajectory_csv(self, tmp_path, deriv_path):

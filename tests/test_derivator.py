@@ -399,6 +399,69 @@ class TestArrayQueries:
             assert d.eval(np.array([])).shape == (0,)
 
 
+class TestOnePointQueries:
+    """A float query takes its own path; each answer keeps the array path's bits."""
+
+    @staticmethod
+    def corpus(seed, n=300):
+        """Random derivators (power segments among them), every tenth one with
+        numpy's exact scalar powers, and signed zeros: a = 0, with the time
+        -0.0, in every other draw and a -0.0 anchor in every third."""
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            if i % 10 == 0:
+                d = exact_power_derivator(rng)
+            else:
+                a = 0.0 if i % 2 else float(rng.uniform(-2.0, 0.0))
+                d = random_derivator(rng, a, a + float(rng.uniform(0.5, 3.0)))
+            if i % 3 == 0:
+                d = Derivator(d.interval, d.segments, d.jumps, anchor=-0.0)
+            ts = [*rng.uniform(d.a, d.b, 16).tolist(), *d.breakpoints(),
+                  *(j.at for j in d.jumps), d.a, d.b, *([-0.0] if d.a == 0.0 else [])]
+            yield d, ts
+
+    def test_values_keep_the_array_bits(self):
+        powers = 0
+        for d, ts in self.corpus(2101):
+            powers += sum(p.kind == "power" for p in (s.profile for s in d.segments))
+            for t in ts:
+                for q in (d.eval, d.eval_right):
+                    one, arr = q(t), q(np.array([t]))
+                    assert type(one) is float
+                    assert same_bits(one, arr[0]), (d, t, q.__name__)
+                    assert same_bits(q(np.float64(t)), one)
+        assert powers > 300
+
+    def test_classes_and_neighbours_match_the_array_path(self):
+        for d, ts in self.corpus(2102):
+            segs = d.segments
+            for t in ts:
+                kind, payload = d.classify_point(t)
+                assert (kind, payload) == d.classify_point(np.array(t))
+                if kind == "jump":
+                    assert same_bits(payload, d.deltas_on([t])[0])
+                code = int(d.classify([t])[0])
+                assert kind == ("jump" if code == JUMP_POINT else
+                                "interior" if code in (RISING_POINT, FALLING_POINT)
+                                else "excluded")
+                left = [k for k, s in enumerate(segs) if s.lo < t <= s.hi]
+                right = [k for k, s in enumerate(segs) if s.lo <= t < s.hi]
+                assert d.segments_adjacent(t) == (left[0] if left else None,
+                                                  right[0] if right else None)
+
+    @pytest.mark.parametrize("query", ["eval", "eval_right", "classify_point",
+                                       "segments_adjacent"])
+    def test_times_outside_keep_the_domain_error(self, query):
+        d = random_derivator(np.random.default_rng(2103), -1.0, 2.0)
+        for t in (-1.5, 2.0 + 1e-12, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DomainError) as one:
+                getattr(d, query)(t)
+            assert str(one.value) == f"time {t} outside [-1.0, 2.0]"
+            with pytest.raises(DomainError) as arr:
+                getattr(d, query)(np.array(t))
+            assert str(arr.value) == str(one.value)
+
+
 # The runs, structural sets and cumulative variation read the segment table's
 # class and prefix columns; the per-segment loops they replace live on in
 # helpers as references.

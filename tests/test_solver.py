@@ -30,6 +30,7 @@ from stieltjes import (
     SolveConfig,
     SystemSpec,
     build_plume_system,
+    flux_to_geometry,
     select_horizon,
     solve,
     solve_euler,
@@ -334,7 +335,8 @@ class TestBatchedRhs:
 
     def test_plume_quarter_power_matches_scalar_power(self):
         # numpy's array power may round m ** 0.25 differently from the
-        # scalar power in a few percent of draws; the batch form must not
+        # scalar power in a few percent of draws; the batch form must not,
+        # and neither may the geometry's m ** -0.25
         spec = catalog_system(np.random.default_rng(3), "plume")
         m = 10.0 ** np.random.default_rng(4).uniform(-12.0, 12.0, 20000)
         X = np.column_stack([np.ones_like(m), m, np.ones_like(m)])
@@ -342,6 +344,19 @@ class TestBatchedRhs:
         batch = spec.rhs_batch(ts, X)[:, 0]
         rows = np.array([spec.rhs(t, x)[0] for t, x in zip(ts.tolist(), X)])
         assert batch.tobytes() == rows.tobytes()
+        radius, _, _ = flux_to_geometry(np.ones_like(m), m, np.ones_like(m))
+        assert radius.tobytes() == np.array([math.pow(x, -0.25) for x in m.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("p", [0.25, -0.25])
+    def test_float_power_is_the_scalar_libm_pow(self, p):
+        # the plume's array quarter powers rest on np.float_power having no
+        # SIMD loop; a numpy that vectorizes it must fail here, not move bits
+        rng = np.random.default_rng(21)
+        m = np.exp(rng.uniform(np.log(1e-310), np.log(1e308), 200000))
+        m = np.concatenate([m, rng.uniform(0.0, 20.0, 20000)])
+        m = m[m > 0.0]
+        libm = np.array([math.pow(x, p) for x in m.tolist()])
+        assert np.float_power(m, p).tobytes() == libm.tobytes()
 
     def test_without_a_batch_form_rows_go_through_call_rhs(self):
         spec = scalar_growth(jumps=[Jump(0.5, 1.0)])

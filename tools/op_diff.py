@@ -10,8 +10,9 @@ seed) goes through each checkout's own ``stieltjes.cli.main`` by
 its own process and fresh empty directory with relative file names, so a path
 that shows up in an output is the same for both. The exit code, any exception
 raised out of ``main``, stdout, stderr and the op's output file are compared. The ids of
-the ops that differ are printed with the fields that differ; the exit code is
-1 if any op differs.
+the ops that differ are printed with the fields that differ, and the summary
+line counts them per op family (``Op.family``); the exit code is 1 if any op
+differs.
 
 ``bench/workloads.py`` and ``bench/run.py`` are imported from the checkout
 this tool lives in and are only read.
@@ -27,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,7 +37,7 @@ FIELDS = ("exit", "exception", "stdout", "stderr", "file")
 
 def _run(checkout: str, seed: int) -> dict:
     """Each op's outcome under ``checkout``'s sources, run in the current
-    directory: {op id: {field: value or sha256 of the text}}."""
+    directory: {op id: {field: value or sha256 of the text, "family": family}}."""
     sys.path.insert(0, str(BENCH))
     # run.py fixes the BLAS thread count on import, before numpy is loaded
     from run import run_op
@@ -61,7 +63,7 @@ def _run(checkout: str, seed: int) -> dict:
         code, exc, *texts = outcome
         outcomes[op.id] = dict(zip(FIELDS, [code, exc] + [
             None if text is None else hashlib.sha256(text.encode()).hexdigest()
-            for text in texts]))
+            for text in texts]), family=op.family)
     return outcomes
 
 
@@ -95,14 +97,17 @@ def main(argv=None) -> int:
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
     parent, change = _outcomes((args.parent, args.change), args.seed)
-    differ = 0
+    families = Counter()
     for op_id in sorted(parent.keys() | change.keys()):
         a, b = parent.get(op_id), change.get(op_id)
         fields = FIELDS if a is None or b is None else [f for f in FIELDS if a[f] != b[f]]
         if fields:
-            differ += 1
+            families[(a or b)["family"]] += 1
             print(f"{op_id}: {', '.join(fields)}")
-    print(f"seed {args.seed}: {differ} of {len(parent)} ops differ")
+    differ = sum(families.values())
+    per_family = ", ".join(f"{family} {n}" for family, n in sorted(families.items()))
+    print(f"seed {args.seed}: {differ} of {len(parent)} ops differ"
+          + (f" ({per_family})" if differ else ""))
     return 1 if differ else 0
 
 
