@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .derivator import _CONSTANT, _TABULATED, CONSTANCY_POINT, Derivator, _chart, _pow
+from .derivator import _CONSTANT, CONSTANCY_POINT, Derivator, _chart, _pow
 from .errors import ConvergenceError, DomainError, RhsEvaluationError, UndefinedPointError
 from .measure import SIGNED, Integrand, StieltjesMeasure, _as_integrand
 
@@ -136,7 +136,7 @@ def uniform_grid(derivator: Derivator, per_segment: int = 256) -> np.ndarray:
     u = np.linspace(0.0, 1.0, per_segment + 1)
     lo, hi = bks[:-1], bks[1:]
     spans = lo[:, None] + (hi - lo)[:, None] * u
-    p = derivator._seg_exp[derivator._segment_index(0.5 * (lo + hi))]  # 1 off power segments
+    p = derivator._row_exp  # span i is row i; 1 off power rows
     graded = p != 1.0
     spans[graded] = lo[graded, None] + (hi - lo)[graded, None] * _pow(u, 1.0 / p[graded, None])
     # lo + (hi - lo) * 1.0 can round past hi
@@ -220,27 +220,26 @@ def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:
     """Continuous part of the measure of v over each grid cell, cut at the
-    kinks of v: one 15-point panel per piece in its segment's chart, in
-    batches of one profile kind in grid order, then summed back per cell."""
+    kinks of v: one 15-point panel per piece in its row's chart, in batches
+    of one row kind in grid order, then summed back per cell. The grid holds
+    every breakpoint, so each cell lies in one row."""
     kinks = v._kinks[(v._kinks > grid[0]) & (v._kinks < grid[-1])]
-    edges, seg = grid, d._segment_index(0.5 * (grid[:-1] + grid[1:]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    edges, row = grid, d._row_in(d._segment_index(mids), mids)
     if kinks.size:
         edges = np.union1d(grid, kinks)
-        seg = seg[np.searchsorted(grid, edges[:-1], side="right") - 1]
-    kind = d._seg_kind[seg]
+        row = row[np.searchsorted(grid, edges[:-1], side="right") - 1]
+    kind = d._row_kind[row]
     out = np.zeros(len(edges) - 1)
-    for code in set(d._seg_kind.tolist()) - {_CONSTANT}:
-        rows = np.flatnonzero(kind == code)
-        for start in range(0, rows.size, _PANEL_ROWS):
-            r = rows[start:start + _PANEL_ROWS]
-            k, los, his = seg[r], edges[r], edges[r + 1]
-            segs = k[0] if k[0] == k[-1] else k  # a batch in one segment takes scalars
-            slope = d._seg_slope[segs]
-            if code == _TABULATED:  # pieces lie in knot cells, where g grows at the cell slope
-                inc = d._increments(np.concatenate([k, k]), np.concatenate([los, his]))
-                slope = (inc[r.size:] - inc[:r.size]) / (his - los)
-            integrand, u_los, u_his, weight = _chart(code, v, los, his, d._seg_lo[segs], slope,
-                                                     d._seg_exp[segs], d._seg_scale[segs])
+    for code in set(d._row_kind.tolist()) - {_CONSTANT}:
+        pieces = np.flatnonzero(kind == code)
+        for start in range(0, pieces.size, _PANEL_ROWS):
+            r = pieces[start:start + _PANEL_ROWS]
+            k, los, his = row[r], edges[r], edges[r + 1]
+            rows = k[0] if k[0] == k[-1] else k  # a batch in one row takes scalars
+            integrand, u_los, u_his, weight = _chart(code, v, los, his, d._row_lo[rows],
+                                                     d._row_slope[rows], d._row_exp[rows],
+                                                     d._row_scale[rows])
             out[r] = weight * quadrature.panel_integrals(integrand, u_los, u_his)
     return np.add.reduceat(out, np.searchsorted(edges, grid[:-1])) if kinks.size else out
 
@@ -393,49 +392,35 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
     """Derivative of a callable with respect to a derivator at t.
 
     Uses shrinking bracketing quotients with Neville extrapolation, brackets
-    confined to one monotone segment. At a jump the right quotient converges
-    to the exact jump expression.
+    confined to one row of the derivator's table: a segment, or a knot cell
+    or the flat head or tail of a tabulated one. At a jump the right quotient
+    converges to the exact jump expression.
     """
     t = float(t)
     kind, payload = d.classify_point(t)
     if kind == "excluded":
         raise UndefinedPointError(f"g-derivative undefined at {t}: {payload}")
+    # brackets stay in the rows next to t, where g is smooth: row r spans
+    # [bks[r], bks[r + 1]], and a point off a jump lies strictly inside (a, b)
+    bks = d._breakpoints()
+    left, right = int(bks.searchsorted(t)) - 1, int(bks.searchsorted(t, side="right")) - 1
     if kind == "jump":
         return _extrapolate(lambda eps: _quotient(func, d, t, t + eps, t, at_jump=True),
-                            _right_reach(d, t), rel_tol, even=False)
-    left_idx, right_idx = d.segments_adjacent(t)
-    left_lo = float(d._seg_lo[left_idx]) if left_idx is not None else None
-    right_hi = float(d._seg_hi[right_idx]) if right_idx is not None else None
-    inside_left = left_lo is not None and left_lo < t
-    inside_right = right_hi is not None and t < right_hi
-    if inside_left and inside_right and left_idx == right_idx:
-        reach = min(t - left_lo, right_hi - t)
+                            float(bks[right + 1]) - t, rel_tol, even=False)
+    if left == right:
+        reach = min(t - float(bks[left]), float(bks[right + 1]) - t)
         return _extrapolate(lambda eps: _quotient(func, d, t - eps, t + eps, t),
                             reach, rel_tol, even=True)
-    estimates = []
-    if inside_right:
-        estimates.append(_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
-                                      right_hi - t, rel_tol, even=False))
-    if inside_left:
-        estimates.append(_extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
-                                      t - left_lo, rel_tol, even=False))
-    if not estimates:
-        raise UndefinedPointError(f"no usable bracket at {t}")
-    if len(estimates) == 2:
-        scale = max(abs(estimates[0]), abs(estimates[1]), 1.0)
-        if abs(estimates[0] - estimates[1]) > 1e-6 * scale:
-            raise ConvergenceError(
-                f"one-sided quotients disagree at {t}", last_estimate=estimates
-            )
-        return 0.5 * (estimates[0] + estimates[1])
-    return estimates[0]
-
-
-def _right_reach(d: Derivator, t: float) -> float:
-    _, right_idx = d.segments_adjacent(t)
-    if right_idx is None:
-        raise UndefinedPointError(f"no right neighborhood at {t}")
-    return float(d._seg_hi[right_idx]) - t
+    estimates = [_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
+                              float(bks[right + 1]) - t, rel_tol, even=False),
+                 _extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
+                              t - float(bks[left]), rel_tol, even=False)]
+    scale = max(abs(estimates[0]), abs(estimates[1]), 1.0)
+    if abs(estimates[0] - estimates[1]) > 1e-6 * scale:
+        raise ConvergenceError(f"one-sided quotients disagree at {t}", last_estimate=estimates)
+    # halved first, as in _trapezoid_cells: two finite estimates whose sum
+    # overflows still give a finite mean
+    return 0.5 * estimates[0] + 0.5 * estimates[1]
 
 
 def _quotient(func, d, lo, hi, t, at_jump=False):

@@ -13,20 +13,21 @@ increments up to t plus every jump strictly to the left of t, so the jump at
 t itself only affects ``eval_right(t)``. Bounded variation is structural
 (finitely many monotone pieces), and sign changes of the slope are allowed.
 
-One private builder lays the segments out as one table of columns: bounds,
-a point class, the profile kind with its slope, exponent and scale, a knot
-table and prefix sums of the totals and jumps. ``Derivator(...)`` feeds it
-its ``Segment`` objects, the document reader columns read from JSON after
-the same scalar rules; ``segments``/``jumps`` are then built on first read
-(a race builds equal tuples). Each kind's increment and chart is one
-function of scalars or of one entry per point or grid cell, so ``eval`` and
-the grid integrals work on all segments at once.
+One private builder lays the segments out as a table: per segment its bounds,
+point class, prefix sums of the totals and jumps, and a run of rows, each
+with a start, a kind, slope, exponent and scale; a tabulated segment is a
+flat head, one affine row per knot cell and a flat tail. ``Derivator(...)``
+feeds the builder its ``Segment`` objects, the document reader columns read
+from JSON after the same scalar rules; ``segments``/``jumps`` are then built
+on first read (a race builds equal tuples). Each kind's increment and chart
+is one function of scalars or of one entry per point or grid cell, so
+``eval`` and the grid integrals work on all rows at once.
 
 Conventions that the rest of the package relies on:
 
 * tabulated profiles extend constantly from their first/last sample to the
   segment endpoints, and a segment's continuous increment is measured from the
-  profile value at the segment's left endpoint;
+  profile value at the segment's left endpoint, bit for bit as ``np.interp``;
 * a jump's ``delta`` equals ``eval_right(at) - eval(at)`` exactly;
 * instances are immutable after construction and safe to share across threads.
 """
@@ -71,8 +72,8 @@ _POINT_KINDS = {
 }
 
 
-# kind codes of the table: powers below 1 chart apart, constant direction wins
-_LINEAR, _CONSTANT, _TABULATED, _POWER, _ROOT = range(5)
+# kind codes of the table's rows: powers below 1 chart apart, constant direction wins
+_LINEAR, _CONSTANT, _KNOT, _POWER, _ROOT = range(5)
 
 
 def _pow(x, e):
@@ -92,6 +93,10 @@ def _linear_increment(x, slope):
 
 def _power_increment(x, exponent, scale):
     return scale * _pow(x, exponent)
+
+
+def _knot_increment(linear, y, y0):  # from slope * x; at x = 0 a zero's sign may differ
+    return (linear + y) - y0
 
 
 # the scalar rules, shared by the constructors below and the document reader
@@ -142,8 +147,8 @@ def _chart(kind: int, f, los, his, lo, slope, exponent, scale):
     u_los, u_his, weight)``, where ``weight`` (or ``weight[i]``) times the
     integral of the integrand over [u_los[i], u_his[i]] is that of f against
     g over cell i. Segment parameters are scalars or one per cell (one row of
-    nodes per cell); a tabulated slope is each cell's knot-cell slope. Powers
-    below 1 chart ``u = (t - lo)**exponent``, cancelling the singularity."""
+    nodes per cell). A knot cell weighs ``f dt`` by its slope. Powers below 1
+    chart ``u = (t - lo)**exponent``, cancelling the singularity."""
     c_lo, c_slope, c_exp, c_scale = (a[:, None] if isinstance(a, np.ndarray) else a
                                      for a in (lo, slope, exponent, scale))
     if kind == _LINEAR:
@@ -257,26 +262,30 @@ class StructuralSets:
 
 
 class _Rows:
-    """Table rows of checked segments and the jumps ``(at, delta)`` they come with."""
+    """Checked segments, their table rows and the jumps ``(at, delta)`` they come with."""
 
     def __init__(self):
-        self.rows, self.samples, self.jumps = [], [], []
+        self.segments, self.rows, self.jumps = [], [], []
 
     def add(self, lo, hi, kind: str, slope, exponent, scale, points, direction) -> None:
         """Parameters a profile lacks read 0.0, 1.0, 0.0. The total is the float
-        increment over [lo, hi], a power's by the scalar ``**``; inf if it overflows."""
+        increment over [lo, hi], a power's by the scalar ``**``; inf if it overflows.
+        A row is (start, slope, exponent, scale, sample y_j, first sample y_0, kind):
+        the segment itself, or for samples a flat head, knot cells and a flat tail."""
         point_class, width, code = _RUN_CLASS[direction], float(hi - lo), _KIND_NAMES.index(kind)
         try:
             total = (points[-1][1] - points[0][1] if points else _power_increment(
                 width, exponent, scale) if code == _POWER else _linear_increment(width, slope))
         except OverflowError:
             total = np.inf
-        self.samples.extend(points)
         table_kind = _CONSTANT if direction == CONSTANT else _ROOT if exponent < 1.0 else code
-        self.rows.append((lo, hi, slope, exponent, scale, total,
-                          total if point_class == RISING_POINT else 0.0,
-                          -total if point_class == FALLING_POINT else 0.0,
-                          code, table_kind, point_class, len(points)))
+        self.segments.append((lo, hi, total, total if point_class == RISING_POINT else 0.0,
+                              -total if point_class == FALLING_POINT else 0.0,
+                              code, point_class, len(self.rows)))
+        xs, ys = zip(*points) if points else ((), (0.0,))
+        slopes = [(y1 - y) / (x1 - x) for x, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+        self.rows.extend((x, s, exponent, scale, y, ys[0], table_kind)
+                         for x, s, y in zip((lo, *xs), (slope, *slopes, 0.0), (ys[0], *ys)))
 
 
 class Derivator:
@@ -317,7 +326,7 @@ class Derivator:
         a, b = float(interval[0]), float(interval[1])
         if not a < b:
             raise DomainError(f"interval needs a < b, got [{a}, {b}]")
-        segs = rows.rows
+        segs = rows.segments
         if not segs:
             raise DomainError("at least one segment is required")
         if segs[0][0] != a or segs[-1][1] != b:
@@ -341,19 +350,20 @@ class Derivator:
 
         self.interval, self.anchor = (a, b), float(anchor)
 
-        # the segment table: per-segment columns and their prefix sums; a
-        # DomainError where a segment total or a running sum is not finite
+        # per-segment columns with their prefix sums; segment k owns rows _row_ptr[k]:
+        # _row_ptr[k + 1]. A DomainError where a total, slope or running sum is not finite
         table = np.array(segs, dtype=float).T.copy()
-        self._seg_lo, self._seg_hi, self._seg_slope, self._seg_exp, self._seg_scale = table[:5]
-        self._seg_code, self._seg_kind, self._seg_class, counts = table[8:].astype(int)
-        self._curved = bool(self._seg_kind.max() >= _TABULATED)  # power or tabulated
-        self._tab = np.flatnonzero(self._seg_kind == _TABULATED)  # tabulated segments
-        # segment k's tabulated samples are entries _knot_ptr[k]:_knot_ptr[k + 1]
-        self._knots, self._knot_y = np.reshape(rows.samples, (-1, 2)).T.copy()
-        self._knot_ptr = np.concatenate([[0], counts.cumsum()])
+        self._seg_lo, self._seg_hi = table[:2]
+        self._seg_code, self._seg_class, first = table[5:].astype(int)
+        self._row_ptr = np.append(first, len(rows.rows))
+        row_table = np.array(rows.rows, dtype=float).T.copy()
+        (self._row_lo, self._row_slope, self._row_exp, self._row_scale, self._row_y,
+         self._row_y0) = row_table[:6]
+        self._row_kind = row_table[6].astype(int)
+        self._curved = bool(self._row_kind.max() >= _KNOT)  # knot or power rows
         sums = np.zeros((3, len(segs) + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            sums[:, 1:] = table[5:8].cumsum(axis=1)
+            sums[:, 1:] = table[2:5].cumsum(axis=1)
         self._cum_inc, self._rise_cum, self._fall_cum = sums
         # jumps, and one trailing entry read through index -1 (no jump there):
         # the NaN location never compares equal, the padded delta is 0.0
@@ -364,9 +374,9 @@ class Derivator:
             [0.0, *accumulate(max(-d, 0.0) for d in deltas)]])
         variation = sums[1:, -1].sum() + jump_sums[1:, -1].sum()
         if not (np.isfinite(variation) and np.isfinite(sums).all()
-                and np.isfinite(jump_sums).all()):
-            raise DomainError(f"increments or jumps overflow on [{a}, {b}]: "
-                              "a segment total or a running sum is not finite")
+                and np.isfinite(jump_sums).all() and np.isfinite(self._row_slope).all()):
+            raise DomainError(f"increments or jumps overflow on [{a}, {b}]: a segment "
+                              "total, a knot-cell slope or a running sum is not finite")
         # a run starts at segment 0, at a class change and at a jump
         starts = np.ones(len(segs), dtype=bool)
         starts[1:] = self._seg_class[1:] != self._seg_class[:-1]
@@ -390,14 +400,15 @@ class Derivator:
         return tuple(map(Jump, self._jump_at.tolist(), self._jump_delta.tolist()))
 
     def _rows(self):
-        """Per segment: lo, hi, direction, profile kind, slope, exponent, scale
-        and tabulated samples, as floats."""
-        xs, ys, ptr = self._knots.tolist(), self._knot_y.tolist(), self._knot_ptr.tolist()
+        """Per segment: lo, hi, direction, profile kind, its first row's slope,
+        exponent and scale, and the start and y_j of its rows after the head."""
+        first, ptr = self._row_ptr[:-1], self._row_ptr.tolist()
+        xs, ys = self._row_lo.tolist(), self._row_y.tolist()
         return zip(self._seg_lo.tolist(), self._seg_hi.tolist(),
                    [_DIRECTIONS[c - RISING_POINT] for c in self._seg_class.tolist()],
                    [_KIND_NAMES[c] for c in self._seg_code.tolist()],
-                   *(c.tolist() for c in (self._seg_slope, self._seg_exp, self._seg_scale)),
-                   [tuple(zip(xs[i:j], ys[i:j])) for i, j in zip(ptr, ptr[1:])])
+                   *(c[first].tolist() for c in (self._row_slope, self._row_exp, self._row_scale)),
+                   [tuple(zip(xs[i + 1:j], ys[i + 1:j])) for i, j in zip(ptr, ptr[1:])])
 
     # ------------------------------------------------------------------ basics
 
@@ -466,45 +477,44 @@ class Derivator:
         # every time in [a, b] but a itself has a segment lo strictly left of it
         return np.maximum(np.searchsorted(self._seg_lo, t, side="left") - 1, 0)
 
-    def _segment_increment(self, k: int, t):
-        """Increment of segment k from its lo up to t, an array or a float;
-        a float takes numpy's scalar power."""
-        kind = self._seg_kind[k]
-        if kind == _TABULATED:
-            knots = slice(self._knot_ptr[k], self._knot_ptr[k + 1])
-            ys = self._knot_y[knots]
-            return np.interp(t, self._knots[knots], ys) - ys[0]
-        x = np.asarray(t, dtype=float) - self._seg_lo[k]
+    def _row_in(self, seg, t):
+        """Row of segment ``seg`` holding t in [lo, hi]: its last row starting at or
+        before t, so a knot x_j takes the row from x_j, where np.interp reads y_j."""
+        last = self._row_ptr[seg + 1] - 1
+        return np.minimum(self._row_lo.searchsorted(t, side="right") - 1, last)
+
+    def _row_increment(self, r: int, t: float, array_power: bool = False):
+        """Increment of row r's segment from its lo up to the float t; a power row
+        takes numpy's scalar power, or with ``array_power`` a one-element array's."""
+        x = t - self._row_lo[r]
+        kind = self._row_kind[r]
         if kind >= _POWER:
-            return _power_increment(x, float(self._seg_exp[k]), self._seg_scale[k])
-        return _linear_increment(x, self._seg_slope[k])
+            x = np.array([x]) if array_power else x
+            return _power_increment(x, float(self._row_exp[r]), self._row_scale[r]).item()
+        out = _linear_increment(x, self._row_slope[r])
+        return _knot_increment(out, self._row_y[r], self._row_y0[r]) if kind == _KNOT else out
 
     def _increments(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Increment from the lo of segment ``idx[i]`` up to ``t[i]``: one
-        expression per profile kind over the table's columns, and one
-        ``np.interp`` per tabulated segment holding points, over all of them
-        in order: its slopes round with the number of points."""
-        x = t - self._seg_lo[idx]
-        out = _linear_increment(x, self._seg_slope[idx])  # 0.0 off linear segments
+        expression per row kind over the columns of the rows holding the points."""
+        rows = self._row_in(idx, t)
+        x = t - self._row_lo[rows]
+        out = _linear_increment(x, self._row_slope[rows])  # 0.0 on power and constant rows
         if self._curved:
-            p = np.flatnonzero(self._seg_kind[idx] >= _POWER)
-            out[p] = _power_increment(x[p], self._seg_exp[idx[p]], self._seg_scale[idx[p]])
-            if self._tab.size:  # order[i:j]: the points of tabulated segment k, in order
-                order = np.argsort(idx, kind="stable")
-                ranked = idx[order]
-                for k, i, j in zip(self._tab.tolist(), ranked.searchsorted(self._tab).tolist(),
-                                   ranked.searchsorted(self._tab, "right").tolist()):
-                    if i < j:
-                        p = order[i:j]
-                        out[p] = self._segment_increment(k, t[p])
+            kind = self._row_kind[rows]
+            p = np.flatnonzero(kind >= _POWER)
+            out[p] = _power_increment(x[p], self._row_exp[rows[p]], self._row_scale[rows[p]])
+            k = np.flatnonzero(kind == _KNOT)
+            out[k] = _knot_increment(out[k], self._row_y[rows[k]], self._row_y0[rows[k]])
         return out
 
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
         if np.isscalar(t):
             t = self._point(t)
-            k = max(int(self._seg_lo.searchsorted(t)) - 1, 0)  # as in _segment_index
-            inc = self._segment_increment(k, np.array([t]))[0]  # the array power's bits
+            k = max(int(self._seg_lo.searchsorted(t)) - 1, 0)  # as in _segment_index, _row_in
+            r = min(int(self._row_lo.searchsorted(t, side="right")), self._row_ptr[k + 1]) - 1
+            inc = self._row_increment(r, t, array_power=True)  # as the array path
             return float(self.anchor + (self._cum_inc[k] + inc)
                          + self._jump_cum[self._jump_at.searchsorted(t)])
         arr = np.asarray(t, dtype=float)
@@ -562,11 +572,10 @@ class Derivator:
         if lo == hi:
             return 0.0
         pos = neg = 0.0
-        for k, (s_lo, s_hi) in enumerate(zip(self._seg_lo.tolist(), self._seg_hi.tolist())):
-            c, d = max(lo, s_lo), min(hi, s_hi)
-            if c >= d:
-                continue
-            inc = float(self._segment_increment(k, d) - self._segment_increment(k, c))
+        ends = np.array([np.maximum(lo, self._seg_lo), np.minimum(hi, self._seg_hi)])
+        seg = np.flatnonzero(ends[0] < ends[1])  # the segments [lo, hi) meets
+        for rc, rd, c, d in zip(*self._row_in(seg, ends[:, seg]).tolist(), *ends[:, seg].tolist()):
+            inc = float(self._row_increment(rd, d) - self._row_increment(rc, c))
             if inc > 0:
                 pos += inc
             else:
@@ -659,8 +668,8 @@ class Derivator:
         """Segment boundaries plus tabulated knots; natural grid refinement points."""
         return tuple(self._breakpoints().tolist())
 
-    def _breakpoints(self) -> np.ndarray:  # knots lie strictly inside their segments
-        return np.sort(np.concatenate([self._seg_lo, [self.b], self._knots]))
+    def _breakpoints(self) -> np.ndarray:  # the row starts and b: one span per row
+        return np.append(self._row_lo, self.b)
 
     def __repr__(self):
         return (

@@ -12,8 +12,8 @@ Integration splits into a continuous part and an atomic part:
   profile's own chart: ``f(t) * density(t) dt`` on linear segments and on
   power segments with exponent p >= 1, ``scale * f(lo + u**(1/p)) du`` with
   ``u = (t - lo)**p`` when p < 1 (the density singularity disappears), and
-  the cell slope times ``f(t) dt`` on each knot cell of a tabulated segment
-  (flat cells contribute nothing);
+  the cell slope times ``f(t) dt`` on each knot cell of a tabulated segment,
+  one row of the derivator's table (flat cells contribute nothing);
 * every segment is cut at the integrand's own kinks (the breaks of tabulated
   and piecewise integrands) before adaptive Gauss-Kronrod quadrature runs on
   each piece; the grid routines of :mod:`~stieltjes.calculus` use the same
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import quadrature
 from .derivator import (
-    _TABULATED,
     CONSTANCY_POINT,
     NEGATIVE,
     POSITIVE,
@@ -303,22 +302,21 @@ def _segment_integral(f: Integrand, d: Derivator, k: int, lo: float, hi: float,
                       rel_tol: float) -> float:
     """Continuous integral of f against the growth of segment k of d over [lo, hi].
 
-    [lo, hi] is cut at the profile's knots and at f's own kinks: a kink that
-    falls between a panel's outer node and its end is invisible to the
-    Kronrod error estimate. Each piece goes to adaptive Gauss-Kronrod
-    quadrature in the profile's chart (:func:`~stieltjes.derivator._chart`);
-    pieces of weight zero cost nothing.
+    [lo, hi] is cut at the segment's rows (the knot cells of a tabulated
+    profile) and at f's own kinks: a kink that falls between a panel's outer
+    node and its end is invisible to the Kronrod error estimate. Each piece
+    goes to adaptive Gauss-Kronrod quadrature in its row's chart
+    (:func:`~stieltjes.derivator._chart`); pieces of weight zero cost nothing.
     """
-    knots = np.concatenate([d._knots[d._knot_ptr[k]:d._knot_ptr[k + 1]], f._kinks])
+    knots = np.concatenate([d._row_lo[d._row_ptr[k] + 1:d._row_ptr[k + 1]], f._kinks])
     cuts = knots[(knots > lo) & (knots < hi)]
     edges = np.unique(np.concatenate([[lo], cuts, [hi]])) if cuts.size else np.array([lo, hi])
-    kind = int(d._seg_kind[k])
-    seg_lo, slope, exponent, scale = (float(c[k]) for c in (d._seg_lo, d._seg_slope, d._seg_exp,
-                                                           d._seg_scale))
-    if kind == _TABULATED:
-        slope = np.diff(d._segment_increment(k, edges)) / np.diff(edges)
-    integrand, u_los, u_his, weight = _chart(kind, f, edges[:-1], edges[1:], seg_lo, slope,
-                                             exponent, scale)
+    rows = d._row_in(k, edges[:-1])
+    # pieces in one row take its parameters as floats
+    params = (c[rows] if rows[0] != rows[-1] else float(c[rows[0]])
+              for c in (d._row_lo, d._row_slope, d._row_exp, d._row_scale))
+    integrand, u_los, u_his, weight = _chart(int(d._row_kind[rows[0]]), f, edges[:-1], edges[1:],
+                                             *params)
     weights = weight.tolist() if isinstance(weight, np.ndarray) else [weight] * len(u_los)
     total = 0.0
     for c, e, w in zip(u_los.tolist(), u_his.tolist(), weights):

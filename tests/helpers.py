@@ -393,6 +393,17 @@ def reference_increment(seg, t):
     return np.zeros_like(t)
 
 
+def reference_knot_slopes(seg, starts):
+    """Slope of a tabulated profile on the knot cell [x_j, x_{j+1}) holding each
+    start, as ``np.interp`` takes it; 0.0 before the first and after the last
+    sample."""
+    xs, ys = np.array(seg.profile.points).T
+    j = np.searchsorted(xs, starts, side="right") - 1
+    cell = np.clip(j, 0, len(xs) - 2)
+    inside = (j >= 0) & (j < len(xs) - 1)
+    return np.where(inside, (ys[cell + 1] - ys[cell]) / (xs[cell + 1] - xs[cell]), 0.0)
+
+
 def reference_density(seg, t):
     """Density of a linear, power or constant segment at t (vectorized)."""
     t = np.asarray(t, dtype=float)
@@ -406,9 +417,10 @@ def reference_density(seg, t):
 #
 # The per-kind integration rules as they were written before each profile
 # class owned its chart: the three-branch grid-cell integrals, and the
-# adaptive segment integral with its separate tabulated knot-cell routine.
-# The charted code must give the same bits on the grid path, and on the
-# adaptive path wherever the integrand has no kinks.
+# adaptive segment integral with its separate tabulated knot-cell routine,
+# where a piece weighs f by its knot cell's slope. The charted code must give
+# the same bits on the grid path, and on the adaptive path wherever the
+# integrand has no kinks.
 
 
 def reference_cell_integrals(d, v, grid):
@@ -428,8 +440,7 @@ def reference_cell_integrals(d, v, grid):
                                                 & (v._kinks < cell_edges[-1])])
         profile = seg.profile
         if isinstance(profile, TabulatedProfile):
-            ginc = reference_increment(seg, edges)
-            slopes = np.diff(ginc) / np.diff(edges)
+            slopes = reference_knot_slopes(seg, edges[:-1])
             pieces = slopes * quadrature.panel_integrals(v, edges[:-1], edges[1:])
         elif isinstance(profile, PowerProfile) and profile.exponent < 1.0:
             p, s = profile.exponent, profile.scale
@@ -470,7 +481,7 @@ def reference_segment_integral(f, seg, lo, hi, rel_tol):
     if isinstance(profile, TabulatedProfile):
         knots = np.concatenate([[x for x, _ in profile.points], f._kinks])
         edges = np.unique(np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]]))
-        slopes = np.diff(reference_increment(seg, edges)) / np.diff(edges)
+        slopes = reference_knot_slopes(seg, edges[:-1])
         total = 0.0
         for c, e, slope in zip(edges[:-1].tolist(), edges[1:].tolist(), slopes.tolist()):
             if slope != 0.0:
@@ -562,6 +573,25 @@ def reference_variation_by_segment(d, times, kind="total"):
     at = np.searchsorted(d._jump_at, ts)
     pos = d._rise_cum[idx] + np.where(cls == 1, inc, 0.0) + d._jump_pos_cum[at]
     neg = d._fall_cum[idx] - np.where(cls == 2, inc, 0.0) + d._jump_neg_cum[at]
+    return {"positive": pos, "negative": neg}.get(kind, pos + neg)
+
+
+def reference_variation(d, lo, hi, kind="total"):
+    """``variation(lo, hi, kind)`` as a loop over the segments: each segment's
+    increment between its clipped ends, from ``reference_increment`` of floats,
+    then the jumps in [lo, hi)."""
+    pos = neg = 0.0
+    for seg in d.segments:
+        c, e = max(lo, seg.lo), min(hi, seg.hi)
+        if c < e:
+            inc = float(reference_increment(seg, e) - reference_increment(seg, c))
+            if inc > 0:
+                pos += inc
+            else:
+                neg += -inc
+    deltas = np.array([j.delta for j in d.jumps if lo <= j.at < hi])
+    pos += float(np.sum(deltas[deltas > 0]))
+    neg += float(-np.sum(deltas[deltas < 0]))
     return {"positive": pos, "negative": neg}.get(kind, pos + neg)
 
 
@@ -731,30 +761,48 @@ def reference_modulus(h, epsilon, rungs=52):
 
 # ------------------------------------------------------------ table reference
 
-#: the segment table's columns, as the derivator names them
+#: the table's segment and row columns, as the derivator names them
 TABLE_COLUMNS = (
-    "_seg_lo", "_seg_hi", "_seg_class", "_seg_kind", "_seg_slope", "_seg_exp", "_seg_scale",
-    "_knots", "_cum_inc", "_rise_cum", "_fall_cum", "_jump_at", "_jump_delta", "_jump_cum",
-    "_jump_pos_cum", "_jump_neg_cum", "_jump_at_padded", "_jump_delta_padded", "_run_lo",
-    "_run_hi", "_run_class",
+    "_seg_lo", "_seg_hi", "_seg_class", "_seg_code", "_row_ptr", "_row_lo",
+    "_row_kind", "_row_slope", "_row_exp", "_row_scale", "_row_y", "_row_y0", "_cum_inc",
+    "_rise_cum", "_fall_cum", "_jump_at", "_jump_delta", "_jump_cum", "_jump_pos_cum",
+    "_jump_neg_cum", "_jump_at_padded", "_jump_delta_padded", "_run_lo", "_run_hi", "_run_class",
 )
+
+
+def reference_rows(seg):
+    """Rows of one segment as (start, slope, exponent, scale, y_j, y_0, kind): the
+    segment itself, or for tabulated samples a flat head, one row per knot cell
+    at the cell's interpolation slope and a flat tail."""
+    p, exponent = seg.profile, getattr(seg.profile, "exponent", 1.0)
+    kind = (1 if seg.direction == "constant" else 4 if exponent < 1.0
+            else {"linear": 0, "power": 3}.get(p.kind, 2))
+    if not isinstance(p, TabulatedProfile):
+        return [(seg.lo, getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0),
+                 0.0, 0.0, kind)]
+    y0 = p.points[0][1]
+    rows = [(seg.lo, 0.0, 1.0, 0.0, y0, y0, kind)]
+    for (x, y), (x1, y1) in zip(p.points, p.points[1:]):
+        rows.append((x, (y1 - y) / (x1 - x), 1.0, 0.0, y, y0, kind))
+    rows.append((p.points[-1][0], 0.0, 1.0, 0.0, p.points[-1][1], y0, kind))
+    return rows
 
 
 def reference_table(segments, jumps) -> dict:
     """The table's columns built one Segment and one Jump at a time, totals
     from ``reference_increment`` at each segment's hi, as the table was first
-    built."""
+    built, and each segment's rows from ``reference_rows``."""
     run_class = {"nondecreasing": 1, "nonincreasing": 2, "constant": 3}
-    rows = []
+    codes = {"linear": 0, "constant": 1, "tabulated": 2, "power": 3}
+    segs, rows, ptr = [], [], [0]
     for s in segments:
-        p, exponent = s.profile, getattr(s.profile, "exponent", 1.0)
-        kind = (1 if s.direction == "constant" else 4 if exponent < 1.0
-                else {"linear": 0, "power": 3}.get(p.kind, 2))
         total = float(reference_increment(s, s.hi))
-        rows.append((s.lo, s.hi, run_class[s.direction], total, kind,
-                     getattr(p, "slope", 0.0), exponent, getattr(p, "scale", 0.0)))
-    lo, hi, cls, totals, kind, slope, exp, scale = np.array(rows, dtype=float).T.copy()
-    cls, kind = cls.astype(int), kind.astype(int)
+        segs.append((s.lo, s.hi, run_class[s.direction], total, codes[s.profile.kind]))
+        rows += reference_rows(s)
+        ptr.append(len(rows))
+    lo, hi, cls, totals, code = np.array(segs, dtype=float).T.copy()
+    cls, code = cls.astype(int), code.astype(int)
+    row_lo, slope, exp, scale, y, y0, kind = np.array(rows, dtype=float).T.copy()
     jmps = sorted(jumps, key=lambda j: j.at)
     at = np.array([j.at for j in jmps]) if jmps else np.empty(0)
     delta = np.array([j.delta for j in jmps]) if jmps else np.empty(0)
@@ -762,12 +810,11 @@ def reference_table(segments, jumps) -> dict:
     def prefix(v):
         return np.concatenate([[0.0], v.cumsum()])
 
-    starts = np.ones(len(rows), dtype=bool)
+    starts = np.ones(len(segs), dtype=bool)
     starts[1:] = cls[1:] != cls[:-1]
     starts[np.searchsorted(lo, at)] = True
     return dict(zip(TABLE_COLUMNS, (
-        lo, hi, cls, kind, slope, exp, scale,
-        np.array([x for s in segments for x, _ in getattr(s.profile, "points", ())]),
+        lo, hi, cls, code, np.array(ptr), row_lo, kind.astype(int), slope, exp, scale, y, y0,
         prefix(totals), prefix(np.where(cls == 1, totals, 0.0)),
         prefix(np.where(cls == 2, -totals, 0.0)), at, delta, prefix(delta),
         prefix(np.maximum(delta, 0.0)), prefix(np.maximum(-delta, 0.0)),

@@ -27,6 +27,7 @@ from stieltjes import (
     Segment,
     StieltjesMeasure,
     SystemSpec,
+    TabulatedProfile,
     Trajectory,
     UndefinedPointError,
     chain_rule_check,
@@ -223,6 +224,16 @@ class TestDerivative:
         with pytest.raises(ConvergenceError, match=r"^one-sided quotients disagree at 0\.5$") as exc:
             g_derivative_fn(lambda t: t ** 2, d, 0.5)
         assert exc.value.last_estimate == [0.5, 1.0]
+
+    def test_a_knot_cell_point_brackets_inside_its_cell(self):
+        # g is affine on the knot cell [0.4, 0.6] with slope 0.5, where
+        # d(t^2)/dg = 2t / 0.5; a bracket across a knot meets a kink of g
+        d = Derivator((0.0, 1.0), [Segment(0.0, 1.0, TabulatedProfile(
+            ((0.2, 0.0), (0.4, 0.5), (0.6, 0.6), (0.8, 1.5))))])
+        seen = []
+        val = g_derivative_fn(lambda t: seen.append(t) or t ** 2, d, 0.45)
+        assert val == pytest.approx(1.8, rel=1e-9)
+        assert 0.4 <= min(seen) and max(seen) <= 0.6
 
     def test_noisy_function_raises_convergence_error(self):
         d = Derivator.identity(0.0, 1.0)

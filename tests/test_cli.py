@@ -247,6 +247,24 @@ class TestDerive:
         assert json.loads(Path(out).read_text())["points"] == [{"t": 0.5, "derivative": 1.0}]
 
 
+    def test_the_mean_of_two_one_sided_quotients_does_not_overflow(self, tmp_path, capsys):
+        # slope-1 segments meet at 0.5: both one-sided quotients read 1.5e308,
+        # and their sum overflows where their halves do not
+        dpath = write(tmp_path, "two.json", {
+            "interval": [0.0, 1.0],
+            "segments": [
+                {"lo": 0.0, "hi": 0.5, "profile": {"kind": "linear", "slope": 1.0}},
+                {"lo": 0.5, "hi": 1.0, "profile": {"kind": "linear", "slope": 1.0}},
+            ],
+        })
+        big = write(tmp_path, "big.json", {"kind": "polynomial", "coefficients": [0.0, 1.5e308]})
+        for at in ("0.25", "0.5"):
+            assert cli.main(["derive", dpath, big, "--at", at]) == 0
+            out = capsys.readouterr().out
+            assert "Infinity" not in out
+            assert json.loads(out)["points"] == [{"t": float(at), "derivative": 1.5e308}]
+
+
 class TestFtcCheck:
     def test_passes_on_a_smooth_integrand(self, tmp_path, deriv_path):
         vpath = write(tmp_path, "v.json",

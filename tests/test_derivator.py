@@ -13,6 +13,7 @@ from helpers import (
     reference_run_boundaries,
     reference_runs,
     reference_structural_sets,
+    reference_variation,
     reference_variation_by_segment,
     reference_variation_cumulative,
     same_bits,
@@ -32,6 +33,7 @@ from stieltjes import (
     PowerProfile,
     Segment,
     TabulatedProfile,
+    specio,
     uniform_grid,
 )
 
@@ -515,9 +517,10 @@ class TestSegmentTable:
                     assert same_bits(d.variation_cumulative(t, kind),
                                      reference_variation_by_segment(d, t, kind))
 
-    def test_points_in_one_tabulated_segment_take_one_interpolation(self, monkeypatch):
-        """Only the tabulated segments that hold points are interpolated, once
-        each over all their points, however many others the derivator has."""
+    def test_tabulated_points_read_their_knot_rows_without_interpolation(self, monkeypatch):
+        """Points on tabulated segments take their knot row's affine expression,
+        with np.interp's bits and no call to it, however many tabulated
+        segments the derivator has."""
         d = long_derivator(np.random.default_rng(64), 2000)
         seg = [s for s in d.segments if isinstance(s.profile, TabulatedProfile)][100]
         ts = seg.lo + (seg.hi - seg.lo) * np.array([0.75, 0.25])
@@ -525,7 +528,7 @@ class TestSegmentTable:
         calls, interp = [], np.interp
         monkeypatch.setattr(np, "interp", lambda x, *args: calls.append(len(x)) or interp(x, *args))
         got = d.eval(ts)
-        assert calls == [2]
+        assert calls == []
         assert same_bits(got, want)
 
     def test_variation_cumulative_keeps_the_input_shape(self):
@@ -535,3 +538,61 @@ class TestSegmentTable:
         np.testing.assert_array_equal(d.variation_cumulative(ts).ravel(),
                                       d.variation_cumulative(ts.ravel()))
         assert d.variation_cumulative(np.array([])).shape == (0,)
+
+
+# A tabulated segment is a run of table rows: a flat head, one affine row per
+# knot cell and a flat tail. Every query must keep the bits that one
+# np.interp per segment gives, and every segment-level answer its value.
+
+
+def tabulated_draws(seed, count=300):
+    """``count`` random derivators that each hold a tabulated segment."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        d = random_derivator(rng)
+        if any(isinstance(s.profile, TabulatedProfile) for s in d.segments):
+            draws.append(d)
+    return rng, draws
+
+
+class TestKnotRows:
+    def test_queries_keep_the_bits_of_one_interpolation_per_segment(self):
+        rng, draws = tabulated_draws(81)
+        for d in draws:
+            knots = [x for s in d.segments for x, _ in getattr(s.profile, "points", ())]
+            ends = [v for s in d.segments for v in (s.lo, s.hi)]
+            ts = np.concatenate([rng.uniform(d.a, d.b, 64), knots, ends,
+                                 np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+            assert same_bits(d.eval(ts), reference_eval(d, ts))
+            assert same_bits(d.eval_right(ts), reference_eval_right(d, ts))
+            for kind in ("total", "positive", "negative"):
+                assert same_bits(d.variation_cumulative(ts, kind),
+                                 reference_variation_by_segment(d, ts, kind))
+            for t in knots + ends:  # the one-point path
+                assert same_bits(d.eval(t), reference_eval(d, [t]))
+            lo, hi = random_subinterval(rng, d)
+            for c, e in ((lo, hi), (d.a, d.b), (d.a, knots[0]), (knots[-1], d.b)):
+                for kind in ("total", "positive", "negative"):
+                    assert same_bits(d.variation(c, e, kind), reference_variation(d, c, e, kind))
+
+    def test_head_and_tail_rows_do_not_split_a_run(self):
+        _, draws = tabulated_draws(82)
+        for d in draws:
+            assert d.structural_sets() == reference_structural_sets(d)
+            assert d.run_boundaries() == reference_run_boundaries(d)
+            ts = np.array(d.breakpoints())
+            assert d.segment_index(ts).tolist() == [
+                max([k for k, s in enumerate(d.segments) if s.lo < t] or [0]) for t in ts]
+
+    def test_tabulated_documents_round_trip(self):
+        _, draws = tabulated_draws(83)
+        for d in draws:
+            doc = specio.serialize_derivator(d)
+            assert specio.serialize_derivator(specio.parse_derivator(doc)) == doc
+            assert specio.parse_derivator(doc).segments == d.segments
+
+    def test_a_knot_cell_slope_that_overflows_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="knot-cell slope"):
+            Derivator((0.0, 1.0), [Segment(0.0, 1.0, TabulatedProfile(
+                ((5e-324, 0.0), (1e-323, 1.0), (0.5, 2.0))))])

@@ -1,5 +1,6 @@
 """The op-diff tool: a checkout against itself and against a planted change."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def op_diff(parent, change):
+def op_diff(parent, change, seeds=("7",)):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "op_diff.py"), "--parent", str(parent),
-         "--change", str(change), "--seed", "7"],
+         "--change", str(change), "--seed", *seeds],
         capture_output=True, text=True,
     )
 
@@ -30,6 +31,21 @@ def test_a_checkout_against_itself_differs_nowhere():
     proc = op_diff(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["seed 7: 0 of 590 ops differ"]
+
+
+def test_several_seeds_run_in_one_call(tmp_path):
+    # one summary line per seed; exit 1 when any seed differs
+    proc = op_diff(ROOT, ROOT, ("7", "11"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seed 7: 0 of 590 ops differ"
+    assert re.fullmatch(r"seed 11: 0 of \d+ ops differ", lines[1]) and len(lines) == 2
+    planted(tmp_path, "    return 3\n")
+    proc = op_diff(ROOT, tmp_path, ("11", "7"))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    summaries = [line for line in proc.stdout.splitlines() if line.startswith("seed ")]
+    assert [line.split(":")[0] for line in summaries] == ["seed 11", "seed 7"]
+    assert summaries[1].startswith("seed 7: 590 of 590 ops differ")
 
 
 def test_a_planted_change_is_named_op_by_op(tmp_path):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two checkouts op by op on the benchmark's generated ops.
 
-    python3 tools/op_diff.py --parent DIR --change DIR --seed N
+    python3 tools/op_diff.py --parent DIR --change DIR --seed N [N ...]
 
 Every op of both workloads in ``bench/workloads.py`` (the timed and warm-up
 lists and the ``derive`` probe, the same ops ``bench/run.py`` runs for the
@@ -10,9 +10,9 @@ seed) goes through each checkout's own ``stieltjes.cli.main`` by
 its own process and fresh empty directory with relative file names, so a path
 that shows up in an output is the same for both. The exit code, any exception
 raised out of ``main``, stdout, stderr and the op's output file are compared. The ids of
-the ops that differ are printed with the fields that differ, and the summary
-line counts them per op family (``Op.family``); the exit code is 1 if any op
-differs.
+the ops that differ are printed with the fields that differ, and one summary
+line per seed counts them per op family (``Op.family``); the exit code is 1 if
+any op of any seed differs.
 
 ``bench/workloads.py`` and ``bench/run.py`` are imported from the checkout
 this tool lives in and are only read.
@@ -84,31 +84,37 @@ def _outcomes(checkouts: tuple[str, ...], seed: int) -> list[dict]:
     return [json.loads(out) for out, _ in results]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", help="checkout to compare against")
-    parser.add_argument("--change", help="checkout with the change")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--run", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.run:
-        print(json.dumps(_run(args.run, args.seed)))
-        return 0
-    if not (args.parent and args.change):
-        parser.error("--parent and --change are required")
-    parent, change = _outcomes((args.parent, args.change), args.seed)
+def _diff(parent: str, change: str, seed: int) -> int:
+    """Print the ops of ``seed`` that differ and the seed's summary line; the count."""
+    before, after = _outcomes((parent, change), seed)
     families = Counter()
-    for op_id in sorted(parent.keys() | change.keys()):
-        a, b = parent.get(op_id), change.get(op_id)
+    for op_id in sorted(before.keys() | after.keys()):
+        a, b = before.get(op_id), after.get(op_id)
         fields = FIELDS if a is None or b is None else [f for f in FIELDS if a[f] != b[f]]
         if fields:
             families[(a or b)["family"]] += 1
             print(f"{op_id}: {', '.join(fields)}")
     differ = sum(families.values())
     per_family = ", ".join(f"{family} {n}" for family, n in sorted(families.items()))
-    print(f"seed {args.seed}: {differ} of {len(parent)} ops differ"
-          + (f" ({per_family})" if differ else ""))
-    return 1 if differ else 0
+    print(f"seed {seed}: {differ} of {len(before)} ops differ"
+          + (f" ({per_family})" if differ else ""), flush=True)
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="checkout to compare against")
+    parser.add_argument("--change", help="checkout with the change")
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
+    parser.add_argument("--run", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run:
+        print(json.dumps(_run(args.run, args.seed[0])))
+        return 0
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required")
+    differ = [_diff(args.parent, args.change, seed) for seed in args.seed]
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":
