@@ -42,7 +42,8 @@ class Trajectory:
     there. Between grid points the record is linear, from the right value at
     the left end to the left value at the right end. Construction looks up
     the jumps on the grid once, to check it, and keeps their index and masses
-    for every reader (``g_values``, ``verify_linear_solution`` and the rest).
+    for every reader (``g_values``, ``verify_linear_solution`` and the rest);
+    :meth:`_tabled` takes them from the caller instead.
     """
 
     grid: np.ndarray
@@ -70,6 +71,16 @@ class Trajectory:
             raise DomainError(f"right value differs from left at non-jump time {t}")
         self._g_left = None
         self._g_right = None
+
+    @classmethod
+    def _tabled(cls, grid, left_values, right_values, governing, jumps, deltas) -> "Trajectory":
+        """The record, unchecked, of float arrays on a grid built in the interval
+        with every jump, and of the grid's jump index and masses."""
+        self = cls.__new__(cls)
+        self.grid, self.left_values, self.right_values = grid, left_values, right_values
+        self.governing, self._jumps, self._deltas = governing, jumps, deltas
+        self._g_left = self._g_right = None
+        return self
 
     # cached derivator values on the grid, from one evaluation
     def g_values(self):
@@ -160,14 +171,15 @@ def primitive(m: StieltjesMeasure, v, grid_hint: int = 256) -> Trajectory:
     v = _as_integrand(v)
     d = m.derivator
     grid = uniform_grid(d, grid_hint)
-    deltas = d._deltas(grid)
+    jumps = d._jump_index(grid)
+    deltas = d._jump_delta_padded[jumps]
     with np.errstate(over="ignore", invalid="ignore"):
         cont = _cell_integrals(d, v, grid)
         atom_vals = np.where(deltas != 0.0, np.asarray(v(grid), dtype=float) * deltas, 0.0)
         left, right = _running_sums(atom_vals, cont)
     _raise_at_first(~np.isfinite(left) | ~np.isfinite(right), grid, "primitive",
                     "the integral overflows")
-    return Trajectory(grid, left, right, d)
+    return Trajectory._tabled(grid, left, right, d, jumps, deltas)
 
 
 def _running_sums(atoms: np.ndarray, cells: np.ndarray, start=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -206,16 +218,20 @@ def _cell_increments(g: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return g[1:] - (g[:-1] + deltas[:-1])
 
 
-def _resum(atoms: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _resum(atoms: np.ndarray, cells: np.ndarray, starts=(0,)) -> np.ndarray:
     """Cumulative atoms-plus-cells sum over a grid, 0.0 at the first time.
 
     Entry i is the running sum of ``atoms[k] + cells[k]`` over k < i, each
     atom and its cell added together before joining the sum (unlike
     :func:`_running_sums`, which adds them one at a time). Arrays with
-    columns are summed per column along axis 0.
+    columns are summed per column along axis 0. Each of ``starts`` begins a
+    new grid of a stack: its sum restarts at 0.0, and the cell before it is left out.
     """
     steps = atoms[:-1] + cells
-    return np.concatenate([np.zeros((1,) + steps.shape[1:]), np.cumsum(steps, axis=0)])
+    sums = np.zeros(atoms.shape)
+    for lo, hi in zip(starts, [*starts[1:], len(atoms)]):
+        steps[lo:hi - 1].cumsum(axis=0, out=sums[lo + 1:hi])
+    return sums
 
 
 def _cell_integrals(d: Derivator, v: Integrand, grid: np.ndarray) -> np.ndarray:

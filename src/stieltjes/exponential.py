@@ -186,7 +186,7 @@ class GExponential:
             left = np.where(zeroed, 0.0, sign * np.exp(integral))
             right = left * factors
         _raise_at_first(~np.isfinite(right), grid, "exponential")  # so is right where left is
-        return Trajectory(grid, left, right, d)
+        return Trajectory._tabled(grid, left, right, d, jump, d._jump_delta_padded[jump])
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,16 @@ A spec may also carry ``rhs_batch(ts, X) -> F``, the same function over many
 rows at once: ``ts`` has shape (n,), ``X`` and ``F`` have shape (n, dim), and
 row k of ``F`` must equal ``rhs(ts[k], X[k])`` bit for bit. The catalog and
 plume right-hand sides are one function that serves both calls, so their
-specs pass it as both ``rhs`` and ``rhs_batch``. Picard sweeps and the jump
-audit evaluate whole grids through :meth:`SystemSpec.call_rhs_many`, which
-uses the batch form when there is one and loops the scalar form when there
-is not; the checks and error messages are the scalar ones either way. A
-Picard sweep makes one such call: the left states, then the jump rows' right
-states. Each scheme builds its grid's jump table (:func:`_jump_table`) and
-continuous increments once, evaluating each component's derivator once. The
-report's trajectories keep the jump masses they look up to check the grid;
-:func:`solve` stacks those for the jump audit and the simultaneous-jump rows,
-and raises :class:`RhsEvaluationError` at the first grid time whose state is
-not finite.
+specs pass it as both ``rhs`` and ``rhs_batch``. Picard sweeps evaluate
+whole grids through :meth:`SystemSpec.call_rhs_many`, which uses the batch
+form when there is one and loops the scalar form when there is not; the
+checks and error messages are the scalar ones either way. :func:`solve`
+tabulates the jumps and increments of its grid and of the error estimate's
+doubled grid once, on their union, and sweeps both grids together: one such
+call per sweep, the left states of both grids, then their jump rows' right
+states. Its errors keep the order of two runs one after the other: the coarse
+grid's come first, and a state that is not finite raises
+:class:`RhsEvaluationError` at its first grid time.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -199,20 +198,28 @@ def select_horizon(spec: SystemSpec, bound: CaratheodoryBound, mesh: int = 4096)
     return float(grid[np.flatnonzero(ok)[-1]])
 
 
-def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray) -> np.ndarray:
-    """deltas[k, j] = jump of derivator j at grid[k]; the solvers' eval of g checks the grid."""
-    for d in derivators:
-        missing = _missing_jumps(d, grid)
-        if missing:
-            raise DomainError(f"solver grid is missing jump time {missing[0]}")
-    return np.stack([d._deltas(grid) for d in derivators], axis=1)
+def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray, parts=None):
+    """index[k, j] = derivator j's jump at grid[k] (-1 for none) and deltas[k, j]
+    its mass, after a DomainError for the first of ``parts`` (default: the
+    grid) that lacks a jump time; the solvers' eval of g checks the domain."""
+    for part in parts or [grid]:
+        for d in derivators:
+            missing = _missing_jumps(d, part)
+            if missing:
+                raise DomainError(f"solver grid is missing jump time {missing[0]}")
+    index = np.stack([d._jump_index(grid) for d in derivators], axis=1)
+    return index, np.stack([d._jump_delta_padded[k] for d, k in zip(derivators, index.T)], axis=1)
 
 
-def _tables(spec: SystemSpec, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The jump table and the increments g_j(t_{k+1}) - g_j(t_k+) of a solver grid."""
-    deltas = _jump_table(spec.derivators, grid)
-    g = np.stack([d.eval(grid) for d in spec.derivators], axis=1)
-    return deltas, _cell_increments(g, deltas)
+def _grid_tables(spec: SystemSpec, grids: Sequence[np.ndarray]) -> list[tuple]:
+    """Per grid, its jump index and masses and the increments g_j(t_{k+1}) - g_j(t_k+),
+    sliced from one jump table and one eval of each derivator on the union."""
+    union = grids[0] if len(grids) == 1 else np.unique(np.concatenate(grids))
+    index, deltas = _jump_table(spec.derivators, union, grids)
+    g = np.stack([d.eval(union) for d in spec.derivators], axis=1)
+    # a sorted grid without repeats as long as the union is the union
+    ats = [slice(None) if len(grid) == len(union) else union.searchsorted(grid) for grid in grids]
+    return [(index[at], deltas[at], _cell_increments(g[at], deltas[at])) for at in ats]
 
 
 def solve_euler(spec: SystemSpec, grid: np.ndarray,
@@ -228,7 +235,13 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
     loop over Python floats, through its float row form ``_row`` when it has
     one (the plume's).
     """
-    deltas, cont = _tables(spec, grid)
+    left, right, *_, warnings, _ = _euler(spec, grid, _grid_tables(spec, [grid])[0], safety_radius)
+    return left, right, warnings
+
+
+def _euler(spec: SystemSpec, grid: np.ndarray, table: tuple, safety_radius: float | None):
+    """:func:`solve_euler` on a grid with its :func:`_grid_tables` entry, as a run record."""
+    _, deltas, cont = table
     if getattr(spec.rhs, "_time_only", False):
         left, right = _euler_time_only(spec, grid, deltas, cont)
     elif getattr(spec.rhs, "_linear", None) is not None:
@@ -244,7 +257,7 @@ def solve_euler(spec: SystemSpec, grid: np.ndarray,
                 f"state left the safety ball (radius {safety_radius}) "
                 f"near t={float(grid[out[0] + 1])}; continuing anyway"
             )
-    return left, right, warnings
+    return left, right, True, 1, 0.0, warnings, None
 
 
 def _euler_loop(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, cont: np.ndarray):
@@ -334,44 +347,81 @@ def solve_picard(spec: SystemSpec, grid: np.ndarray, tol: float = 1e-10,
 
     Returns (left, right, converged, iterations, last_change, warnings).
     """
+    _check_sweeps(tol, max_iter)
+    return _picard(spec, [grid], _grid_tables(spec, [grid]), tol, max_iter)[0][:6]
+
+
+def _check_sweeps(tol: float, max_iter: int) -> None:
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    deltas, cont = _tables(spec, grid)
-    n = len(grid)
-    jump_rows = np.flatnonzero(deltas.any(axis=1))
-    # one rhs batch per sweep: the left rows, then the right states of the jump rows
-    times = np.concatenate([grid, grid[jump_rows]])
-    left = np.tile(spec.initial, (n, 1))
-    right = left.copy()
+
+
+def _picard(spec: SystemSpec, grids: Sequence[np.ndarray], tables: Sequence[tuple],
+            tol: float, max_iter: int) -> list[tuple]:
+    """:func:`solve_picard` on each grid with its :func:`_grid_tables` entry,
+    with the bits of one run per grid. The grids still sweeping are stacked,
+    a zero cell between two: one rhs batch and one set of elementwise ops per
+    sweep, while the sums and stop tests are per grid. Per grid: (left, right,
+    converged, iterations, last_change, warnings, f at the jump rows)."""
+    def stack(members):  # row starts and end, times, jump masses and jump rows
+        starts = np.cumsum([0] + [len(grids[i]) for i in members]).tolist()
+        deltas = np.concatenate([tables[i][1] for i in members])
+        times = np.concatenate([grids[i] for i in members])
+        return starts, times, deltas, np.flatnonzero(deltas.any(axis=1))
+
+    left = [np.tile(spec.initial, (len(grid), 1)) for grid in grids]
+    right = [x.copy() for x in left]
+    stops, stacked, gap = [None] * len(grids), None, np.zeros((1, spec.dim))
     for iterations in range(1, max_iter + 1):
-        f = spec.call_rhs_many(times, np.concatenate([left, right[jump_rows]]))
+        sweeping = [i for i, stop in enumerate(stops) if stop is None]
+        if not sweeping:
+            break
+        if sweeping != stacked:
+            stacked, (starts, times, deltas, rows) = sweeping, stack(sweeping)
+            spans = list(zip(sweeping, starts, starts[1:]))
+            n = starts.pop()
+            # one rhs batch per sweep: the left rows, then the right states of the jump rows
+            times = np.concatenate([times, times[rows]])
+            cont = np.concatenate([c for i in sweeping for c in (gap, tables[i][2])][1:])
+            stack_left = np.concatenate([left[i] for i in sweeping])
+            stack_right = np.concatenate([right[i] for i in sweeping])
+        f = spec.call_rhs_many(times, np.concatenate([stack_left, stack_right[rows]]))
         f_left = f[:n]
         f_right = f_left.copy()
-        f_right[jump_rows] = f[n:]
+        f_right[rows] = f[n:]
         # a state that overflows is reported by solve, without float warnings
         with np.errstate(over="ignore", invalid="ignore"):
             atoms = f_left * deltas
-            new_left = spec.initial + _resum(atoms, _trapezoid_cells(f_right, f_left, cont))
-            new_left[0] = spec.initial
+            new_left = spec.initial + _resum(atoms, _trapezoid_cells(f_right, f_left, cont), starts)
+            new_left[starts] = spec.initial
             new_right = new_left + atoms
-            last_change = float(abs(new_left - left).max())
-        # a repeated iterate changes by 0, or by NaN where it holds inf or NaN
-        repeated = not last_change > 0.0 and (np.array_equal(new_left, left, equal_nan=True)
-                                              and np.array_equal(new_right, right, equal_nan=True))
-        left, right = new_left, new_right
-        converged = last_change < tol
-        if converged or repeated:
-            break
-    warnings = [] if converged else [f"fixed-point sweep stopped after {iterations} iterations "
-                                     f"with change {last_change:.3e} (tolerance {tol:.1e})"]
-    # exact jump resweep against the final left values
+            moved = abs(new_left - stack_left)
+        for i, lo, hi in spans:
+            change = float(moved[lo:hi].max())
+            # a repeated iterate changes by 0, or by NaN where it holds inf or NaN
+            repeated = not change > 0.0 and (
+                np.array_equal(new_left[lo:hi], stack_left[lo:hi], equal_nan=True)
+                and np.array_equal(new_right[lo:hi], stack_right[lo:hi], equal_nan=True))
+            left[i], right[i] = new_left[lo:hi], new_right[lo:hi]
+            if change < tol or repeated or iterations == max_iter:
+                stops[i] = (change < tol, iterations, change)
+        stack_left, stack_right = new_left, new_right
+    # exact jump resweep of every grid against the final left values, in one batch
+    starts, times, deltas, rows = stack(range(len(grids)))
+    left = np.concatenate(left)
     right = left.copy()
-    f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
+    f = spec.call_rhs_many(times[rows], left[rows])
     with np.errstate(over="ignore", invalid="ignore"):
-        right[jump_rows] = left[jump_rows] + f * deltas[jump_rows]
-    return left, right, converged, iterations, last_change, warnings
+        right[rows] = left[rows] + f * deltas[rows]
+    runs = []
+    for lo, hi, f_jumps, (converged, iters, change) in zip(
+            starts, starts[1:], np.split(f, np.searchsorted(rows, starts[1:-1])), stops):
+        warnings = [] if converged else [f"fixed-point sweep stopped after {iters} iterations "
+                                         f"with change {change:.3e} (tolerance {tol:.1e})"]
+        runs.append((left[lo:hi], right[lo:hi], converged, iters, change, warnings, f_jumps))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -392,7 +442,7 @@ class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 25
     safety_radius: float | None = None
-    error_estimate: bool = True
+    error_estimate: bool = True  # also solve the doubled mesh; Picard sweeps both at once
 
 
 @dataclass
@@ -413,10 +463,10 @@ class SolutionReport:
         return np.array([tr.right_values[-1] for tr in self.trajectories])
 
 
-def _audit_jumps(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray,
-                 left: np.ndarray, right: np.ndarray) -> tuple[JumpAuditRow, ...]:
-    jump_rows = np.nonzero(np.any(deltas != 0.0, axis=1))[0]
-    f = spec.call_rhs_many(grid[jump_rows], left[jump_rows])
+def _audit_jumps(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, f: np.ndarray) -> tuple[JumpAuditRow, ...]:
+    """Audit rows, with ``f`` evaluated at the jump rows' left states."""
+    jump_rows = np.flatnonzero(deltas.any(axis=1))
     rows = []
     for fx, k in zip(f, jump_rows):
         for j in range(spec.dim):
@@ -437,38 +487,42 @@ def _audit_jumps(spec: SystemSpec, grid: np.ndarray, deltas: np.ndarray,
     return tuple(rows)
 
 
-def _run(spec: SystemSpec, grid: np.ndarray, config: SolveConfig):
-    """The configured scheme on a grid; a state that is not finite raises
-    RhsEvaluationError at its first grid time."""
-    if config.picard:
-        left, right, conv, iters, change, warns = solve_picard(
-            spec, grid, tol=config.tol, max_iter=config.max_iter
-        )
-    else:
-        left, right, warns = solve_euler(
-            spec, grid, safety_radius=config.safety_radius
-        )
-        conv, iters, change = True, 1, 0.0
-    _raise_at_first(~(np.isfinite(left) & np.isfinite(right)).all(axis=1), grid, "state")
-    return left, right, conv, iters, change, warns
-
-
 def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport:
     """Integrate the system and report trajectories with a jump audit.
 
-    The error estimate reruns the scheme on a doubled mesh and takes the
+    The error estimate solves the system on a doubled mesh too and takes the
     largest difference at shared grid times; pass
-    ``SolveConfig(error_estimate=False)`` to skip the second run.
+    ``SolveConfig(error_estimate=False)`` to skip it. Picard sweeps both
+    grids together; when that raises, the grids run again one at a time, so
+    errors come as from two runs one after the other: a state that is not
+    finite raises at its first grid time, before the next grid runs.
     """
     config = config or SolveConfig()
     horizon = spec.horizon if spec.horizon is not None else spec.interval[1]
-    grid = system_grid(spec.derivators, horizon, config.mesh)
-    left, right, conv, iters, change, warns = _run(spec, grid, config)
+    meshes = (config.mesh, 2 * config.mesh) if config.error_estimate else (config.mesh,)
+    grids = [system_grid(spec.derivators, horizon, mesh) for mesh in meshes]
+    if config.picard:
+        _check_sweeps(config.tol, config.max_iter)
+    tables, runs = _grid_tables(spec, grids), []
+    if config.picard and len(grids) > 1:
+        try:
+            runs = _picard(spec, grids, tables, config.tol, config.max_iter)
+        except RhsEvaluationError:
+            pass  # the loop below reruns the grids one at a time
+    for k, (grid, table) in enumerate(zip(grids, tables)):
+        if k == len(runs):
+            if config.picard:
+                runs += _picard(spec, [grid], [table], config.tol, config.max_iter)
+            else:
+                runs.append(_euler(spec, grid, table, config.safety_radius))
+        left, right = runs[k][:2]
+        _raise_at_first(~(np.isfinite(left) & np.isfinite(right)).all(axis=1), grid, "state")
+    grid, (jumps, deltas, _) = grids[0], tables[0]
+    left, right, conv, iters, change, warns, f_jumps = runs[0]
 
     err = None
     if config.error_estimate:
-        fine_grid = system_grid(spec.derivators, horizon, 2 * config.mesh)
-        f_left, _, _, _, _, _ = _run(spec, fine_grid, config)
+        fine_grid, f_left = grids[1], runs[1][0]
         pos = np.searchsorted(fine_grid, grid)
         exact = (pos < len(fine_grid)) & (fine_grid[np.clip(pos, 0, len(fine_grid) - 1)] == grid)
         err = float(np.max(np.abs(left[exact] - f_left[pos[exact]])))
@@ -479,10 +533,9 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
             ]
 
     trajectories = tuple(
-        Trajectory(grid, left[:, j], right[:, j], spec.derivators[j])
-        for j in range(spec.dim)
+        Trajectory._tabled(grid, left[:, j], right[:, j], d, jumps[:, j], deltas[:, j])
+        for j, d in enumerate(spec.derivators)
     )
-    deltas = np.stack([tr._deltas for tr in trajectories], axis=1)
     together = np.count_nonzero(deltas, axis=1) >= 2
     sim = tuple(grid[together].tolist())
     all_warns = list(warns)
@@ -492,6 +545,9 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
             + ", ".join(f"t={t}" for t in sim)
             + "; the shared pre-jump state feeds every component"
         )
+    if f_jumps is None:  # Euler: f at the jump rows' left states, for the audit
+        rows = np.flatnonzero(deltas.any(axis=1))
+        f_jumps = spec.call_rhs_many(grid[rows], left[rows])
     return SolutionReport(
         trajectories=trajectories,
         grid=grid,
@@ -500,7 +556,7 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
         iterations=iters,
         last_change=change,
         error_estimate=err,
-        jump_audit=_audit_jumps(spec, grid, deltas, left, right),
+        jump_audit=_audit_jumps(spec, grid, deltas, left, right, f_jumps),
         simultaneous_jumps=sim,
         warnings=tuple(all_warns),
     )

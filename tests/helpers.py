@@ -348,6 +348,81 @@ def reference_picard(spec, grid, tol=1e-10, max_iter=25):
     return left, right, converged, iterations, last_change, warnings
 
 
+def report_fields(report):
+    """A solve report as comparable values: arrays as bytes, floats as reprs
+    (which round-trip and tell -0.0 from 0.0)."""
+    audit = tuple((repr(r.time), r.component, repr(r.left), repr(r.right),
+                   repr(r.expected_increment), repr(r.residual), repr(r.residual_ulps))
+                  for r in report.jump_audit)
+    values = tuple((tr.left_values.tobytes(), tr.right_values.tobytes())
+                   for tr in report.trajectories)
+    return (report.method, report.grid.tobytes(), report.converged, report.iterations,
+            repr(report.last_change), repr(report.error_estimate), tuple(report.warnings),
+            report.simultaneous_jumps, values, audit)
+
+
+def reference_solve(spec, config):
+    """``report_fields`` of ``solve(spec, config)`` built from one-grid
+    ``solve_picard`` or ``solve_euler`` runs, the mesh first and then the
+    doubled mesh, each followed by the check of its state, with an audit that
+    evaluates f row by row; or the text of the RhsEvaluationError the first
+    failing step raises. Returns (fields or text, (iterations, converged,
+    last_change) of each grid that ran)."""
+    from stieltjes import RhsEvaluationError, solve_euler, solve_picard, system_grid
+
+    horizon = spec.horizon if spec.horizon is not None else spec.interval[1]
+    meshes = (config.mesh, 2 * config.mesh) if config.error_estimate else (config.mesh,)
+    runs, stops = [], []
+    try:
+        for mesh in meshes:
+            grid = system_grid(spec.derivators, horizon, mesh)
+            if config.picard:
+                run = solve_picard(spec, grid, tol=config.tol, max_iter=config.max_iter)
+            else:
+                left, right, warns = solve_euler(spec, grid, safety_radius=config.safety_radius)
+                run = (left, right, True, 1, 0.0, warns)
+            stops.append((run[3], run[2], run[4]))
+            bad = ~(np.isfinite(run[0]) & np.isfinite(run[1])).all(axis=1)
+            if bad.any():
+                raise RhsEvaluationError(f"state is not finite at t={float(grid[np.argmax(bad)])}; "
+                                         "the solution overflows")
+            runs.append((grid, *run))
+    except RhsEvaluationError as exc:
+        return f"RhsEvaluationError: {exc}", stops
+    grid, left, right, converged, iterations, change, warns = runs[0]
+    warns = list(warns)
+    err = None
+    if config.error_estimate:
+        fine, fine_left = runs[1][:2]
+        at = {t: k for k, t in enumerate(fine.tolist())}
+        shared = [(k, at[t]) for k, t in enumerate(grid.tolist()) if t in at]
+        err = max(abs(left[k] - fine_left[i]).max() for k, i in shared)
+        if len(shared) < len(grid):
+            warns.append("coarse grid not fully contained in the doubled grid; "
+                         "error estimate taken over the shared points only")
+    deltas = reference_jump_table(spec.derivators, grid)
+    sim = tuple(grid[np.count_nonzero(deltas, axis=1) >= 2].tolist())
+    if sim:
+        warns.append("multiple components jump together at " + ", ".join(f"t={t}" for t in sim)
+                     + "; the shared pre-jump state feeds every component")
+    audit = []
+    for k in np.flatnonzero(deltas.any(axis=1)):
+        fx = spec.call_rhs(grid[k], left[k])
+        for j in np.flatnonzero(deltas[k]):
+            step = fx[j] * deltas[k, j]
+            residual = right[k, j] - (left[k, j] + step)
+            scale = max(abs(left[k, j]), abs(right[k, j]), 1e-300)
+            audit.append((repr(float(grid[k])), int(j), repr(float(left[k, j])),
+                          repr(float(right[k, j])), repr(float(step)), repr(float(residual)),
+                          repr(float(abs(residual) / np.spacing(scale)))))
+    values = tuple((np.ascontiguousarray(left[:, j]).tobytes(),
+                    np.ascontiguousarray(right[:, j]).tobytes()) for j in range(spec.dim))
+    fields = ("picard" if config.picard else "euler", grid.tobytes(), converged, iterations,
+              repr(change), repr(None if err is None else float(err)), tuple(warns), sim,
+              values, tuple(audit))
+    return fields, stops
+
+
 def outcome(solver, *args, **kwargs):
     """A solver's result, or the text of the RhsEvaluationError it raised."""
     from stieltjes import RhsEvaluationError

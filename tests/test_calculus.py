@@ -406,8 +406,7 @@ def test_grids_built_inside_the_interval_skip_the_domain_check(monkeypatch):
     lc = LinearCoefficient(d, Integrand.polynomial([0.4]))
     checked.clear()
     GExponential(lc).trajectory(grid_hint=16)
-    assert checked == [len(grid)]  # the Trajectory record checks its grid once
-    checked.clear()
+    primitive(StieltjesMeasure(d, "signed"), Integrand.polynomial([0.4]), grid_hint=16)
     spec = SystemSpec([d], lambda t, x: x, [1.0])
     solver._jump_table([d], solver.system_grid([d], 1.0, 256))
     bound = CaratheodoryBound(radius=1e6, dominators=[Integrand.polynomial([1.0])])
@@ -465,7 +464,8 @@ def test_estimate_table_matches_the_per_offset_windows():
 
 class TestKeptJumpMasses:
     """A trajectory looks its grid's jump masses up once, when it checks the
-    grid; the routines that take it read them from there."""
+    grid, or takes them from the routine that built it; the routines that
+    take it read them from there."""
 
     def test_kept_masses_are_the_derivators_masses(self):
         rng = np.random.default_rng(71)
@@ -478,6 +478,30 @@ class TestKeptJumpMasses:
                 assert same_bits(h._deltas, d.deltas_on(ts))
             h = primitive(StieltjesMeasure(d), Integrand.polynomial([0.5, -1.0]), grid_hint=16)
             assert same_bits(h._deltas, d.deltas_on(h.grid))
+
+    def test_the_table_path_keeps_what_the_checked_record_keeps(self):
+        rng = np.random.default_rng(73)
+
+        def assert_same_tables(h, d):
+            checked = Trajectory(h.grid, h.left_values, h.right_values, d)
+            assert np.array_equal(h._jumps, checked._jumps)
+            assert same_bits(h._deltas, checked._deltas)
+            assert all(same_bits(a, b) for a, b in zip(h.g_values(), checked.g_values()))
+
+        for _ in range(200):
+            d = random_derivator(rng, rng.uniform(-2.0, 0.0), rng.uniform(0.5, 3.0))
+            grid = uniform_grid(d, int(rng.integers(8, 33)))
+            lo, hi = sorted(rng.choice(len(grid), size=2, replace=False))
+            ts = grid[lo:hi + 1] if rng.random() < 0.5 else grid
+            jumps = d._jump_index(ts)
+            left = rng.normal(size=len(ts))
+            right = np.where(jumps >= 0, rng.normal(size=len(ts)), left)
+            assert_same_tables(Trajectory._tabled(ts, left, right, d, jumps,
+                                                  d._jump_delta_padded[jumps]), d)
+            # the records that primitive and the g-exponential build take this path
+            c = Integrand.polynomial(rng.uniform(-1.0, 1.0, 2))
+            assert_same_tables(primitive(StieltjesMeasure(d), c, grid_hint=8), d)
+            assert_same_tables(GExponential(LinearCoefficient(d, c)).trajectory(grid_hint=8), d)
 
     @staticmethod
     def no_lookups(monkeypatch, *names):
@@ -502,7 +526,7 @@ class TestKeptJumpMasses:
         d = identity_with_jump(delta=-0.6, at=0.5)
         lc = LinearCoefficient(d, Integrand.polynomial([0.3, -0.7]))
         want = verify_linear_solution(lc, grid_hint=64)
-        # the trajectory it builds makes the one lookup, through _deltas
+        # the trajectory it builds makes the one lookup, through _jump_index
         self.no_lookups(monkeypatch, "deltas_on")
         assert verify_linear_solution(lc, grid_hint=64) == want
 

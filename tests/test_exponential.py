@@ -259,16 +259,16 @@ class TestVerification:
         assert report.passed and report.jump_identity_exact
         assert report.warnings == ()
 
-    def test_the_grid_jumps_are_looked_up_twice(self, monkeypatch):
-        """Once for the trajectory's factors and once when its ``Trajectory``
-        checks the grid; the jump identity reads the index the latter keeps."""
+    def test_the_grid_jumps_are_looked_up_once(self, monkeypatch):
+        """For the trajectory's factors; its ``Trajectory`` keeps that index,
+        and the jump identity reads it."""
         calls = []
         lookup = Derivator._jump_index
         monkeypatch.setattr(Derivator, "_jump_index",
                             lambda self, ts: calls.append(len(ts)) or lookup(self, ts))
         lc = LinearCoefficient(identity_with_jump(-2.0), lambda t: 1.0)
         report = verify_linear_solution(lc, grid_hint=64)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert report.jump_identity_exact
 
 

@@ -13,6 +13,8 @@ from helpers import (
     reference_geometry,
     reference_picard,
     reference_plume_audit,
+    reference_solve,
+    report_fields,
     same_bits,
 )
 from stieltjes import (
@@ -31,7 +33,7 @@ from stieltjes import (
     system_grid,
 )
 from stieltjes import cli
-from stieltjes.specio import parse_system, serialize_derivator
+from stieltjes.specio import parse_plume, parse_system, serialize_derivator
 
 RK45_TOL = 1e-4
 
@@ -269,6 +271,32 @@ def random_ambient(rng):
     hi = float(rng.uniform(2.0, 12.0))
     gradient = float(rng.choice([0.0, -1.0, 1.0]) * rng.uniform(0.1, 5.0))
     return AmbientDensity.linear(0.0, hi, float(rng.uniform(990.0, 1010.0)), gradient)
+
+
+class TestLockstep:
+    """A plume solve sweeps its two grids together and reports what one-grid
+    runs, one after the other, give."""
+
+    def test_random_plume_documents_solve_as_two_one_grid_runs(self):
+        rng = np.random.default_rng(89)
+        seen = dict.fromkeys(["apart", "max_iter", "error"], 0)
+        for _ in range(200):
+            amb = random_ambient(rng)
+            doc = {"ambient": serialize_derivator(amb.rho),
+                   "initial": [float(rng.uniform(0.01, 0.1)), float(rng.uniform(0.005, 0.05)),
+                               float(rng.uniform(-0.2, 0.3))]}
+            if rng.random() < 0.3:
+                doc["horizon"] = float(rng.uniform(0.5, 1.0)) * amb.rho.b
+            spec = parse_plume(doc)
+            config = SolveConfig(mesh=int(rng.integers(2, 160)),
+                                 max_iter=25 if rng.random() < 0.8 else int(rng.integers(1, 25)),
+                                 error_estimate=rng.random() < 0.9)
+            want, stops = reference_solve(spec, config)
+            assert outcome(lambda: report_fields(solve(spec, config))) == want
+            seen["apart"] += len(stops) == 2 and stops[0][0] != stops[1][0]
+            seen["max_iter"] += any(n == config.max_iter and not ok for n, ok, _ in stops)
+            seen["error"] += isinstance(want, str)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestEulerRowForm:

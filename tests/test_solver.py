@@ -13,6 +13,8 @@ from helpers import (
     reference_euler,
     reference_jump_table,
     reference_picard,
+    reference_solve,
+    report_fields,
     same_bits,
 )
 from stieltjes import (
@@ -29,6 +31,7 @@ from stieltjes import (
     Segment,
     SolveConfig,
     SystemSpec,
+    Trajectory,
     build_plume_system,
     flux_to_geometry,
     select_horizon,
@@ -693,40 +696,235 @@ class TestStateThatOverflows:
                          "with change nan (tolerance 1.0e-10)"]
 
 
-class TestGridTables:
-    def test_each_component_is_evaluated_once_per_grid(self, monkeypatch):
-        amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
-        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
-        # the height derivator drives q and m: it is evaluated for each of them
-        sizes = []
-        evaluate = Derivator.eval
+def plume_spec():
+    amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
+    return build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
 
-        def counting(self, t):
-            sizes.append((id(self), np.size(t)))
-            return evaluate(self, t)
-        monkeypatch.setattr(Derivator, "eval", counting)
+
+def count_evaluations(monkeypatch):
+    """Record (derivator id, number of times) of every Derivator.eval from here on."""
+    sizes = []
+    evaluate = Derivator.eval
+
+    def counting(self, t):
+        sizes.append((id(self), np.size(t)))
+        return evaluate(self, t)
+    monkeypatch.setattr(Derivator, "eval", counting)
+    return sizes
+
+
+class TestGridTables:
+    """One jump table and one evaluation of each derivator per solve: the
+    grids of an error-estimated solve share them, tabulated on their union."""
+
+    def test_each_component_is_evaluated_once_per_grid(self, monkeypatch):
+        spec = plume_spec()
+        grid = system_grid(spec.derivators, 10.0, 64)
+        sizes = count_evaluations(monkeypatch)
+        # the height derivator drives q and m: it is evaluated for each of them
+        want = sorted((id(d), len(grid)) for d in spec.derivators)
         for picard in (True, False):
             sizes.clear()
-            report = solve(spec, SolveConfig(mesh=64, picard=picard))
-            fine = len(system_grid(spec.derivators, 10.0, 128))
-            # every component, once on the coarse grid and once on the fine one
-            assert sorted(sizes) == sorted((id(d), n) for d in spec.derivators
-                                           for n in (len(report.grid), fine))
+            solve(spec, SolveConfig(mesh=64, picard=picard, error_estimate=False))
+            assert sorted(sizes) == want
+        for scheme in (solve_picard, solve_euler):
+            sizes.clear()
+            scheme(spec, grid)
+            assert sorted(sizes) == want
+
+    @pytest.mark.parametrize("picard", [True, False])
+    def test_an_error_estimated_solve_evaluates_each_component_once(self, monkeypatch, picard):
+        spec = plume_spec()
+        sizes = count_evaluations(monkeypatch)
+        solve(spec, SolveConfig(mesh=64, picard=picard))
+        # the union of the two grids is the doubled one
+        fine = len(system_grid(spec.derivators, 10.0, 128))
+        assert sorted(sizes) == sorted((id(d), fine) for d in spec.derivators)
 
     @pytest.mark.parametrize("picard", [True, False])
     @pytest.mark.parametrize("error_estimate", [True, False])
     def test_each_solver_grid_builds_one_jump_table(self, monkeypatch, picard, error_estimate):
-        amb = AmbientDensity.step(0.0, 10.0, 1000.0, [(3.0, -1.5), (7.0, -0.8)])
-        spec = build_plume_system(PlumeParams(), amb, 0.05, 0.01, 0.15)
-        sizes = []
+        """Each grid's rows come from one jump table; the grids of one solve
+        share it, built once on their union."""
+        spec = plume_spec()
+        calls = []
         build = solver._jump_table
-        monkeypatch.setattr(solver, "_jump_table",
-                            lambda ds, grid: sizes.append(len(grid)) or build(ds, grid))
+
+        def counting(ds, grid, parts=None):
+            calls.append((len(grid), [len(part) for part in parts]))
+            return build(ds, grid, parts)
+        monkeypatch.setattr(solver, "_jump_table", counting)
         report = solve(spec, SolveConfig(mesh=64, picard=picard, error_estimate=error_estimate))
-        fine = [len(system_grid(spec.derivators, 10.0, 128))] if error_estimate else []
-        assert sizes == [len(report.grid)] + fine
-        # the audit and the simultaneous-jump rows read the trajectories' masses
+        grids = [len(report.grid)] + ([len(system_grid(spec.derivators, 10.0, 128))]
+                                      if error_estimate else [])
+        # one table on the union, which checks each grid for missing jumps
+        assert calls == [(grids[-1], grids)]
+        # the audit and the simultaneous-jump rows read the coarse grid's slice
         assert [r.time for r in report.jump_audit] == [3.0, 7.0]
+
+    def test_a_grid_missing_a_jump_is_named_in_grid_order(self):
+        spec = scalar_growth(jumps=[Jump(0.25, 1.0), Jump(0.5, 1.0)])
+        # their union holds both jumps; each grid lacks one
+        grids = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0])]
+        with pytest.raises(DomainError, match="^solver grid is missing jump time 0.25$"):
+            solver._grid_tables(spec, grids)
+        with pytest.raises(DomainError, match="^solver grid is missing jump time 0.5$"):
+            solver._grid_tables(spec, grids[::-1])
+
+    def test_the_report_trajectories_carry_the_checked_records_tables(self):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            ds = [random_derivator(rng) for _ in range(int(rng.integers(1, 4)))]
+            spec = SystemSpec(ds, lambda t, x: 0.5 * x, rng.uniform(-1.0, 1.0, len(ds)))
+            report = solve(spec, SolveConfig(mesh=int(rng.integers(2, 40)),
+                                             picard=bool(rng.integers(2))))
+            for tr in report.trajectories:
+                checked = Trajectory(tr.grid, tr.left_values, tr.right_values, tr.governing)
+                assert np.array_equal(tr._jumps, checked._jumps)
+                assert same_bits(tr._deltas, checked._deltas)
+                assert all(same_bits(a, b) for a, b in zip(tr.g_values(), checked.g_values()))
+
+
+class TestOneAuditBatch:
+    """The audit reads f at the jump rows from the run: Picard's resweep, or
+    one batch that solve makes after an Euler run."""
+
+    @staticmethod
+    def spec():
+        plume = plume_spec()
+        calls = []
+
+        def batch(ts, X):
+            calls.append(len(ts))
+            return plume.rhs_batch(ts, X)
+        return SystemSpec(plume.derivators, plume.rhs, plume.initial, rhs_batch=batch), calls
+
+    def test_picard_sweeps_both_grids_in_one_batch_and_resweeps_them_in_one(self):
+        spec, calls = self.spec()
+        coarse, fine = (system_grid(spec.derivators, 10.0, mesh) for mesh in (16, 32))
+        assert [solve_picard(spec, grid)[3] for grid in (coarse, fine)] == [25, 23]
+        calls.clear()
+        report = solve(spec, SolveConfig(mesh=16))
+        # each grid's left rows, then the right states of its two jump rows;
+        # the doubled grid stops first and leaves the stack
+        assert calls == [len(coarse) + len(fine) + 4] * 23 + [len(coarse) + 2] * 2 + [4]
+        assert (report.iterations, len(report.jump_audit)) == (25, 2)
+
+    def test_euler_makes_one_batch_for_the_audit(self):
+        spec, calls = self.spec()
+        report = solve(spec, SolveConfig(mesh=16, picard=False))
+        assert calls == [2]  # the loop runs the plume's float row form
+        assert [r.residual for r in report.jump_audit] == [0.0, 0.0]
+
+
+def lockstep_draw(rng):
+    """A random system and Picard config for the lockstep tests: catalog
+    kinds with and without their batch form, closures that have none (some
+    refusing states past a bound), and a constant f that overflows."""
+    horizon = None if rng.random() < 0.7 else float(rng.uniform(0.3, 1.0))
+    roll = rng.random()
+    if roll < 0.55:
+        spec = catalog_system(rng, str(rng.choice(RHS_CATALOG)), horizon)
+        if rng.random() < 0.3:
+            spec = scalar_only(spec)
+    else:
+        dim = int(rng.integers(1, 4))
+        ds = [random_derivator(rng) for _ in range(dim)]
+        if roll < 0.9:
+            coupling = rng.uniform(-1.5, 1.5, (dim, dim))
+            bound = float(rng.uniform(1.5, 4.0)) if rng.random() < 0.4 else math.inf
+
+            def rhs(t, x):
+                if np.abs(x).max() > bound:
+                    raise ValueError("state past the bound")
+                return math.cos(3.0 * t) * (coupling @ x)
+        else:
+            def rhs(t, x):
+                return np.full(dim, 1.7e308)
+        spec = SystemSpec(ds, rhs, rng.uniform(-1.0, 1.0, dim), horizon=horizon)
+    if rng.random() < 0.2:
+        spec.initial[rng.integers(spec.dim)] = -0.0  # each grid's first row keeps it
+    config = SolveConfig(mesh=int(rng.integers(2, 40)), tol=float(rng.choice([1e-13, 1e-10, 1e-6])),
+                         max_iter=25 if rng.random() < 0.7 else int(rng.integers(1, 25)),
+                         error_estimate=rng.random() < 0.85)
+    return spec, config
+
+
+def solve_fields(spec, config):
+    return outcome(lambda: report_fields(solve(spec, config)))
+
+
+class TestLockstep:
+    """solve sweeps its two grids together and reports what one-grid runs,
+    one after the other, give."""
+
+    def test_solve_equals_two_one_grid_runs(self):
+        rng = np.random.default_rng(101)
+        seen = dict.fromkeys(["apart", "max_iter", "repeat", "error", "batchless"], 0)
+        for _ in range(300):
+            spec, config = lockstep_draw(rng)
+            want, stops = reference_solve(spec, config)
+            assert solve_fields(spec, config) == want
+            seen["apart"] += len(stops) == 2 and stops[0][0] != stops[1][0]
+            seen["max_iter"] += any(n == config.max_iter and not ok for n, ok, _ in stops)
+            seen["repeat"] += any(not change > 0.0 for _, _, change in stops)
+            seen["error"] += isinstance(want, str)
+            seen["batchless"] += spec.rhs_batch is None
+        assert min(seen.values()) >= 10, seen
+
+    def test_euler_on_shared_tables_equals_two_one_grid_runs(self):
+        rng = np.random.default_rng(103)
+        for _ in range(60):
+            spec, config = lockstep_draw(rng)
+            config.picard, config.safety_radius = False, float(rng.uniform(0.1, 2.0))
+            assert solve_fields(spec, config) == reference_solve(spec, config)[0]
+
+
+class TestErrorOrder:
+    """When the doubled grid breaks down at once and the coarse grid fails
+    later, solve raises the coarse grid's error, as sequential runs do."""
+
+    FINE_ONLY = 1.0 / 16.0  # a time of the mesh-16 grid that the mesh-8 grid lacks
+
+    def spec(self, coarse_rhs, batch):
+        def rhs(t, x):
+            if t == self.FINE_ONLY:
+                raise ArithmeticError("refused on the doubled grid")
+            return coarse_rhs(t, x)
+
+        def rhs_batch(ts, X):
+            return np.array([rhs(t, x) for t, x in zip(ts, X)])
+        return SystemSpec([identity(jumps=[Jump(0.5, 1.0)])], rhs, [1.0],
+                          rhs_batch=rhs_batch if batch else None)
+
+    def assert_coarse_error(self, spec, error_estimate, want):
+        fine = system_grid(spec.derivators, 1.0, 16)
+        assert outcome(solve_picard, spec, fine).endswith("refused on the doubled grid")
+        with pytest.raises(RhsEvaluationError) as exc:
+            solve(spec, SolveConfig(mesh=8, error_estimate=error_estimate))
+        assert f"RhsEvaluationError: {exc.value}" == want
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("error_estimate", [True, False])
+    def test_the_coarse_grids_later_breakdown_is_raised(self, batch, error_estimate):
+        def grow(t, x):
+            # the first sweep's states are all 1.0; the second's pass 2.5 after the jump
+            if x[0] > 2.5:
+                raise ValueError("state past 2.5")
+            return x
+        spec = self.spec(grow, batch)
+        want = outcome(solve_picard, spec, system_grid(spec.derivators, 1.0, 8))
+        assert want == "RhsEvaluationError: right-hand side failed at t=0.625: state past 2.5"
+        self.assert_coarse_error(spec, error_estimate, want)
+
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("error_estimate", [True, False])
+    def test_the_coarse_grids_non_finite_state_is_raised(self, batch, error_estimate):
+        spec = self.spec(lambda t, x: np.array([1.7e308]), batch)
+        *_, converged, iterations, _, _ = solve_picard(spec, system_grid(spec.derivators, 1.0, 8))
+        assert (converged, iterations) == (False, 2)  # it stops on a repeated sweep
+        want = "RhsEvaluationError: state is not finite at t=0.5; the solution overflows"
+        self.assert_coarse_error(spec, error_estimate, want)
 
 
 class TestConstancy:
@@ -756,12 +954,13 @@ class TestJumpTable:
         for _ in range(200):
             ds = [random_derivator(rng, 0.0, 2.0) for _ in range(int(rng.integers(1, 4)))]
             grid = system_grid(ds, 2.0, int(rng.integers(2, 64)))
-            want = reference_jump_table(ds, grid)
-            assert same_bits(_jump_table(ds, grid), want)
+            index, deltas = _jump_table(ds, grid)
+            assert same_bits(deltas, reference_jump_table(ds, grid))
+            assert np.array_equal(index, np.stack([d.jump_index(grid) for d in ds], axis=1))
             # a sub-grid keeps the jumps inside its own span only
             lo, hi = sorted(rng.choice(len(grid), size=2, replace=False))
             sub = grid[lo:hi + 1]
-            assert same_bits(_jump_table(ds, sub), reference_jump_table(ds, sub))
+            assert same_bits(_jump_table(ds, sub)[1], reference_jump_table(ds, sub))
             # dropping a jump time gives the loop's error
             inner = [j.at for d in ds for j in d.jumps if grid[0] < j.at < grid[-1]]
             if inner:
