@@ -420,16 +420,19 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
     # [bks[r], bks[r + 1]], and a point off a jump lies strictly inside (a, b)
     bks = d._breakpoints()
     left, right = int(bks.searchsorted(t)) - 1, int(bks.searchsorted(t, side="right")) - 1
-    if kind == "jump":
-        return _extrapolate(lambda eps: _quotient(func, d, t, t + eps, t, at_jump=True),
-                            float(bks[right + 1]) - t, rel_tol, even=False)
-    if left == right:
+    g_r = _row_values(d, float(bks[right]), float(bks[right + 1]))
+    if left == right:  # never at a jump: a jump is a row start
         reach = min(t - float(bks[left]), float(bks[right + 1]) - t)
-        return _extrapolate(lambda eps: _quotient(func, d, t - eps, t + eps, t),
+        return _extrapolate(lambda e: _quotient(func, t - e, t + e, g_r(t - e), g_r(t + e), t),
                             reach, rel_tol, even=True)
-    estimates = [_extrapolate(lambda eps: _quotient(func, d, t, t + eps, t),
+    g_t = d.eval(t)
+    if kind == "jump":
+        return _extrapolate(lambda e: _quotient(func, t, t + e, g_t, g_r(t + e), t, at_jump=True),
+                            float(bks[right + 1]) - t, rel_tol, even=False)
+    g_l = _row_values(d, float(bks[left]), t)
+    estimates = [_extrapolate(lambda e: _quotient(func, t, t + e, g_t, g_r(t + e), t),
                               float(bks[right + 1]) - t, rel_tol, even=False),
-                 _extrapolate(lambda eps: _quotient(func, d, t - eps, t, t),
+                 _extrapolate(lambda e: _quotient(func, t - e, t, g_l(t - e), g_t, t),
                               t - float(bks[left]), rel_tol, even=False)]
     scale = max(abs(estimates[0]), abs(estimates[1]), 1.0)
     if abs(estimates[0] - estimates[1]) > 1e-6 * scale:
@@ -439,8 +442,15 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
     return 0.5 * estimates[0] + 0.5 * estimates[1]
 
 
-def _quotient(func, d, lo, hi, t, at_jump=False):
-    """(func(hi) - func(lo)) / (d.eval(hi) - d.eval(lo)) for the bracket ladder at t.
+def _row_values(d: Derivator, lo: float, hi: float) -> Callable:
+    """``d.eval`` on the table row [lo, hi]: the points strictly inside share one ``_place``."""
+    mid = lo + 0.5 * (hi - lo)
+    place = d._place(mid) if lo < mid < hi else None
+    return lambda x: d._value_at(place, x) if place and lo < x < hi else d.eval(x)
+
+
+def _quotient(func, lo, hi, g_lo, g_hi, t, at_jump=False):
+    """(func(hi) - func(lo)) / (g_hi - g_lo) for the bracket ladder at t.
 
     Off a jump every bracket lies inside one monotone segment, so a zero
     denominator means g is constant on a bracket touching t: g is locally
@@ -449,7 +459,7 @@ def _quotient(func, d, lo, hi, t, at_jump=False):
     it does for any non-finite quotient.
     """
     num = func(hi) - func(lo)
-    den = d.eval(hi) - d.eval(lo)
+    den = g_hi - g_lo
     if den == 0.0:
         if at_jump:
             return float("nan")

@@ -69,11 +69,7 @@ def _cmd_decompose(args) -> int:
             "Lambda_minus": [list(iv) for iv in sets.falling],
             "C": [list(iv) for iv in sets.constant],
         },
-        "variation": {
-            "total": d.variation(d.a, d.b, "total"),
-            "positive": d.variation(d.a, d.b, "positive"),
-            "negative": d.variation(d.a, d.b, "negative"),
-        },
+        "variation": dict(zip(("positive", "negative", "total"), d._variations(d.a, d.b))),
     }
     _emit_json(doc, args.output)
     return 0
@@ -345,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_plume)
 
+    parser.commands = sub.choices  # each subcommand's own parser, by name, for main
     return parser
 
 
@@ -354,10 +351,19 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names. Its own parser
+    reads the rest, as the full parser would; the full parser reads all of argv (and
+    prints its texts) when argv is empty, starts with no subcommand or has leftovers."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if rest:
+        args = _PARSER.parse_args(argv)
+    else:
+        args.command = argv[0]
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

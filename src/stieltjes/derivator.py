@@ -367,14 +367,16 @@ class Derivator:
         self._cum_inc, self._rise_cum, self._fall_cum = sums
         # jumps, and one trailing entry read through index -1 (no jump there):
         # the NaN location never compares equal, the padded delta is 0.0
-        self._jump_at_padded, self._jump_delta_padded = np.array([[*ats, np.nan], [*deltas, 0.0]])
+        jump_rows = np.array([[*ats, np.nan], [*deltas, 0.0], [0.0, *accumulate(deltas)],
+                              [0.0, *accumulate(max(d, 0.0) for d in deltas)],
+                              [0.0, *accumulate(max(-d, 0.0) for d in deltas)]])
+        self._jump_at_padded, self._jump_delta_padded = jump_rows[:2]
         self._jump_at, self._jump_delta = self._jump_at_padded[:-1], self._jump_delta_padded[:-1]
-        self._jump_cum, self._jump_pos_cum, self._jump_neg_cum = jump_sums = np.array([
-            [0.0, *accumulate(deltas)], [0.0, *accumulate(max(d, 0.0) for d in deltas)],
-            [0.0, *accumulate(max(-d, 0.0) for d in deltas)]])
+        self._jump_cum, self._jump_pos_cum, self._jump_neg_cum = jump_sums = jump_rows[2:]
+        # a running sum that is not finite stays so: checking the last entries is enough
         variation = sums[1:, -1].sum() + jump_sums[1:, -1].sum()
-        if not (np.isfinite(variation) and np.isfinite(sums).all()
-                and np.isfinite(jump_sums).all() and np.isfinite(self._row_slope).all()):
+        if not (np.isfinite((variation, sums[0, -1], jump_sums[0, -1])).all()
+                and np.isfinite(self._row_slope).all()):
             raise DomainError(f"increments or jumps overflow on [{a}, {b}]: a segment "
                               "total, a knot-cell slope or a running sum is not finite")
         # a run starts at segment 0, at a class change and at a jump
@@ -508,15 +510,23 @@ class Derivator:
             out[k] = _knot_increment(out[k], self._row_y[rows[k]], self._row_y0[rows[k]])
         return out
 
+    def _place(self, t: float) -> tuple:
+        """Segment, row and count of jumps left of the float t in [a, b], as ``eval`` finds them."""
+        k = max(int(self._seg_lo.searchsorted(t)) - 1, 0)
+        r = min(int(self._row_lo.searchsorted(t, side="right")), self._row_ptr[k + 1]) - 1
+        return k, r, int(self._jump_at.searchsorted(t))
+
+    def _value_at(self, place: tuple, t: float) -> float:
+        """g(t) for the float t at its ``_place``, in the array path's float expression."""
+        k, r, j = place
+        inc = self._row_increment(r, t, array_power=True)
+        return float(self.anchor + (self._cum_inc[k] + inc) + self._jump_cum[j])
+
     def eval(self, t):
         """Left-continuous value g(t); accepts scalars or arrays."""
         if np.isscalar(t):
             t = self._point(t)
-            k = max(int(self._seg_lo.searchsorted(t)) - 1, 0)  # as in _segment_index, _row_in
-            r = min(int(self._row_lo.searchsorted(t, side="right")), self._row_ptr[k + 1]) - 1
-            inc = self._row_increment(r, t, array_power=True)  # as the array path
-            return float(self.anchor + (self._cum_inc[k] + inc)
-                         + self._jump_cum[self._jump_at.searchsorted(t)])
+            return self._value_at(self._place(t), t)
         arr = np.asarray(t, dtype=float)
         flat = arr.reshape(-1)
         idx = self._segment_index(self._check_domain(flat))
@@ -569,8 +579,10 @@ class Derivator:
         lo, hi = self._span(lo, hi)
         if kind not in (TOTAL, POSITIVE, NEGATIVE):
             raise DomainError(f"unknown variation kind {kind!r}")
-        if lo == hi:
-            return 0.0
+        return self._variations(lo, hi)[(POSITIVE, NEGATIVE, TOTAL).index(kind)]
+
+    def _variations(self, lo: float, hi: float) -> tuple[float, float, float]:
+        """Positive, negative and total variation over [lo, hi) inside [a, b], one pass."""
         pos = neg = 0.0
         ends = np.array([np.maximum(lo, self._seg_lo), np.minimum(hi, self._seg_hi)])
         seg = np.flatnonzero(ends[0] < ends[1])  # the segments [lo, hi) meets
@@ -585,7 +597,7 @@ class Derivator:
             deltas = self._jump_delta[sel]
             pos += float(np.sum(deltas[deltas > 0]))
             neg += float(-np.sum(deltas[deltas < 0]))
-        return pos if kind == POSITIVE else neg if kind == NEGATIVE else pos + neg
+        return pos, neg, pos + neg
 
     def variation_cumulative(self, times, kind: str = TOTAL) -> np.ndarray:
         """Vectorized ``variation(a, t, kind)``: the class prefix before t's

@@ -30,15 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from .derivator import (
-    CONSTANCY_POINT,
-    NEGATIVE,
-    POSITIVE,
-    RISING_POINT,
-    Derivator,
-    TOTAL,
-    _chart,
-)
+from .derivator import CONSTANCY_POINT, RISING_POINT, Derivator, _chart
 from .errors import DomainError, QuadratureError
 
 SIGNED = "signed"
@@ -56,22 +48,39 @@ _SIGN_FACTORS = {
 }
 
 
+_ZERO = np.float64(0.0)
+
+
+def _horner(c, t):
+    """Sum of ``c[i] * t**i`` in polyval's order; with np.float64 coefficients
+    a float t gets the bits and the float warnings of an array."""
+    out = c[-1] + t * _ZERO
+    for ci in c[-2::-1]:
+        out = ci + out * t
+    return out
+
+
 class Integrand:
     """A real function of time that can be evaluated on numpy arrays.
 
     Wraps closures, polynomials (coefficients in increasing degree), tabulated
     interpolants and piecewise polynomials under one call interface; the
-    constructors differ only in the function and kinks they record. Closures
-    that cannot handle arrays are wrapped with :func:`numpy.vectorize` on first use.
+    constructors differ only in the function and kinks they record. A library
+    kind's function takes a float or an array: a float goes to it as is and
+    comes back a Python float with a one-point array's bits. Closures see
+    arrays; those that cannot handle them are wrapped with :func:`numpy.vectorize`.
     """
 
     def __init__(self, fn: Callable, vectorized: bool | None = None):
         self._fn = fn
         self._vectorized = vectorized
+        self._takes_floats = False  # set by the library kinds
         # abscissae where the function may kink or jump, known for tables and pieces
         self._kinks = np.empty(0)
 
     def __call__(self, t):
+        if type(t) is float and self._takes_floats:
+            return float(self._fn(t))
         arr = np.asarray(t, dtype=float)
         if arr.ndim > 1:  # the function sees one flat array, whatever the shape of t
             return self(arr.reshape(-1)).reshape(arr.shape)
@@ -88,22 +97,26 @@ class Integrand:
         return float(out) if np.isscalar(t) else out
 
     @classmethod
+    def _library(cls, fn: Callable, kinks=()) -> "Integrand":  # fn takes a float or an array
+        out = cls(fn, vectorized=True)
+        out._takes_floats, out._kinks = True, np.asarray(kinks, dtype=float)
+        return out
+
+    @classmethod
     def from_callable(cls, fn: Callable) -> "Integrand":
         return cls(fn)
 
     @classmethod
     def constant(cls, value: float) -> "Integrand":
         value = float(value)
-        return cls(lambda t: np.full_like(np.asarray(t, dtype=float), value),
-                   vectorized=True)
+        return cls._library(lambda t: value if type(t) is float else np.full_like(t, value))
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "Integrand":
-        c = np.asarray(coeffs, dtype=float)
-        if c.size == 0:
+        c = tuple(np.array(coeffs, dtype=float, ndmin=1))
+        if not c:
             raise DomainError("polynomial integrand needs at least one coefficient")
-        return cls(lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c),
-                   vectorized=True)
+        return cls._library(lambda t: _horner(c, t))
 
     @classmethod
     def piecewise_polynomial(cls, breakpoints: Sequence[float],
@@ -112,26 +125,25 @@ class Integrand:
         bks = np.asarray(breakpoints, dtype=float)
         if len(bks) != len(coefficient_rows) + 1:
             raise DomainError("need exactly one more breakpoint than coefficient row")
-        rows = [np.asarray(r, dtype=float) for r in coefficient_rows]
-        if not rows or any(r.size == 0 for r in rows):
+        rows = [tuple(np.array(r, dtype=float, ndmin=1)) for r in coefficient_rows]
+        if not rows or not all(rows):
             raise DomainError("piecewise polynomial needs at least one piece, "
                               "each with at least one coefficient")
         if np.any(np.diff(bks) <= 0):
             raise DomainError("piecewise polynomial breakpoints must be strictly increasing")
 
         def evaluate(t):
-            t = np.asarray(t, dtype=float)
-            idx = np.clip(np.searchsorted(bks, t, side="right") - 1, 0, len(rows) - 1)
+            idx = bks[1:-1].searchsorted(t, side="right")  # the piece, the first or last outside
+            if type(t) is float:
+                return _horner(rows[idx], t)
             out = np.empty_like(t)
             for k, row in enumerate(rows):
                 m = idx == k
                 if np.any(m):
-                    out[m] = np.polynomial.polynomial.polyval(t[m], row)
+                    out[m] = _horner(row, t[m])
             return out
 
-        out = cls(evaluate, vectorized=True)
-        out._kinks = bks
-        return out
+        return cls._library(evaluate, bks)
 
     @classmethod
     def tabulated(cls, points: Sequence[tuple[float, float]]) -> "Integrand":
@@ -141,9 +153,7 @@ class Integrand:
             raise DomainError("tabulated integrand needs at least one point")
         if np.any(np.diff(xs) <= 0):
             raise DomainError("tabulated integrand abscissae must be strictly increasing")
-        out = cls(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys), vectorized=True)
-        out._kinks = xs
-        return out
+        return cls._library(lambda t: np.interp(t, xs, ys), xs)
 
 
 @dataclass(frozen=True)
@@ -177,9 +187,8 @@ class StieltjesMeasure:
         lo, hi = d._span(lo, hi)
         if self.signature == SIGNED:
             return float(d.eval(hi) - d.eval(lo))
-        kind = {POSITIVE_PART: POSITIVE, NEGATIVE_PART: NEGATIVE,
-                TOTAL_VARIATION: TOTAL}[self.signature]
-        return d.variation(lo, hi, kind)
+        parts = (POSITIVE_PART, NEGATIVE_PART, TOTAL_VARIATION)  # the order of _variations
+        return d._variations(lo, hi)[parts.index(self.signature)]
 
     def point(self, t: float) -> float:
         """Mass of the singleton {t}; nonzero only at jumps."""
@@ -256,8 +265,7 @@ class StieltjesMeasure:
         rows = []
         for lo, hi in intervals:
             lo, hi = float(lo), float(hi)
-            plus_direct = d.variation(lo, hi, POSITIVE)
-            minus_direct = d.variation(lo, hi, NEGATIVE)
+            plus_direct, minus_direct, _ = d._variations(*d._span(lo, hi))
             plus_signed = _signed_mass_over(signed, sets.rising, sets.jumps_up, lo, hi)
             minus_signed = -_signed_mass_over(signed, sets.falling, sets.jumps_down, lo, hi)
             residual = max(abs(plus_direct - plus_signed), abs(minus_direct - minus_signed))

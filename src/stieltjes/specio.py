@@ -367,9 +367,13 @@ def parse_plume(obj, path: str = "plume") -> SystemSpec:
 
 def load_json(path: str, what: str = "input"):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")  # strict: a BOM stays and fails as JSON
+        # text mode's newlines, so an error's position counts as in a text read
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError as exc:
         raise SpecValidationError(what, f"file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise SpecValidationError(what, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecValidationError(what, f"invalid JSON in {path}: {exc}") from exc

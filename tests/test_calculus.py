@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,9 @@ from stieltjes import (
     LinearCoefficient,
     LinearProfile,
     RhsEvaluationError,
+    PowerProfile,
     Segment,
+    StieltjesError,
     StieltjesMeasure,
     SystemSpec,
     TabulatedProfile,
@@ -43,6 +47,7 @@ from stieltjes import (
 )
 from stieltjes import calculus
 from stieltjes.calculus import _cell_integrals, _estimate_table
+from stieltjes.derivator import _KNOT, _POWER, _ROOT
 
 FTC_TOL = 1e-6
 
@@ -245,6 +250,52 @@ class TestDerivative:
         h = record(d, lambda g: g)
         with pytest.raises(DomainError):
             g_derivative(h, 0.123456789)
+
+
+def thin_row_derivators():
+    """A jump at 0.5 followed by a row 1, 2 or 3 ulps wide, where ladder
+    points round onto the row's ends, with and without the jump."""
+    for ulps in (1, 2, 3):
+        edge = 0.5 + ulps * math.ulp(0.5)
+        segments = [Segment(0.0, 0.5, LinearProfile(1.0)), Segment(0.5, edge, LinearProfile(3.0)),
+                    Segment(edge, 1.0, PowerProfile(0.5, 1.0))]
+        for jumps in ([Jump(0.5, 0.25)], []):
+            yield Derivator((0.0, 1.0), segments, jumps, anchor=0.125), [0.5, edge]
+
+
+class TestRowBoundRungs:
+    """Each ladder takes g at its points from one row lookup, with d.eval's bits."""
+
+    def test_every_rung_value_is_eval_at_its_point(self, monkeypatch):
+        quotient, seen = calculus._quotient, []
+
+        def recording(func, lo, hi, g_lo, g_hi, t, at_jump=False):
+            seen.append((d, lo, hi, g_lo, g_hi))
+            return quotient(func, lo, hi, g_lo, g_hi, t, at_jump)
+
+        monkeypatch.setattr(calculus, "_quotient", recording)
+        rng = np.random.default_rng(2401)
+        draws = []
+        for i in range(300):
+            a = 0.0 if i % 2 else float(rng.uniform(-2.0, 0.0))
+            d = random_derivator(rng, a, a + float(rng.uniform(0.5, 3.0)))
+            # every row start, jumps and knots among them, and two points inside rows
+            draws.append((d, [*d.breakpoints()[1:-1], *rng.uniform(d.a, d.b, 2).tolist()]))
+        draws += thin_row_derivators()
+        for d, points in draws:
+            f = Integrand.polynomial(random_polynomial_coeffs(rng))
+            for t in points:
+                try:
+                    g_derivative_fn(f, d, t)
+                except StieltjesError:
+                    pass
+        assert len(seen) > 10000
+        for d, lo, hi, g_lo, g_hi in seen:
+            assert same_bits([g_lo, g_hi], [d.eval(lo), d.eval(hi)]), (d, lo, hi)
+        kinds = [set(d._row_kind.tolist()) for d, _ in draws]
+        assert sum(d._jump_at.size > 0 for d, _ in draws) >= 100
+        assert sum(bool(k & {_POWER, _ROOT}) for k in kinds) >= 100
+        assert sum(_KNOT in k for k in kinds) >= 50
 
 
 class TestFtcRoundtrip:

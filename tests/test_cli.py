@@ -467,6 +467,50 @@ class TestSolve:
             assert err["message"].endswith("; the plume model has broken down")
 
 
+def exit_texts(capsys, call):
+    """stdout, stderr and exit code of a call that exits."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+class TestDispatch:
+    """main parses with the subcommand's own parser, with the full parser's texts."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"], ["nope", "x.json"], ["exp", "-h"], ["derive", "-h"],
+        ["derive", "d.json", "f.json", "--at", "0.5", "--bogus"],
+        ["decompose", "d.json", "extra.json"], ["derive", "d.json", "f.json"],
+        ["solve", "s.json", "--mesh", "x"], ["integrate", "d.json", "f.json", "--measure", "m"],
+        ["--", "decompose"], ["-x", "decompose", "d.json"],
+    ])
+    def test_main_prints_what_the_full_parser_prints(self, capsys, argv):
+        want = exit_texts(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert exit_texts(capsys, lambda: cli.main(argv)) == want
+        assert want[2] in (0, 2) and (want[0] or want[1])
+
+    def test_main_reads_sys_argv_without_an_argument(self, capsys, monkeypatch):
+        want = exit_texts(capsys, lambda: cli.build_parser().parse_args(["exp", "-h"]))
+        monkeypatch.setattr(sys, "argv", ["stieltjes", "exp", "-h"])
+        assert exit_texts(capsys, lambda: cli.main()) == want
+        assert want[0].startswith("usage: stieltjes exp ")
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "d.json"],
+        ["derive", "d.json", "f.json", "--at", "0.25", "--at=-1e-3", "--rel-tol", "1e-6"],
+        ["integrate", "d.json", "f.json", "--measure", "total_variation", "--lo", "-0.0"],
+        ["solve", "s.json", "--euler", "--select-horizon", "--mesh", "16", "-o", "x.csv"],
+        ["exp", "d.json", "c.json", "--verify"], ["plume", "p.json", "--max-iter", "3"],
+    ])
+    def test_the_subcommand_sees_the_full_parsers_namespace(self, monkeypatch, argv):
+        parser, seen = cli.build_parser(), []
+        parser.commands[argv[0]].set_defaults(func=lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        assert cli.main(argv) == 0
+        assert seen == [vars(parser.parse_args(argv))] and seen[0]["command"] == argv[0]
+
+
 class TestSidedRows:
     def test_jump_rows_come_from_the_report(self, monkeypatch):
         second = jump_derivator_doc()
@@ -641,6 +685,29 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SpecValidationError"
         assert "file not found" in err["error"]["message"]
+
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"interval": [0.0, 1.0]}', "cannot read {path}: 'utf-8' codec can't decode"),
+        (None, "cannot read {path}: [Errno 21] Is a directory"),
+        # a BOM is left for the JSON reader to reject, as a text read leaves it
+        (b'\xef\xbb\xbf{}', "invalid JSON in {path}: Unexpected UTF-8 BOM"),
+        # positions count a CRLF or a lone CR as one newline, as a text read does
+        (b'{\r\n"a": \r\n}', "invalid JSON in {path}: Expecting value: line 3 column 1 (char 8)"),
+        (b'{\r"a": \r}', "invalid JSON in {path}: Expecting value: line 3 column 1 (char 8)"),
+    ])
+    def test_an_unreadable_file_is_an_input_error(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        proc = subprocess.run([sys.executable, "-m", "stieltjes.cli", "decompose", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "SpecValidationError" and err["path"] == "derivator"
+        assert err["message"].startswith("derivator: " + message.format(path=path))
 
     def test_malformed_document_names_the_path(self, tmp_path, capsys):
         dpath = write(tmp_path, "bad.json", {"interval": [0.0, 1.0]})

@@ -128,6 +128,18 @@ class TestVariation:
         signed = d.eval(hi) - d.eval(lo)
         assert signed == pytest.approx(pos - neg, abs=1e-10, rel=1e-10)
 
+    def test_one_pass_gives_what_three_variation_calls_give(self):
+        # decompose and the measures take all three kinds from one pass
+        rng = np.random.default_rng(2402)
+        for i in range(1000):
+            d = random_derivator(rng) if i % 50 else long_derivator(rng)
+            lo, hi = ((d.a, d.b), random_subinterval(rng, d), (0.5, 0.5))[i % 3]
+            want = [reference_variation(d, lo, hi, kind)
+                    for kind in ("positive", "negative", "total")]
+            assert same_bits(d._variations(lo, hi), want)
+            assert same_bits([d.variation(lo, hi, k) for k in ("positive", "negative", "total")],
+                             want)
+
     def test_cumulative_matches_pointwise(self):
         rng = np.random.default_rng(12)
         d = random_derivator(rng)

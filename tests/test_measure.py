@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from stieltjes import (
     measure_of_interval,
     measure_of_point,
 )
-from stieltjes.measure import _segment_integral
+from stieltjes.measure import _horner, _segment_integral
 
 INTEGRAL_RTOL = 1e-6
 
@@ -186,6 +187,86 @@ class TestIntegrand:
     def test_tabulated_interpolates(self):
         f = Integrand.tabulated([(0.0, 1.0), (1.0, 3.0)])
         assert f(0.5) == 2.0
+
+    def test_a_float_call_has_the_bits_and_warnings_of_an_array_call(self):
+        # the float path hands the float to the kind's own function
+        warned = {kind: 0 for kind in ("constant", "polynomial", "piecewise", "tabulated")}
+        for kind, f, reference, points in integrand_draws(np.random.default_rng(24)):
+            for x in points:
+                (value, texts), (column, column_texts) = (called(f, x), called(f, np.array([x])))
+                assert type(value) is float and type(column) is np.ndarray
+                assert same_bits(value, column[0]) and texts == column_texts, (kind, x)
+                with np.errstate(all="ignore"):
+                    assert same_bits(column, reference(np.array([x]))), (kind, x)
+                warned[kind] += bool(texts)
+        # overflow and inf * 0 warn for the polynomial kinds; the others never warn
+        assert warned["polynomial"] >= 100 and warned["piecewise"] >= 100
+        assert warned["constant"] == warned["tabulated"] == 0
+
+    def test_horner_has_the_bits_of_polyval(self):
+        rng = np.random.default_rng(25)
+        for _ in range(1000):
+            c = huge_coefficients(rng, int(rng.integers(0, 9)))
+            t = np.concatenate([wide_points(rng, 8), SPECIAL_POINTS])
+            with np.errstate(all="ignore"):
+                assert same_bits(_horner(tuple(c), t), np.polynomial.polynomial.polyval(t, c))
+
+
+SPECIAL_POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def huge_coefficients(rng, degree):
+    """degree + 1 coefficients of either sign with magnitudes from 1e-3 up to 1e303."""
+    return rng.uniform(-1.0, 1.0, degree + 1) * 10.0 ** rng.integers(-3, 304, degree + 1)
+
+
+def wide_points(rng, n):
+    return rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.integers(-5, 60, n)
+
+
+def integrand_draws(rng, n=1200):
+    """(kind, integrand, reference, points) for ``n`` library integrands, each
+    kind in turn: polynomials of degree 0-8 with coefficients up to 1e303,
+    piecewise ones at and outside their breaks, tables inside and outside
+    their abscissae, and signed zeros, infinities and NaN for all. The
+    reference evaluates an array as numpy's ``polyval`` and ``interp`` do."""
+    polyval = np.polynomial.polynomial.polyval
+    for i in range(n):
+        kind = ("constant", "polynomial", "piecewise", "tabulated")[i % 4]
+        if kind == "constant":
+            value = float(huge_coefficients(rng, 0)[0])
+            f, reference = Integrand.constant(value), (lambda t, v=value: np.full_like(t, v))
+            points = wide_points(rng, 2)
+        elif kind == "polynomial":
+            c = huge_coefficients(rng, int(rng.integers(0, 9)))
+            f, reference = Integrand.polynomial(c.tolist()), (lambda t, c=c: polyval(t, c))
+            points = wide_points(rng, 4)
+        elif kind == "piecewise":
+            breaks = np.cumsum(rng.uniform(0.1, 2.0, int(rng.integers(2, 6)))) - 3.0
+            rows = [huge_coefficients(rng, int(rng.integers(0, 9))) for _ in breaks[1:]]
+            f = Integrand.piecewise_polynomial(breaks.tolist(), [r.tolist() for r in rows])
+
+            def reference(t, breaks=breaks, rows=rows):
+                piece = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, len(rows) - 1)
+                return polyval(t, rows[int(piece[0])])
+            points = np.concatenate([breaks, breaks[[0, -1]] + [-1.5, 1.5],
+                                     rng.uniform(breaks[0], breaks[-1], 3), wide_points(rng, 2)])
+        else:
+            xs = np.cumsum(rng.uniform(0.1, 2.0, int(rng.integers(1, 6)))) - 3.0
+            ys = huge_coefficients(rng, len(xs) - 1)
+            f = Integrand.tabulated(list(zip(xs.tolist(), ys.tolist())))
+            reference = (lambda t, xs=xs, ys=ys: np.interp(t, xs, ys))
+            points = np.concatenate([xs, xs[[0, -1]] + [-1.5, 1.5], wide_points(rng, 2)])
+        yield kind, f, reference, [*map(float, points), *SPECIAL_POINTS]
+
+
+def called(f, x):
+    """f(x) and the texts of the float warnings it gave, numpy's "scalar " taken
+    out (it names the operation of a float that an array warning names alone)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(x)
+    return value, [(w.category, str(w.message).replace("scalar ", "")) for w in caught]
 
 
 def _exact_tabulated(prof, lo, hi, antiderivative, breaks=()):

@@ -1,4 +1,5 @@
-"""The op-diff tool: a checkout against itself and against a planted change."""
+"""The op-diff tool: a checkout against itself and against a planted change; the
+op-ab timing tool on a checkout against itself."""
 
 import re
 import shutil
@@ -70,3 +71,31 @@ def test_each_op_prints_its_warnings_as_a_fresh_call_would(tmp_path):
     proc = op_diff(tmp_path / "warns", tmp_path / "prints")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["seed 7: 0 of 590 ops differ"]
+
+
+def op_ab(parent, change):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_ab.py"), "--parent", str(parent),
+         "--change", str(change), "--seed", "7", "--family", "pointwise", "--passes", "1"],
+        capture_output=True, text=True,
+    )
+
+
+def test_op_ab_times_a_checkout_against_itself():
+    proc = op_ab(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["group", "samples", "parent_p50_ms", "change_p50_ms", "p50", "sum"]
+    rows = {" ".join(line.split()[:2]): line.split()[2:] for line in lines[1:]}
+    assert list(rows) == ["workload ftc-pointwise", "family pointwise", "subcommand decompose",
+                          "subcommand derive", "subcommand integrate"]
+    assert rows["family pointwise"][0] == "240"
+    assert all(float(p50) > 0.0 and float(total) > 0.0 for *_, p50, total in rows.values())
+
+
+def test_op_ab_names_the_ops_whose_outcomes_differ(tmp_path):
+    planted(tmp_path, "    return 3\n")
+    proc = op_ab(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    named = [line for line in proc.stdout.splitlines() if line.startswith("pointwise-timed-")]
+    assert len(named) == 240 and named[0] == "pointwise-timed-000: exit, stdout differ"
