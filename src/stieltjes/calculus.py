@@ -17,6 +17,7 @@ because the derivative at a jump is the stored exact quotient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -99,8 +100,7 @@ class Trajectory:
         """Left-continuous evaluation between grid points (vectorized)."""
         ts = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.grid, ts, side="left"), 1, len(self.grid) - 1)
-        lo_t = self.grid[idx - 1]
-        hi_t = self.grid[idx]
+        lo_t, hi_t = self.grid[idx - 1], self.grid[idx]
         on_node = ts == lo_t
         w = np.where(hi_t > lo_t, (ts - lo_t) / np.where(hi_t > lo_t, hi_t - lo_t, 1.0), 0.0)
         interp = self.right_values[idx - 1] * (1 - w) + self.left_values[idx] * w
@@ -114,8 +114,7 @@ class Trajectory:
         base = self.value(ts)
         exact = np.isin(ts, self.grid)
         if np.any(exact):
-            idx = np.searchsorted(self.grid, ts)
-            idx = np.clip(idx, 0, len(self.grid) - 1)
+            idx = np.clip(np.searchsorted(self.grid, ts), 0, len(self.grid) - 1)
             base = np.where(exact, self.right_values[idx], base)
         return float(base) if np.isscalar(t) else base
 
@@ -425,14 +424,16 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
         reach = min(t - float(bks[left]), float(bks[right + 1]) - t)
         return _extrapolate(lambda e: _quotient(func, t - e, t + e, g_r(t - e), g_r(t + e), t),
                             reach, rel_tol, even=True)
-    g_t = d.eval(t)
+    # every one-sided rung has t as an end: func(t) is called once, by the first rung
+    g_t, f_t = d.eval(t), functools.cache(lambda: func(t))
+    f = lambda x: f_t() if x == t else func(x)
     if kind == "jump":
-        return _extrapolate(lambda e: _quotient(func, t, t + e, g_t, g_r(t + e), t, at_jump=True),
+        return _extrapolate(lambda e: _quotient(f, t, t + e, g_t, g_r(t + e), t, at_jump=True),
                             float(bks[right + 1]) - t, rel_tol, even=False)
     g_l = _row_values(d, float(bks[left]), t)
-    estimates = [_extrapolate(lambda e: _quotient(func, t, t + e, g_t, g_r(t + e), t),
+    estimates = [_extrapolate(lambda e: _quotient(f, t, t + e, g_t, g_r(t + e), t),
                               float(bks[right + 1]) - t, rel_tol, even=False),
-                 _extrapolate(lambda e: _quotient(func, t - e, t, g_l(t - e), g_t, t),
+                 _extrapolate(lambda e: _quotient(f, t - e, t, g_l(t - e), g_t, t),
                               t - float(bks[left]), rel_tol, even=False)]
     scale = max(abs(estimates[0]), abs(estimates[1]), 1.0)
     if abs(estimates[0] - estimates[1]) > 1e-6 * scale:
@@ -494,14 +495,10 @@ def _extrapolate(quotient: Callable, reach: float, rel_tol: float, even: bool) -
             break
         quot_scale = max(quot_scale, abs(val))
         eps_seq.append(eps ** power)
-        row = [val]
-        prev_row = table[-1] if table else None
-        if prev_row is not None:
-            for k in range(len(prev_row)):
-                xk = eps_seq[-1]
-                x0 = eps_seq[len(table) - 1 - k]
-                w = xk / (x0 - xk)
-                row.append(row[k] + (row[k] - prev_row[k]) * w)
+        row, xk = [val], eps_seq[-1]
+        for k, prev in enumerate(table[-1] if table else ()):
+            w = xk / (eps_seq[len(table) - 1 - k] - xk)
+            row.append(row[k] + (row[k] - prev) * w)
         table.append(row)
         current = row[-1]
         if prev_current is not None:
@@ -511,9 +508,8 @@ def _extrapolate(quotient: Callable, reach: float, rel_tol: float, even: bool) -
             # relative tolerance against themselves
             floor = rel_tol * max(quot_scale, 1e-3)
             scale = max(abs(current), 1e-12)
-            if len(row) >= 3 and gap <= rel_tol * scale:
-                return current
-            if len(row) >= 3 and abs(current) <= floor and gap <= floor:
+            if len(row) >= 3 and (gap <= rel_tol * scale
+                                  or (abs(current) <= floor and gap <= floor)):
                 return current
             if gap < best_gap:
                 best_gap, best_val = gap, current

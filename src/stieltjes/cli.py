@@ -248,20 +248,11 @@ def _cmd_plume(args) -> int:
 def _plume_summary(report) -> dict:
     audit = plume._audit_plume(report)
     summary = _solve_summary(report)
-    summary["buoyancy_jumps"] = [
-        {
-            "height": r.height,
-            "beta_left": r.beta_left,
-            "beta_right": r.beta_right,
-            "expected_jump": r.expected_jump,
-            "residual_ulps": r.residual_ulps,
-        }
-        for r in audit.buoyancy_jumps
-    ]
-    summary["jumps_exact"] = audit.jumps_exact
-    summary["volume_continuous"] = audit.volume_continuous
-    summary["momentum_continuous"] = audit.momentum_continuous
-    summary["min_momentum"] = audit.min_momentum
+    fields = ("height", "beta_left", "beta_right", "expected_jump", "residual_ulps")
+    summary["buoyancy_jumps"] = [{key: getattr(r, key) for key in fields}
+                                 for r in audit.buoyancy_jumps]
+    for key in ("jumps_exact", "volume_continuous", "momentum_continuous", "min_momentum"):
+        summary[key] = getattr(audit, key)
     summary["warnings"] = list(report.warnings) + list(audit.warnings)
     return summary
 

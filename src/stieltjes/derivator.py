@@ -34,6 +34,8 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -262,7 +264,9 @@ class StructuralSets:
 
 
 class _Rows:
-    """Checked segments, their table rows and the jumps ``(at, delta)`` they come with."""
+    """Checked segments as (lo, hi, total, rise, fall, kind code, point class,
+    first row), their table rows as (start, slope, exponent, scale, sample y_j,
+    first sample y_0, kind) and the jumps ``(at, delta)`` they come with."""
 
     def __init__(self):
         self.segments, self.rows, self.jumps = [], [], []
@@ -270,22 +274,25 @@ class _Rows:
     def add(self, lo, hi, kind: str, slope, exponent, scale, points, direction) -> None:
         """Parameters a profile lacks read 0.0, 1.0, 0.0. The total is the float
         increment over [lo, hi], a power's by the scalar ``**``; inf if it overflows.
-        A row is (start, slope, exponent, scale, sample y_j, first sample y_0, kind):
-        the segment itself, or for samples a flat head, knot cells and a flat tail."""
+        The rows are the segment itself, or for samples a flat head, knot cells
+        and a flat tail."""
         point_class, width, code = _RUN_CLASS[direction], float(hi - lo), _KIND_NAMES.index(kind)
         try:
-            total = (points[-1][1] - points[0][1] if points else _power_increment(
+            total = float(points[-1][1] - points[0][1] if points else _power_increment(
                 width, exponent, scale) if code == _POWER else _linear_increment(width, slope))
         except OverflowError:
-            total = np.inf
-        table_kind = _CONSTANT if direction == CONSTANT else _ROOT if exponent < 1.0 else code
+            total = math.inf
         self.segments.append((lo, hi, total, total if point_class == RISING_POINT else 0.0,
-                              -total if point_class == FALLING_POINT else 0.0,
-                              code, point_class, len(self.rows)))
-        xs, ys = zip(*points) if points else ((), (0.0,))
-        slopes = [(y1 - y) / (x1 - x) for x, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
-        self.rows.extend((x, s, exponent, scale, y, ys[0], table_kind)
-                         for x, s, y in zip((lo, *xs), (slope, *slopes, 0.0), (ys[0], *ys)))
+                              -total if point_class == FALLING_POINT else 0.0, code,
+                              point_class, len(self.rows)))
+        row_kind = _CONSTANT if direction == CONSTANT else _ROOT if exponent < 1.0 else code
+        if points:
+            xs, ys = zip(*points)
+            slopes = [(y1 - y) / (x1 - x) for x, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+            self.rows += ((x, s, exponent, scale, y, ys[0], row_kind)
+                          for x, s, y in zip((lo, *xs), (slope, *slopes, 0.0), (ys[0], *ys)))
+        else:
+            self.rows.append((lo, slope, exponent, scale, 0.0, 0.0, row_kind))
 
 
 class Derivator:
@@ -326,66 +333,61 @@ class Derivator:
         a, b = float(interval[0]), float(interval[1])
         if not a < b:
             raise DomainError(f"interval needs a < b, got [{a}, {b}]")
-        segs = rows.segments
-        if not segs:
+        if not rows.segments:
             raise DomainError("at least one segment is required")
-        if segs[0][0] != a or segs[-1][1] != b:
+        los, his, totals, rises, falls, codes, classes, firsts = zip(*rows.segments)
+        if los[0] != a or his[-1] != b:
             raise DomainError("segments must tile [a, b] exactly")
-        for left, right in zip(segs, segs[1:]):
-            if left[1] != right[0]:
-                raise DomainError(f"segments must tile without gaps: {left[1]} != {right[0]}")
-        for at, delta in rows.jumps:
-            _check_jump(at, delta)
-        jmps = sorted(rows.jumps, key=lambda j: j[0])
-        ats, deltas = [j[0] for j in jmps], [j[1] for j in jmps]
+        for left, right in zip(his, los[1:]):
+            if left != right:
+                raise DomainError(f"segments must tile without gaps: {left} != {right}")
+        ats, deltas = zip(*sorted(rows.jumps, key=lambda j: j[0])) if rows.jumps else ((), ())
         if len(set(ats)) != len(ats):
             raise DomainError("duplicate jump locations")
-        boundaries = {s[0] for s in segs}
+        # a run starts at segment 0, at a class change and at a jump
+        starts = {0, *(k for k in range(1, len(classes)) if classes[k] != classes[k - 1])}
         for at in ats:
             if not (a <= at < b):
                 raise DomainError(f"jump at {at} outside [{a}, {b})")
-            if at not in boundaries:
+            k = bisect_left(los, at)  # the lo values increase, as the segments tile
+            if k == len(los) or los[k] != at:
                 raise DomainError(f"jump at {at} is not a segment boundary; "
                                   "split the segment there")
+            starts.add(k)
+        starts = sorted(starts)
 
         self.interval, self.anchor = (a, b), float(anchor)
 
-        # per-segment columns with their prefix sums; segment k owns rows _row_ptr[k]:
-        # _row_ptr[k + 1]. A DomainError where a total, slope or running sum is not finite
-        table = np.array(segs, dtype=float).T.copy()
-        self._seg_lo, self._seg_hi = table[:2]
-        self._seg_code, self._seg_class, first = table[5:].astype(int)
-        self._row_ptr = np.append(first, len(rows.rows))
-        row_table = np.array(rows.rows, dtype=float).T.copy()
+        # per-segment columns with their prefix sums, sequential adds as np.cumsum;
+        # segment k owns rows _row_ptr[k]: _row_ptr[k + 1]
+        self._seg_lo, self._seg_hi = np.array([los, his], dtype=float)
+        self._seg_code, self._seg_class = np.array([codes, classes])
+        self._row_ptr = np.array([*firsts, len(rows.rows)])
+        *row_table, kinds = zip(*rows.rows)
         (self._row_lo, self._row_slope, self._row_exp, self._row_scale, self._row_y,
-         self._row_y0) = row_table[:6]
-        self._row_kind = row_table[6].astype(int)
-        self._curved = bool(self._row_kind.max() >= _KNOT)  # knot or power rows
-        sums = np.zeros((3, len(segs) + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums[:, 1:] = table[2:5].cumsum(axis=1)
-        self._cum_inc, self._rise_cum, self._fall_cum = sums
+         self._row_y0) = np.array(row_table, dtype=float)
+        self._row_kind = np.array(kinds)
+        self._curved = max(kinds) >= _KNOT  # knot or power rows
+        sums = [[0.0, *accumulate(c)] for c in (totals, rises, falls)]
+        self._cum_inc, self._rise_cum, self._fall_cum = np.array(sums)
         # jumps, and one trailing entry read through index -1 (no jump there):
         # the NaN location never compares equal, the padded delta is 0.0
-        jump_rows = np.array([[*ats, np.nan], [*deltas, 0.0], [0.0, *accumulate(deltas)],
-                              [0.0, *accumulate(max(d, 0.0) for d in deltas)],
-                              [0.0, *accumulate(max(-d, 0.0) for d in deltas)]])
-        self._jump_at_padded, self._jump_delta_padded = jump_rows[:2]
-        self._jump_at, self._jump_delta = self._jump_at_padded[:-1], self._jump_delta_padded[:-1]
-        self._jump_cum, self._jump_pos_cum, self._jump_neg_cum = jump_sums = jump_rows[2:]
-        # a running sum that is not finite stays so: checking the last entries is enough
-        variation = sums[1:, -1].sum() + jump_sums[1:, -1].sum()
-        if not (np.isfinite((variation, sums[0, -1], jump_sums[0, -1])).all()
-                and np.isfinite(self._row_slope).all()):
+        jump_sums = [[0.0, *accumulate(c)] for c in (deltas, (max(d, 0.0) for d in deltas),
+                                                      (max(-d, 0.0) for d in deltas))]
+        (self._jump_at_padded, self._jump_delta_padded, self._jump_cum, self._jump_pos_cum,
+         self._jump_neg_cum) = jump_rows = np.array([[*ats, np.nan], [*deltas, 0.0], *jump_sums])
+        self._jump_at, self._jump_delta = jump_rows[:2, :-1]
+        # Python floats, so an overflow is inf with no warning; a running sum that
+        # is not finite stays so: checking the last entries is enough
+        variation = (sums[1][-1] + sums[2][-1]) + (jump_sums[1][-1] + jump_sums[2][-1])
+        if not (math.isfinite(variation) and math.isfinite(sums[0][-1])
+                and math.isfinite(jump_sums[0][-1]) and all(map(math.isfinite, row_table[1]))):
             raise DomainError(f"increments or jumps overflow on [{a}, {b}]: a segment "
                               "total, a knot-cell slope or a running sum is not finite")
-        # a run starts at segment 0, at a class change and at a jump
-        starts = np.ones(len(segs), dtype=bool)
-        starts[1:] = self._seg_class[1:] != self._seg_class[:-1]
-        starts[np.searchsorted(self._seg_lo, self._jump_at)] = True
-        self._run_lo = self._seg_lo[starts]
-        self._run_hi = self._seg_hi[np.concatenate([starts[1:], [True]])]
-        self._run_class = self._seg_class[starts]
+        self._run_lo, self._run_hi = np.array([[los[k] for k in starts],
+                                               [his[k - 1] for k in starts[1:]] + [his[-1]]],
+                                              dtype=float)
+        self._run_class = np.array([classes[k] for k in starts])
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:

@@ -79,12 +79,8 @@ class LinearCoefficient:
         self.warnings = tuple(warnings)
         self.negative_factor_jumps = tuple(f.at for f in factors if f.factor < 0.0)
         self.zero_factor_jumps = tuple(f.at for f in factors if f.factor == 0.0)
-        if self.zero_factor_jumps:
-            self.regime = VANISHING
-        elif self.negative_factor_jumps:
-            self.regime = SIGN_CHANGING
-        else:
-            self.regime = POSITIVE_FACTORS
+        self.regime = (VANISHING if self.zero_factor_jumps else SIGN_CHANGING
+                       if self.negative_factor_jumps else POSITIVE_FACTORS)
         self._neg_ats = np.array(self.negative_factor_jumps)
         # per jump, in the derivator's jump order, with one trailing entry
         # for index -1 (no jump): factor 1.0, log 0.0. The logs use math.log

@@ -40,11 +40,11 @@ The right-hand side catalog: ``zero``; ``linear`` (componentwise c_j x_j);
 ``tabulated`` (points rows [t, v1, ..., vdim]); ``plume`` (coefficients A, B,
 C acting on state (q, m, beta) as A m^(1/4), B q beta, C q).
 
-Every rejected field raises :class:`SpecValidationError` with its path,
-profile parameters included: a power exponent that is not positive fails at
+Every rejected field raises :class:`SpecValidationError` at its path, the first
+fault in document order: a power exponent that is not positive fails at
 ``derivator.segments[i].profile``, a segment rule at ``derivator.segments[i]``.
-A derivator is read straight into its segment table, with no ``Segment``,
-profile or ``Jump`` object, and the first fault in document order is reported.
+Paths are formatted only for the fault reported. A derivator is read in one pass
+into its segment table's columns and running sums, with no Segment or Jump object.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def _num(obj, path: str) -> float:
 
 
 def _numbers(obj, path: str) -> list[float]:
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(_expect_list(obj, path))]
+    return [v if type(v) is float and math.isfinite(v) else _num(v, f"{path}[{i}]")
+            for i, v in enumerate(_expect_list(obj, path))]
 
 
 def _field(obj: dict, key: str, path: str, read=_num):
@@ -133,35 +134,59 @@ def _horizon(obj: dict, path: str) -> float | None:
 def _point_pairs(obj, path: str) -> list[tuple[float, float]]:
     out = []
     for i, row in enumerate(_expect_list(obj, path)):
-        if len(_expect_list(row, f"{path}[{i}]")) != 2:
-            raise SpecValidationError(f"{path}[{i}]", "expected a [t, value] pair")
-        out.append(tuple(_numbers(row, f"{path}[{i}]")))
+        t, v = row if type(row) is list and len(row) == 2 else (None, None)
+        if not (type(t) is type(v) is float and math.isfinite(t + v)):
+            if len(_expect_list(row, f"{path}[{i}]")) != 2:
+                raise SpecValidationError(f"{path}[{i}]", "expected a [t, value] pair")
+            t, v = _numbers(row, f"{path}[{i}]")
+        out.append((t, v))
     return out
 
 
 # --------------------------------------------------------------- derivators
 
-def _parse_profile(obj, path: str):
-    """Kind, slope, exponent, scale and samples of a profile, after the
-    profile's own rules; a parameter the kind lacks reads 0.0, 1.0, 0.0 or ()."""
-    obj = _expect_dict(obj, path)
-    kind = _field(obj, "kind", path, _as_is)
+def _segment(seg, path: str, i: int):
+    """``_Rows.add``'s arguments for segment i of the derivator at ``path``, after
+    the rules of one segment in document order: fields, profile, direction and
+    segment. Finite floats, lo < hi, a linear, power or constant profile and no
+    direction pass them all with no path; any other goes the checked way."""
+    prof = seg.get("profile") if type(seg) is dict else None
+    kind = prof.get("kind") if type(prof) is dict else None
+    if kind in ("linear", "power", "constant") and seg.get("direction") is None:
+        lo, hi = seg.get("lo"), seg.get("hi")
+        slope, exponent, scale = ((prof.get("slope"), 1.0, 0.0) if kind == "linear" else
+                                  (0.0, prof.get("exponent"), prof.get("scale", 1.0))
+                                  if kind == "power" else (0.0, 1.0, 0.0))
+        # a sum of floats is finite only if each is (one that overflows goes the checked way)
+        if (type(lo) is type(hi) is type(slope) is type(exponent) is type(scale) is float
+                and math.isfinite(lo + hi + slope + exponent + scale) and lo < hi
+                and exponent > 0):
+            return lo, hi, kind, slope, exponent, scale, (), _segment_direction(
+                lo, hi, scale if kind == "power" else slope, (), None)
+    where = f"{path}.segments[{i}]"
+    seg = _expect_dict(seg, where)
+    lo = _field(seg, "lo", where)
+    hi = _field(seg, "hi", where)
+    where_p = f"{where}.profile"
+    prof = _expect_dict(_field(seg, "profile", where, _as_is), where_p)
+    kind, slope, exponent, scale, points = _field(prof, "kind", where_p, _as_is), 0.0, 1.0, 0.0, ()
     if kind == "linear":
-        return kind, _field(obj, "slope", path), 1.0, 0.0, ()
-    if kind == "power":
-        exponent = _field(obj, "exponent", path)
-        scale = _num(obj.get("scale", 1.0), f"{path}.scale")
-        _built(path, _check_exponent, exponent)
-        return kind, 0.0, exponent, scale, ()
-    if kind == "constant":
-        return kind, 0.0, 1.0, 0.0, ()
-    if kind == "tabulated":
-        points = _built(path, _check_samples, _field(obj, "points", path, _point_pairs))
-        return kind, 0.0, 1.0, 0.0, points
-    raise SpecValidationError(
-        f"{path}.kind",
-        f"unknown profile kind {kind!r}; expected linear, power, constant or tabulated",
-    )
+        slope = _field(prof, "slope", where_p)
+    elif kind == "power":
+        exponent = _field(prof, "exponent", where_p)
+        scale = _num(prof.get("scale", 1.0), f"{where_p}.scale")
+        _built(where_p, _check_exponent, exponent)
+    elif kind == "tabulated":
+        points = _built(where_p, _check_samples, _field(prof, "points", where_p, _point_pairs))
+    elif kind != "constant":
+        raise SpecValidationError(f"{where_p}.kind", f"unknown profile kind {kind!r}; "
+                                  "expected linear, power, constant or tabulated")
+    direction = seg.get("direction")
+    if direction is not None and direction not in _DIRECTIONS:
+        raise SpecValidationError(f"{where}.direction", f"unknown direction {direction!r}")
+    direction = _built(where, _segment_direction, lo, hi,
+                       scale if kind == "power" else slope, points, direction)
+    return lo, hi, kind, slope, exponent, scale, points, direction
 
 
 def parse_derivator(obj, path: str = "derivator") -> Derivator:
@@ -175,22 +200,15 @@ def parse_derivator(obj, path: str = "derivator") -> Derivator:
     anchor = _num(obj.get("anchor", 0.0), f"{path}.anchor")
     rows = _Rows()
     for i, seg in enumerate(_field(obj, "segments", path, _expect_list)):
-        where = f"{path}.segments[{i}]"
-        seg = _expect_dict(seg, where)
-        lo = _field(seg, "lo", where)
-        hi = _field(seg, "hi", where)
-        kind, slope, exponent, scale, points = _field(seg, "profile", where, _parse_profile)
-        direction = seg.get("direction")
-        if direction is not None and direction not in _DIRECTIONS:
-            raise SpecValidationError(f"{where}.direction", f"unknown direction {direction!r}")
-        direction = _built(where, _segment_direction, lo, hi,
-                           scale if kind == "power" else slope, points, direction)
-        rows.add(lo, hi, kind, slope, exponent, scale, points, direction)
+        rows.add(*_segment(seg, path, i))
+    # a jump of finite floats needs no path; any other goes through the checked fields
     for i, jmp in enumerate(_expect_list(obj.get("jumps", []), f"{path}.jumps")):
-        where = f"{path}.jumps[{i}]"
-        jmp = _expect_dict(jmp, where)
-        at, delta = _field(jmp, "at", where), _field(jmp, "delta", where)
-        _built(where, _check_jump, at, delta)
+        at, delta = (jmp.get("at"), jmp.get("delta")) if type(jmp) is dict else (None, None)
+        if not (type(at) is type(delta) is float and math.isfinite(at + delta) and delta != 0):
+            where = f"{path}.jumps[{i}]"
+            jmp = _expect_dict(jmp, where)
+            at, delta = _field(jmp, "at", where), _field(jmp, "delta", where)
+            _built(where, _check_jump, at, delta)
         rows.jumps.append((at, delta))
     return _built(path, Derivator, (a, b), rows, anchor=anchor)
 
@@ -253,9 +271,8 @@ def _build_rhs(obj: dict, dim: int, path: str):
     if kind == "linear":
         coeffs = _field(obj, "coefficients", path, _expect_list)
         if len(coeffs) != dim:
-            raise SpecValidationError(
-                f"{path}.coefficients", f"expected {dim} coefficients, got {len(coeffs)}"
-            )
+            raise SpecValidationError(f"{path}.coefficients",
+                                      f"expected {dim} coefficients, got {len(coeffs)}")
         c = np.array(_numbers(coeffs, f"{path}.coefficients"))
 
         def rhs(t, x):
@@ -271,9 +288,8 @@ def _build_rhs(obj: dict, dim: int, path: str):
     elif kind == "polynomial":
         rows = _field(obj, "coefficients", path, _expect_list)
         if len(rows) != dim:
-            raise SpecValidationError(
-                f"{path}.coefficients", f"expected {dim} coefficient rows, got {len(rows)}"
-            )
+            raise SpecValidationError(f"{path}.coefficients",
+                                      f"expected {dim} coefficient rows, got {len(rows)}")
         rows = [_numbers(row, f"{path}.coefficients[{i}]") for i, row in enumerate(rows)]
         columns = [_built(f"{path}.coefficients[{i}]", Integrand.polynomial, row)
                    for i, row in enumerate(rows)]
@@ -282,9 +298,8 @@ def _build_rhs(obj: dict, dim: int, path: str):
         for i, row in enumerate(_field(obj, "points", path, _expect_list)):
             row = _expect_list(row, f"{path}.points[{i}]")
             if len(row) != dim + 1:
-                raise SpecValidationError(
-                    f"{path}.points[{i}]", f"expected [t, v1..v{dim}], got {len(row)} entries"
-                )
+                raise SpecValidationError(f"{path}.points[{i}]",
+                                          f"expected [t, v1..v{dim}], got {len(row)} entries")
             table.append(_numbers(row, f"{path}.points[{i}]"))
         columns = [_built(f"{path}.points", Integrand.tabulated, [(r[0], r[j]) for r in table])
                    for j in range(1, dim + 1)]

@@ -186,6 +186,23 @@ class TestDerivative:
         val = g_derivative_fn(lambda t: d.eval(t) ** 2, d, 0.5)
         assert val == pytest.approx(d.eval_right(0.5) + d.eval(0.5), rel=1e-9)
 
+    @pytest.mark.parametrize("d", [identity_with_jump(delta=2.0, at=0.5), kinked_identity()],
+                             ids=["jump", "junction"])
+    def test_a_one_sided_ladder_takes_the_function_at_t_once(self, d, monkeypatch):
+        quotient, rungs, calls = calculus._quotient, [], []
+
+        def counting(*args, **kwargs):
+            rungs.append(args[1:3])
+            return quotient(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "_quotient", counting)
+        val = g_derivative_fn(lambda s: calls.append(s) or d.eval(s) ** 2, d, 0.5)
+        assert val == pytest.approx(d.eval_right(0.5) + d.eval(0.5), rel=1e-9)
+        assert len(rungs) >= 3 and all(0.5 in bracket for bracket in rungs)
+        assert len(calls) == len(rungs) + 1 and calls.count(0.5) == 1
+        # the first rung still calls its far end before t, as every rung did
+        assert calls[0] == rungs[0][1] and calls[1] == 0.5
+
     def test_grid_route_matches_function_route(self):
         d = identity_with_jump(delta=1.3, at=0.5)
         h = record(d, lambda g: g ** 2, per_segment=256)

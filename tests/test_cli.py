@@ -176,6 +176,24 @@ class TestOverflowingTable:
         assert err["path"] == "derivator"
         assert "not finite" in err["message"]
 
+    @pytest.mark.parametrize("doc", [
+        {"interval": [0.0, 2.0], "segments": [
+            {"lo": 0.0, "hi": 1.0, "profile": {"kind": "linear", "slope": 1e308}},
+            {"lo": 1.0, "hi": 2.0, "profile": {"kind": "linear", "slope": -1e308}}]},
+        {"interval": [0.0, 2.0], "segments": [
+            {"lo": 0.0, "hi": 1.0, "profile": {"kind": "constant"}},
+            {"lo": 1.0, "hi": 2.0, "profile": {"kind": "constant"}}],
+         "jumps": [{"at": 0.0, "delta": 1e308}, {"at": 1.0, "delta": -1e308}]},
+    ], ids=["slopes", "jumps"])
+    def test_a_total_variation_that_overflows_is_an_input_error(self, tmp_path, capsys, doc):
+        # the net change is 0.0; the rise and fall add up past the largest float
+        assert cli.main(["decompose", write(tmp_path, "d.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]  # the error object and nothing else
+        assert (err["type"], err["path"]) == ("SpecValidationError", "derivator")
+        assert "not finite" in err["message"]
+
 
 class TestDerive:
     def test_repeatable_points(self, tmp_path, deriv_path, ident_integrand_path):

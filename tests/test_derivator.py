@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,6 +605,17 @@ class TestKnotRows:
             doc = specio.serialize_derivator(d)
             assert specio.serialize_derivator(specio.parse_derivator(doc)) == doc
             assert specio.parse_derivator(doc).segments == d.segments
+
+    @pytest.mark.parametrize("segments, jumps", [
+        ([Segment(0.0, 1.0, LinearProfile(1e308)), Segment(1.0, 2.0, LinearProfile(-1e308))], []),
+        ([Segment(0.0, 1.0, ConstantProfile()), Segment(1.0, 2.0, ConstantProfile())],
+         [Jump(0.0, 1e308), Jump(1.0, -1e308)]),
+    ], ids=["slopes", "jumps"])
+    def test_a_total_variation_that_overflows_is_a_domain_error(self, segments, jumps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^increments or jumps overflow on \[0\.0, 2\.0\]"):
+                Derivator((0.0, 2.0), segments, jumps)
 
     def test_a_knot_cell_slope_that_overflows_is_a_domain_error(self):
         with pytest.raises(DomainError, match="knot-cell slope"):

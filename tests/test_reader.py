@@ -6,6 +6,7 @@ bit for bit, the table of the same derivator built from Segment objects, and
 objects. Its checks run in document order, so the first fault is reported.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -145,3 +146,114 @@ def test_benchmark_ops_build_no_segment_or_jump(tmp_path, monkeypatch, capsys):
                  ["decompose", d], ["integrate", d, f], ["derive", d, f, "--at", "0.3001"]):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------------------ number forms
+#
+# Every number field of a derivator document, with the path its fault is
+# reported at: JSON integers read as the same floats, and a bool, a number
+# that is not finite or an integer past the largest float fail there.
+
+NUMBER_FIELDS = (
+    (("interval", 0), "derivator.interval[0]"),
+    (("interval", 1), "derivator.interval[1]"),
+    (("anchor",), "derivator.anchor"),
+    (("segments", 0, "lo"), "derivator.segments[0].lo"),
+    (("segments", 0, "hi"), "derivator.segments[0].hi"),
+    (("segments", 0, "profile", "slope"), "derivator.segments[0].profile.slope"),
+    (("segments", 1, "profile", "exponent"), "derivator.segments[1].profile.exponent"),
+    (("segments", 1, "profile", "scale"), "derivator.segments[1].profile.scale"),
+    (("segments", 2, "profile", "points", 0, 0), "derivator.segments[2].profile.points[0][0]"),
+    (("segments", 2, "profile", "points", 1, 1), "derivator.segments[2].profile.points[1][1]"),
+    (("jumps", 0, "at"), "derivator.jumps[0].at"),
+    (("jumps", 1, "delta"), "derivator.jumps[1].delta"),
+)
+
+
+def integer_doc():
+    """Four segments and two jumps on [0, 40] whose numbers are all JSON integers."""
+    return {
+        "interval": [0, 40],
+        "anchor": 1,
+        "segments": [
+            {"lo": 0, "hi": 10, "profile": {"kind": "linear", "slope": 2}},
+            {"lo": 10, "hi": 20, "profile": {"kind": "power", "exponent": 2, "scale": -3}},
+            {"lo": 20, "hi": 30, "profile": {"kind": "tabulated", "points": [[22, 1], [25, 4]]}},
+            {"lo": 30, "hi": 40, "profile": {"kind": "constant"}},
+        ],
+        "jumps": [{"at": 10, "delta": 2}, {"at": 20, "delta": -1}],
+    }
+
+
+def set_field(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def floats_of(doc):
+    """The document with every integer number written as a float."""
+    if isinstance(doc, dict):
+        return {key: floats_of(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [floats_of(value) for value in doc]
+    return float(doc) if type(doc) is int else doc
+
+
+def table_of(d):
+    return {name: getattr(d, name) for name in TABLE_COLUMNS}
+
+
+def test_integers_read_as_the_floats_they_equal():
+    want = table_of(specio.parse_derivator(floats_of(integer_doc())))
+    assert_same_table(specio.parse_derivator(integer_doc()), want)
+    for keys, _ in NUMBER_FIELDS:  # one integer at a time in the float document
+        doc = floats_of(integer_doc())
+        set_field(doc, keys, int(functools.reduce(lambda d, k: d[k], keys, doc)))
+        assert_same_table(specio.parse_derivator(doc), want)
+
+
+@pytest.mark.parametrize("keys, path", NUMBER_FIELDS)
+@pytest.mark.parametrize("value, message", [
+    (True, "expected a number, got bool"),
+    (float("nan"), "number must be finite"),
+    (float("inf"), "number must be finite"),
+    (float("-inf"), "number must be finite"),
+    (10 ** 400, "number must be finite"),
+])
+def test_a_number_that_is_no_float_fails_at_its_field(keys, path, value, message):
+    for doc in (integer_doc(), floats_of(integer_doc())):
+        set_field(doc, keys, value)
+        with pytest.raises(SpecValidationError) as info:
+            specio.parse_derivator(doc)
+        assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+
+
+def test_the_json_forms_of_nan_and_infinity_fail_as_their_floats():
+    for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+        doc = json.loads(json.dumps(integer_doc()).replace('"delta": -1', f'"delta": {text}'))
+        with pytest.raises(SpecValidationError, match=r"^derivator\.jumps\[1\]\.delta: "
+                                                      "number must be finite$"):
+            specio.parse_derivator(doc)
+
+
+def test_directions_extra_keys_and_the_wrapper_read_as_the_plain_document():
+    want = table_of(specio.parse_derivator(integer_doc()))
+    doc = integer_doc()
+    for seg, direction in zip(doc["segments"], ("nondecreasing", "nonincreasing",
+                                                "nondecreasing", "constant")):
+        seg["direction"] = direction
+        seg["note"] = "ignored"
+        seg["profile"]["note"] = 1
+    doc["jumps"][0]["note"] = [1]
+    doc["label"] = {"any": "thing"}
+    assert_same_table(specio.parse_derivator(doc), want)
+    assert_same_table(specio.parse_derivator({"derivator": doc}), want)
+    assert_same_table(specio.parse_derivator({"derivator": {"derivator": doc}}), want)
+    # the wrapper gives way to a document of its own, and its paths nest
+    assert_same_table(specio.parse_derivator({**integer_doc(), "derivator": 0}), want)
+    doc["segments"][3]["direction"] = "nonincreasing"
+    with pytest.raises(SpecValidationError) as info:
+        specio.parse_derivator({"derivator": doc})
+    assert info.value.path == "derivator.derivator.segments[3]"
+    assert "conflicts with profile" in str(info.value)

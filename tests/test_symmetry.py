@@ -6,8 +6,9 @@ since IEEE rounding is symmetric under a sign change. So g -> -g with
 f -> -f leaves the system x' = f dg, and each scheme's arithmetic, unchanged;
 c -> -c does the same for the g-exponential; and the positive part of g is
 the negative part of -g. Shifting g by a constant leaves the measure alone
-too, but the solvers take their increments from values of g, where a large
-anchor cancels.
+too: the primitive and the g-exponential keep their bits under a shift, but
+the solvers take their increments from values of g, where a large anchor
+cancels.
 """
 
 import math
@@ -33,6 +34,7 @@ from stieltjes import (
     StieltjesMeasure,
     SystemSpec,
     TabulatedProfile,
+    primitive,
     solve_euler,
     solve_picard,
     system_grid,
@@ -114,6 +116,28 @@ def test_positive_part_is_the_negative_part_of_the_reversal():
         lo, hi = sorted(rng.uniform(0.0, 1.0, size=2))
         assert (StieltjesMeasure(minus, NEGATIVE_PART).interval(lo, hi)
                 == StieltjesMeasure(d, POSITIVE_PART).interval(lo, hi))
+
+
+def test_anchor_shift_leaves_the_primitives_bits():
+    # the primitive sums cell integrals and atoms, which read g only through
+    # its increments and jump masses
+    v = Integrand.polynomial([0.5, -0.25, 1.0])
+    for d in draws():
+        want = primitive(StieltjesMeasure(d), v, grid_hint=MESH)
+        got = primitive(StieltjesMeasure(shifted(d, 2.0 ** 40)), v, grid_hint=MESH)
+        assert same_bits(got.grid, want.grid)
+        assert same_bits(got.left_values, want.left_values)
+        assert same_bits(got.right_values, want.right_values)
+
+
+def test_anchor_shift_leaves_the_exponentials_bits():
+    c = Integrand.polynomial([0.3, -0.7])
+    for d in draws():
+        want = GExponential(LinearCoefficient(d, c)).trajectory(MESH)
+        got = GExponential(LinearCoefficient(shifted(d, 2.0 ** 40), c)).trajectory(MESH)
+        assert same_bits(got.grid, want.grid)
+        assert same_bits(got.left_values, want.left_values)
+        assert same_bits(got.right_values, want.right_values)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
