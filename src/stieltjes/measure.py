@@ -66,15 +66,15 @@ class Integrand:
     Wraps closures, polynomials (coefficients in increasing degree), tabulated
     interpolants and piecewise polynomials under one call interface; the
     constructors differ only in the function and kinks they record. A library
-    kind's function takes a float or an array: a float goes to it as is and
-    comes back a Python float with a one-point array's bits. Closures see
-    arrays; those that cannot handle them are wrapped with :func:`numpy.vectorize`.
+    kind's function takes a float or an array and marks itself vectorized: a
+    float goes to it as is and comes back a Python float with a one-point
+    array's bits. Closures see arrays; those that cannot handle them, found at
+    the first call, are wrapped with :func:`numpy.vectorize`.
     """
 
-    def __init__(self, fn: Callable, vectorized: bool | None = None):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self._vectorized = vectorized
-        self._takes_floats = False  # set by the library kinds
+        self._vectorized = self._takes_floats = False  # set by library kinds; closures probe once
         # abscissae where the function may kink or jump, known for tables and pieces
         self._kinks = np.empty(0)
 
@@ -84,7 +84,7 @@ class Integrand:
         arr = np.asarray(t, dtype=float)
         if arr.ndim > 1:  # the function sees one flat array, whatever the shape of t
             return self(arr.reshape(-1)).reshape(arr.shape)
-        if self._vectorized is None:
+        if not self._vectorized:
             # a scalar probe cannot tell a vectorized closure from a scalar one
             sample = np.atleast_1d(arr)
             try:
@@ -98,8 +98,8 @@ class Integrand:
 
     @classmethod
     def _library(cls, fn: Callable, kinks=()) -> "Integrand":  # fn takes a float or an array
-        out = cls(fn, vectorized=True)
-        out._takes_floats, out._kinks = True, np.asarray(kinks, dtype=float)
+        out = cls(fn)
+        out._vectorized, out._takes_floats, out._kinks = True, True, np.asarray(kinks, dtype=float)
         return out
 
     @classmethod

@@ -18,11 +18,11 @@ whole grids through :meth:`SystemSpec.call_rhs_many`, which uses the batch
 form when there is one and loops the scalar form when there is not; the
 checks and error messages are the scalar ones either way. :func:`solve`
 tabulates the jumps and increments of its grid and of the error estimate's
-doubled grid once, on their union, and sweeps both grids together: one such
-call per sweep, the left states of both grids, then their jump rows' right
-states. Its errors keep the order of two runs one after the other: the coarse
-grid's come first, and a state that is not finite raises
-:class:`RhsEvaluationError` at its first grid time.
+doubled grid once, on the doubled grid, which holds the coarse one, and sweeps
+both grids together: one such call per sweep, the left states of both grids,
+then their jump rows' right states. Its errors keep the order of two runs one
+after the other: the coarse grid's come first, and a state that is not finite
+raises :class:`RhsEvaluationError` at its first grid time.
 
 Every solve carries a jump audit: at each jump time and component the stored
 right value is compared against left + f(t, left) * delta recomputed from the
@@ -213,12 +213,11 @@ def _jump_table(derivators: Sequence[Derivator], grid: np.ndarray, parts=None):
 
 def _grid_tables(spec: SystemSpec, grids: Sequence[np.ndarray]) -> list[tuple]:
     """Per grid, its jump index and masses and the increments g_j(t_{k+1}) - g_j(t_k+),
-    sliced from one jump table and one eval of each derivator on the union."""
-    union = grids[0] if len(grids) == 1 else np.unique(np.concatenate(grids))
-    index, deltas = _jump_table(spec.derivators, union, grids)
-    g = np.stack([d.eval(union) for d in spec.derivators], axis=1)
-    # a sorted grid without repeats as long as the union is the union
-    ats = [slice(None) if len(grid) == len(union) else union.searchsorted(grid) for grid in grids]
+    sliced from one jump table and one eval of each derivator on the last grid, which
+    holds the others: :func:`solve`'s doubled grid, or the one grid of a single run."""
+    index, deltas = _jump_table(spec.derivators, grids[-1], grids)
+    g = np.stack([d.eval(grids[-1]) for d in spec.derivators], axis=1)
+    ats = [grids[-1].searchsorted(grid) for grid in grids[:-1]] + [slice(None)]
     return [(index[at], deltas[at], _cell_increments(g[at], deltas[at])) for at in ats]
 
 
@@ -521,16 +520,8 @@ def solve(spec: SystemSpec, config: SolveConfig | None = None) -> SolutionReport
     left, right, conv, iters, change, warns, f_jumps = runs[0]
 
     err = None
-    if config.error_estimate:
-        fine_grid, f_left = grids[1], runs[1][0]
-        pos = np.searchsorted(fine_grid, grid)
-        exact = (pos < len(fine_grid)) & (fine_grid[np.clip(pos, 0, len(fine_grid) - 1)] == grid)
-        err = float(np.max(np.abs(left[exact] - f_left[pos[exact]])))
-        if not np.all(exact):
-            warns = list(warns) + [
-                "coarse grid not fully contained in the doubled grid; "
-                "error estimate taken over the shared points only"
-            ]
+    if config.error_estimate:  # the doubled grid holds the coarse one
+        err = float(np.max(np.abs(left - runs[1][0][grids[1].searchsorted(grid)])))
 
     trajectories = tuple(
         Trajectory._tabled(grid, left[:, j], right[:, j], d, jumps[:, j], deltas[:, j])

@@ -785,6 +785,41 @@ class TestGridTables:
                 assert all(same_bits(a, b) for a, b in zip(tr.g_values(), checked.g_values()))
 
 
+class TestDoubledGrid:
+    """solve tabulates both grids on the doubled one and takes the error
+    estimate at its searchsorted rows: the doubled grid must hold the coarse
+    grid and every jump time up to the horizon."""
+
+    def test_the_doubled_grid_holds_the_coarse_grid_and_every_jump(self):
+        rng = np.random.default_rng(71)
+        for _ in range(1000):
+            a = float(rng.uniform(-2.0, 2.0))
+            b = a + float(rng.choice([1.0, rng.uniform(0.01, 5.0)]))
+            ds = [random_derivator(rng, a, b) for _ in range(int(rng.integers(1, 4)))]
+            stops = [s.hi for d in ds for s in d.segments]
+            horizon = float(rng.choice([b, rng.choice(stops), b - rng.uniform(0.0, 1.0) * (b - a)]))
+            mesh = int(np.exp(rng.uniform(np.log(2.0), np.log(5001.0))))
+            coarse = system_grid(ds, horizon, mesh)
+            fine = system_grid(ds, horizon, 2 * mesh)
+            assert np.isin(coarse, fine).all()
+            jumps = [j.at for d in ds for j in d.jumps if j.at <= horizon]
+            assert np.isin(jumps, coarse).all() and np.isin(jumps, fine).all()
+
+    @pytest.mark.parametrize("picard", [True, False])
+    def test_the_error_estimate_is_the_largest_change_at_shared_times(self, picard):
+        rng = np.random.default_rng(73)
+        scheme = solve_picard if picard else solve_euler
+        for _ in range(8):
+            ds = [random_derivator(rng) for _ in range(int(rng.integers(1, 4)))]
+            spec = SystemSpec(ds, lambda t, x: math.cos(3.0 * t) * x, rng.uniform(-1.0, 1.0, len(ds)))
+            mesh = int(rng.integers(2, 200))
+            coarse, fine = (system_grid(ds, 1.0, m) for m in (mesh, 2 * mesh))
+            report = solve(spec, SolveConfig(mesh=mesh, picard=picard))
+            shared = np.isin(fine, coarse)
+            want = np.abs(scheme(spec, coarse)[0] - scheme(spec, fine)[0][shared]).max()
+            assert same_bits(report.error_estimate, want)
+
+
 class TestOneAuditBatch:
     """The audit reads f at the jump rows from the run: Picard's resweep, or
     one batch that solve makes after an Euler run."""

@@ -5,10 +5,12 @@ ordinates, jump masses and the anchor) negates g exactly in floating point,
 since IEEE rounding is symmetric under a sign change. So g -> -g with
 f -> -f leaves the system x' = f dg, and each scheme's arithmetic, unchanged;
 c -> -c does the same for the g-exponential; and the positive part of g is
-the negative part of -g. Shifting g by a constant leaves the measure alone
-too: the primitive and the g-exponential keep their bits under a shift, but
-the solvers take their increments from values of g, where a large anchor
-cancels.
+the negative part of -g. The positive part, negative part and total
+variation are the signed measures of the Jordan parts P, N and V = P + N of
+g, rule for rule. Shifting g by a constant leaves the measure alone too: the
+primitive and the g-exponential keep their bits under a shift, but the
+solvers, the derivative ladder, the FTC round trip and the linear check take
+differences of values of g, where a large anchor cancels.
 """
 
 import math
@@ -16,12 +18,22 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_derivator, same_bits
+from helpers import (
+    exact_power_derivator,
+    long_derivator,
+    random_derivator,
+    random_subinterval,
+    same_bits,
+)
 from stieltjes import (
     NEGATIVE,
     NEGATIVE_PART,
+    NONDECREASING,
+    NONINCREASING,
     POSITIVE,
     POSITIVE_PART,
+    TOTAL,
+    TOTAL_VARIATION,
     ConstantProfile,
     Derivator,
     GExponential,
@@ -31,14 +43,18 @@ from stieltjes import (
     LinearProfile,
     PowerProfile,
     Segment,
+    StieltjesError,
     StieltjesMeasure,
     SystemSpec,
     TabulatedProfile,
+    ftc_roundtrip,
+    g_derivative_fn,
     primitive,
     solve_euler,
     solve_picard,
     system_grid,
     uniform_grid,
+    verify_linear_solution,
 )
 
 DRAWS = 200
@@ -150,3 +166,96 @@ def test_anchor_shift_leaves_the_solvers_bits(scheme):
         want = scheme(system(d), grid)
         got = scheme(system(shifted(d, 2.0 ** 40)), grid)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def jordan_parts(d):
+    """P, N and V = P + N of g, built from its segments and jumps with anchor 0:
+    falling profiles negated, the other direction's segments constant, and the
+    jumps split by sign with mass |delta|."""
+    def part(keep):
+        def profile(s):
+            if s.direction not in keep:
+                return ConstantProfile()
+            return negated_profile(s.profile) if s.direction == NONINCREASING else s.profile
+        segments = [Segment(s.lo, s.hi, profile(s)) for s in d.segments]
+        jumps = [Jump(j.at, abs(j.delta)) for j in d.jumps
+                 if (NONDECREASING if j.delta > 0 else NONINCREASING) in keep]
+        return Derivator(d.interval, segments, jumps, anchor=0.0)
+    return part({NONDECREASING}), part({NONINCREASING}), part({NONDECREASING, NONINCREASING})
+
+
+def jordan_draws(n=1000, seed=8):
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        if k % 20 == 0:
+            yield rng, exact_power_derivator(rng)
+        elif k % 20 == 1:
+            yield rng, long_derivator(rng, nseg=int(rng.integers(8, 200)))
+        else:
+            yield rng, random_derivator(rng)
+
+
+def test_the_jordan_parts_give_the_unsigned_measures_bits():
+    # each signature's rule is the signed rule against P, N or V: the sign
+    # factors only flip or zero a segment's density and a jump's mass
+    v = Integrand.polynomial([0.5, -0.25, 1.0])
+    step = Integrand.piecewise_polynomial([0.0, 0.37, 1.0], [[1.0, 2.0], [-0.5]])
+    kinds = {POSITIVE_PART: POSITIVE, NEGATIVE_PART: NEGATIVE, TOTAL_VARIATION: TOTAL}
+    for rng, d in jordan_draws():
+        parts = jordan_parts(d)
+        lo, hi = random_subinterval(rng, d)
+        f = v if rng.random() < 0.5 else step
+        times = np.concatenate([rng.uniform(d.a, d.b, 8), [j.at for j in d.jumps], [d.a, d.b]])
+        for (signature, kind), part in zip(kinds.items(), parts):
+            assert same_bits(StieltjesMeasure(d, signature).integrate(f, lo, hi),
+                             StieltjesMeasure(part).integrate(f, lo, hi))
+            want = (parts[0].eval(times) + parts[1].eval(times) if kind == TOTAL
+                    else part.eval(times))
+            assert same_bits(d.variation_cumulative(times, kind), want)
+            for t in times[times < d.b].tolist():
+                assert same_bits(StieltjesMeasure(d, signature).point(t), part.delta_at(t))
+
+
+def value_or_error(fn, *args):
+    """fn's value, or the type and text of the library error it raised."""
+    try:
+        return fn(*args)
+    except StieltjesError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# 200 draws of seed 3 at c = 2^40: derive of sin at 0.3, 0.61 and 0.87 moves
+# in 165 of the 452 defined cases and raises in the other 287; ftc_roundtrip
+# moves in 194 draws (11 flip passed), verify_linear_solution in 194 (61 flip)
+anchor_free_differences = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 18: the derive ladder, the estimate table and the "
+    "re-integration take differences of g's values, which cancel against the anchor")
+
+
+@anchor_free_differences
+def test_anchor_shift_leaves_the_derivatives_bits():
+    for d in draws():
+        for t in (0.3, 0.61, 0.87):
+            want = value_or_error(g_derivative_fn, math.sin, d, t)
+            got = value_or_error(g_derivative_fn, math.sin, shifted(d, 2.0 ** 40), t)
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, str) else same_bits(got, want)
+
+
+@anchor_free_differences
+def test_anchor_shift_leaves_the_ftc_roundtrips_bits():
+    v = Integrand.from_callable(lambda t: np.cos(3.0 * t) + 0.3)
+    for d in draws():
+        want = ftc_roundtrip(primitive(StieltjesMeasure(d), v, grid_hint=MESH))
+        got = ftc_roundtrip(primitive(StieltjesMeasure(shifted(d, 2.0 ** 40)), v, grid_hint=MESH))
+        assert same_bits(got.deviations, want.deviations) and got.passed == want.passed
+
+
+@anchor_free_differences
+def test_anchor_shift_leaves_the_linear_checks_bits():
+    c = Integrand.polynomial([0.3, -0.7])
+    for d in draws():
+        want = verify_linear_solution(LinearCoefficient(d, c), grid_hint=MESH)
+        got = verify_linear_solution(LinearCoefficient(shifted(d, 2.0 ** 40), c), grid_hint=MESH)
+        assert same_bits(got.max_residual, want.max_residual) and got.passed == want.passed
