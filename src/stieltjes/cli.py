@@ -8,12 +8,24 @@ newline, so repeated runs on the same input are byte-identical.
 Exit codes: 0 on success; 1 for invalid input (a machine-readable error
 object goes to stderr); 2 when a computation degrades (quadrature cap,
 failed convergence, horizon selection, right-hand-side breakdown).
+
+Every JSON document (the reports, the solver summaries and the error object)
+is written by one recursive writer, :func:`_json_text`, with the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``; it uses the stdlib's C string
+encoder and ``float.__repr__``, while ``json.dumps`` with an indent runs its
+pure-Python encoder. Argv takes a fast path, :func:`_quick_args`, which reads
+the subcommand parser's own actions: positionals in order and options spelled
+out in full, each with its value in the next token. Anything else (an
+abbreviation, ``--opt=value``, ``--``, ``-h``, a repeated store option, a
+value that starts with ``-``, a missing value or positional, a bad type or
+choice) goes to argparse, which prints every usage and error text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,8 +55,41 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(o, indent: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` of an acyclic document with
+    string keys, from the stdlib's C pieces; ``indent`` is the newline and
+    indent of o's line."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return (float.__repr__(o) if math.isfinite(o) else "NaN" if o != o
+                else "Infinity" if o > 0 else "-Infinity")
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in o])}{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit_json(doc, out_path: str | None):
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    _write(_json_text(doc) + "\n", out_path)
 
 
 def _emit_csv(header, columns, out_path: str | None):
@@ -340,18 +385,78 @@ def build_parser() -> argparse.ArgumentParser:
 # building it costs more than a small subcommand does
 _PARSER: argparse.ArgumentParser | None = None
 
+# the action classes the argv fast path reads: one value each, or none for the flag
+_STORE, _APPEND, _FLAG = argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction
+
+
+def _quick_args(parser: argparse.ArgumentParser, tokens):
+    """``parser.parse_args(tokens)``'s namespace, read from the parser's own
+    actions, or None. It reads tokens that are each a positional, in order, or
+    an option spelled out in full (store, append or store_true) with its value
+    in the next token; every value passes its type and choices, no store option
+    repeats and no required argument is missing. Any other argv, a token or
+    value that starts with "-" included, gives None and goes to the parser."""
+    actions = parser._actions
+    ns = {a.dest: a.default for a in actions
+          if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    for dest, value in parser._defaults.items():
+        ns.setdefault(dest, value)
+    positionals = iter([a for a in actions if not a.option_strings])
+    seen = set()
+    tokens = iter(tokens)
+    try:
+        for token in tokens:
+            if token[:1] == "-":
+                action = parser._option_string_actions.get(token)
+                kind = type(action)
+                if kind not in (_STORE, _APPEND, _FLAG) or (kind is _STORE and action in seen):
+                    return None
+                seen.add(action)
+                if kind is _FLAG:
+                    ns[action.dest] = action.const
+                    continue
+                token = next(tokens, "-")
+                if token[:1] == "-":
+                    return None
+            else:
+                action = next(positionals, None)
+                if action is None:
+                    return None
+                seen.add(action)
+            if action.nargs is not None:
+                return None
+            value = parser._get_value(action, token)
+            parser._check_value(action, value)
+            ns[action.dest] = [*(ns[action.dest] or ()), value] if type(action) is _APPEND else value
+        for action in actions:
+            if action in seen:
+                continue
+            if action.required or not action.option_strings:
+                return None
+            # the parser converts a string default of an option it did not see
+            if isinstance(action.default, str) and ns.get(action.dest) is action.default:
+                ns[action.dest] = parser._get_value(action, action.default)
+    except argparse.ArgumentError:
+        return None
+    return argparse.Namespace(**ns)
+
 
 def main(argv=None) -> int:
-    """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names. Its own parser
-    reads the rest, as the full parser would; the full parser reads all of argv (and
-    prints its texts) when argv is empty, starts with no subcommand or has leftovers."""
+    """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names. The argv fast
+    path (:func:`_quick_args`) reads the rest from the subcommand parser's actions;
+    when it cannot, the subcommand's own parser reads it, as the full parser
+    would. The full parser reads all of argv (and prints its texts) when argv is
+    empty, starts with no subcommand or has leftovers."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = _PARSER.commands.get(argv[0]) if argv else None
-    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, True)
-    if rest:
+    args = _quick_args(sub, argv[1:]) if sub else None
+    if sub and args is None:
+        args, rest = sub.parse_known_args(argv[1:])
+        args = None if rest else args
+    if args is None:
         args = _PARSER.parse_args(argv)
     else:
         args.command = argv[0]
@@ -378,7 +483,7 @@ def _emit_error(exc: Exception):
             "path": getattr(exc, "path", None),
         }
     }
-    sys.stderr.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(_json_text(doc) + "\n")
 
 
 if __name__ == "__main__":

@@ -84,16 +84,21 @@ class Integrand:
         arr = np.asarray(t, dtype=float)
         if arr.ndim > 1:  # the function sees one flat array, whatever the shape of t
             return self(arr.reshape(-1)).reshape(arr.shape)
+        out = None
         if not self._vectorized:
-            # a scalar probe cannot tell a vectorized closure from a scalar one
+            # a scalar probe cannot tell a vectorized closure from a scalar one;
+            # on a 1-d array the probe is the call itself, and its result is kept
             sample = np.atleast_1d(arr)
             try:
-                if np.asarray(self._fn(sample), dtype=float).shape != sample.shape:
+                probe = np.asarray(self._fn(sample), dtype=float)
+                if probe.shape != sample.shape:
                     raise ValueError
+                out = probe if sample is arr else None
             except Exception:
                 self._fn = np.vectorize(self._fn, otypes=[float])
             self._vectorized = True
-        out = np.asarray(self._fn(arr), dtype=float)
+        if out is None:
+            out = np.asarray(self._fn(arr), dtype=float)
         return float(out) if np.isscalar(t) else out
 
     @classmethod

@@ -39,6 +39,13 @@ class PlumeParams:
             raise DomainError("entrainment and mixing must be positive")
         if self.gravity <= 0 or self.reference_density <= 0:
             raise DomainError("gravity and reference density must be positive")
+        try:  # mixing ** 2 overflows for a huge mixing; C divides by 0 for a tiny one
+            finite = all(0.0 < c < math.inf for c in (
+                self.volume_coefficient, self.momentum_coefficient, self.buoyancy_coefficient))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise DomainError("plume coefficients A, B and C must be positive and finite")
 
     @property
     def volume_coefficient(self) -> float:
@@ -100,8 +107,9 @@ def plume_rhs(A: float, B: float, C: float):
     row k of the second gives the bits of the first at ``(z[k], X[k])``,
     since both quarter powers are libm ``pow``: ``math.pow`` in the row and
     ``np.float_power``, which has no SIMD loop, in the array. Its float row form
-    ``rhs._row(z, q, m, beta)``, which the scalar call wraps, returns a
-    tuple; Euler runs it over Python floats. All three raise
+    ``rhs._row(z, q, m, beta)``, which the scalar call runs over the state's
+    Python floats, returns a tuple; Euler runs it over Python floats too, so a
+    row that overflows gives inf with no float warning. All three raise
     :class:`RhsEvaluationError` when the momentum flux is not positive, the
     array call at its first such row.
     """
@@ -114,7 +122,7 @@ def plume_rhs(A: float, B: float, C: float):
     def rhs(z, x):
         q, m, beta = np.asarray(x).T
         if not isinstance(m, np.ndarray):
-            return np.array(row(z, q, m, beta))
+            return np.array(row(z, float(q), float(m), float(beta)))
         if (m <= 0.0).any():
             k = np.flatnonzero(m <= 0.0)[0]
             raise _breakdown(m[k], z[k])

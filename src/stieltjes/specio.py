@@ -57,6 +57,7 @@ import numpy as np
 
 from .derivator import (
     _DIRECTIONS,
+    _KIND_NAMES,
     Derivator,
     _check_exponent,
     _check_jump,
@@ -145,24 +146,43 @@ def _point_pairs(obj, path: str) -> list[tuple[float, float]]:
 
 # --------------------------------------------------------------- derivators
 
+def _samples(rows):
+    """A tabulated profile's points as a tuple of (t, v) pairs, when they are at
+    least two [t, v] lists of finite floats with t strictly increasing and v
+    monotone; else None."""
+    if not (type(rows) is list and len(rows) > 1
+            and all([type(row) is list and len(row) == 2 for row in rows])):
+        return None
+    ts, vs = zip(*rows)
+    # a sum of floats is finite only if each is (one that overflows goes the checked way)
+    if (set(map(type, ts + vs)) == {float} and math.isfinite(sum(ts) + sum(vs))
+            and all(map(float.__lt__, ts, ts[1:]))
+            and (all(map(float.__le__, vs, vs[1:])) or all(map(float.__ge__, vs, vs[1:])))):
+        return tuple(zip(ts, vs))
+    return None
+
+
 def _segment(seg, path: str, i: int):
     """``_Rows.add``'s arguments for segment i of the derivator at ``path``, after
     the rules of one segment in document order: fields, profile, direction and
-    segment. Finite floats, lo < hi, a linear, power or constant profile and no
+    segment. Finite floats, lo < hi, a linear, power or constant profile or
+    samples strictly inside (lo, hi) that :func:`_samples` takes, and no
     direction pass them all with no path; any other goes the checked way."""
     prof = seg.get("profile") if type(seg) is dict else None
     kind = prof.get("kind") if type(prof) is dict else None
-    if kind in ("linear", "power", "constant") and seg.get("direction") is None:
+    if kind in _KIND_NAMES and seg.get("direction") is None:
         lo, hi = seg.get("lo"), seg.get("hi")
         slope, exponent, scale = ((prof.get("slope"), 1.0, 0.0) if kind == "linear" else
                                   (0.0, prof.get("exponent"), prof.get("scale", 1.0))
                                   if kind == "power" else (0.0, 1.0, 0.0))
+        points = _samples(prof.get("points")) if kind == "tabulated" else ()
         # a sum of floats is finite only if each is (one that overflows goes the checked way)
         if (type(lo) is type(hi) is type(slope) is type(exponent) is type(scale) is float
                 and math.isfinite(lo + hi + slope + exponent + scale) and lo < hi
-                and exponent > 0):
-            return lo, hi, kind, slope, exponent, scale, (), _segment_direction(
-                lo, hi, scale if kind == "power" else slope, (), None)
+                and exponent > 0 and points is not None
+                and (not points or lo < points[0][0] and points[-1][0] < hi)):
+            return lo, hi, kind, slope, exponent, scale, points, _segment_direction(
+                lo, hi, scale if kind == "power" else slope, points, None)
     where = f"{path}.segments[{i}]"
     seg = _expect_dict(seg, where)
     lo = _field(seg, "lo", where)

@@ -1,12 +1,15 @@
 """End-to-end CLI tests: JSON in, deterministic JSON/CSV out, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_jump_table
 from stieltjes import Derivator, SpecValidationError, cli, solver, specio
@@ -527,6 +530,106 @@ class TestDispatch:
         monkeypatch.setattr(cli, "_PARSER", parser)
         assert cli.main(argv) == 0
         assert seen == [vars(parser.parse_args(argv))] and seen[0]["command"] == argv[0]
+
+    # TestDispatch's argvs, and abbreviations, = forms, repeats, negative values,
+    # "--", and a missing value, choice or type
+    PARITY = [
+        ["decompose", "d.json"], ["decompose", "d.json", "-o", "r.json"],
+        ["derive", "d.json", "f.json", "--at", "0.25", "--at", "0.5", "--rel-tol", "1e-6"],
+        ["derive", "--at", "0.25", "d.json", "f.json"],
+        ["integrate", "d.json", "f.json", "--measure", "total_variation", "--lo", "0.1"],
+        ["solve", "s.json", "--euler", "--select-horizon", "--mesh", "16", "-o", "x.csv"],
+        ["exp", "d.json", "c.json", "--verify"], ["exp", "d.json", "c.json", "--verify", "--verify"],
+        ["plume", "p.json", "--max-iter", "3"], ["ftc-check", "d.json", "f.json", "--grid-hint", "8"],
+        ["integrate", "d.json", "f.json", "--rel", "1e-3"],
+        ["integrate", "d.json", "f.json", "--meas", "signed"],
+        ["derive", "d.json", "f.json", "--at=0.25", "--at", "0.5"],
+        ["derive", "d.json", "f.json", "--at", "0.25", "--at=-1e-3"],
+        ["integrate", "d.json", "f.json", "--lo", "0.1", "--lo", "0.2"],
+        ["integrate", "d.json", "f.json", "--lo", "-0.25"],
+        ["integrate", "d.json", "f.json", "--lo", "-1e-3"],
+        ["integrate", "d.json", "f.json", "--", "--lo"], ["decompose", "--", "d.json"],
+        ["integrate", "d.json", "f.json", "--lo"], ["derive", "d.json", "f.json", "--at"],
+        ["derive", "d.json", "f.json"], ["decompose"], ["decompose", "a.json", "b.json"],
+        ["integrate", "d.json", "f.json", "--measure", "m"], ["solve", "s.json", "--mesh", "x"],
+        ["solve", "s.json", "--mesh", "1.5"], ["decompose", "d.json", "-h"],
+        ["decompose", "d.json", "-o"], ["decompose", "d.json", "-or.json"], ["decompose", "-"],
+        ["decompose", ""], ["exp", "d.json", "c.json", "--verify=1"],
+    ]
+
+    @pytest.mark.parametrize("argv", PARITY + [
+        ["derive", "d.json", "f.json", "--at", "0.5", "--bogus"],
+        ["decompose", "d.json", "extra.json"],
+    ])
+    def test_the_fast_path_reads_argv_as_argparse_does(self, monkeypatch, capsys, argv):
+        # the same namespace, or the same stdout, stderr and exit code
+        parser, seen = cli.build_parser(), []
+        sub = parser.commands[argv[0]]
+        sub.set_defaults(func=lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            want, texts = None, (*capsys.readouterr(), exc.code)
+        if want is None:
+            assert cli._quick_args(sub, argv[1:]) is None
+            assert exit_texts(capsys, lambda: cli.main(argv)) == texts
+        else:
+            assert cli.main(argv) == 0 and seen == [want]
+            quick = cli._quick_args(sub, argv[1:])
+            assert quick is None or dict(vars(quick), command=argv[0]) == want
+
+    def test_plain_argvs_take_the_fast_path(self):
+        # positionals and options spelled out in full, each value apart
+        parser = cli.build_parser()
+        taken = [argv for argv in self.PARITY
+                 if cli._quick_args(parser.commands[argv[0]], argv[1:]) is not None]
+        assert taken == self.PARITY[:10] + [["decompose", ""]]
+
+
+class TestJsonWriter:
+    """_json_text writes the bytes of json.dumps(doc, indent=2, sort_keys=True)."""
+
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.floats().map(np.float64) | st.text())
+    documents = st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=25)
+
+    @given(documents)
+    @settings(max_examples=400)
+    def test_random_documents(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", {"a": {}, "b": [], "c": ()}, [[[]], {}], "\u00e9\u2028\\\"\n\x00\U0001f600",
+        {"\u00e9": 1, "\n": -0.0, "": [math.nan, math.inf, -math.inf, 1e300, 5e-324]},
+        {"n": 10 ** 30, "m": -(10 ** 30), "t": True, "f": False, "z": None},
+        [np.float64(0.1), np.float64(math.nan), np.float64(-math.inf)],
+    ])
+    def test_edge_documents(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(1), {"a": [np.int64(2)]}, np.float32(0.5), {"a": 1, 2: 3}, object(),
+    ])
+    def test_unsupported_values_raise_the_stdlibs_error(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(want.value)
+
+    def test_a_key_that_is_no_string_raises(self):
+        # the CLI's documents have string keys; json.dumps would convert this one
+        with pytest.raises(TypeError):
+            cli._json_text({1: "one"})
+
+    def test_the_error_object_is_written_by_it(self, capsys):
+        cli._emit_error(SpecValidationError("derivator.segments[0]", "\u00e9 \"x\""))
+        doc = {"error": {"type": "SpecValidationError", "path": "derivator.segments[0]",
+                         "message": "derivator.segments[0]: \u00e9 \"x\""}}
+        assert capsys.readouterr().err == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestSidedRows:

@@ -178,6 +178,35 @@ class TestIntegrand:
         f = Integrand.from_callable(scalar_only)
         np.testing.assert_allclose(f(np.array([1.0, 2.0])), [1.0, 4.0])
 
+    def test_the_first_array_call_is_the_probe(self):
+        # a vectorized closure is called once on the array, and its result kept
+        calls = []
+
+        def vectorized(t):
+            calls.append(np.shape(t))
+            return np.sin(t) * t
+
+        ts = np.linspace(0.0, 1.0, 1000)
+        got = Integrand.from_callable(vectorized)(ts)
+        assert calls == [(1000,)]
+        assert same_bits(got, np.sin(ts) * ts)
+        # a scalar-only closure fails once on the array, then runs point by point
+        calls.clear()
+
+        def scalar_only(t):
+            calls.append(np.shape(t))
+            return math.sin(t)
+
+        ts = np.linspace(0.0, 1.0, 5)
+        got = Integrand.from_callable(scalar_only)(ts)
+        assert calls == [(5,)] + [()] * 5
+        assert same_bits(got, np.array([math.sin(t) for t in ts.tolist()]))
+        # a 0-d array is probed as one point, then called as itself
+        calls.clear()
+        f = Integrand.from_callable(vectorized)
+        assert f(np.float64(0.5)) == math.sin(0.5) * 0.5
+        assert calls == [(1,), ()]
+
     def test_piecewise_polynomial(self):
         f = Integrand.piecewise_polynomial([0.0, 0.5, 1.0], [[1.0], [0.0, 2.0]])
         assert f(0.25) == 1.0

@@ -1,6 +1,7 @@
 """Plume rise in flux variables through layered and stratified ambients."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ class TestParams:
             PlumeParams(gravity=-9.81)
         with pytest.raises(DomainError):
             PlumeParams(reference_density=0.0)
+
+    @pytest.mark.parametrize("params", [
+        {"mixing": 1e-300}, {"mixing": 1e300}, {"entrainment": 1e308},
+        {"gravity": 1e300, "mixing": 1e10}, {"reference_density": 5e-324, "mixing": 1e-160},
+        {"entrainment": math.nan},
+    ])
+    def test_rejects_coefficients_that_are_not_positive_and_finite(self, params):
+        # mixing ** 2 underflowed to a division by zero, and overflowed, before
+        with pytest.raises(DomainError, match="coefficients A, B and C"):
+            PlumeParams(**params)
+
+    def test_the_cli_rejects_an_underflowing_mixing_at_its_path(self, tmp_path, capsys):
+        amb = AmbientDensity.step(0.0, 10.0, 1000.0, drops=[(4.0, -2.0)])
+        doc = {"params": {"mixing": 1e-300}, "ambient": serialize_derivator(amb.rho),
+               "initial": [0.05, 0.01, 0.15]}
+        path = tmp_path / "plume.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["plume", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "SpecValidationError" and error["path"] == "plume.params"
 
 
 class TestAmbient:

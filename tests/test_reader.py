@@ -257,3 +257,46 @@ def test_directions_extra_keys_and_the_wrapper_read_as_the_plain_document():
         specio.parse_derivator({"derivator": doc})
     assert info.value.path == "derivator.derivator.segments[3]"
     assert "conflicts with profile" in str(info.value)
+
+
+# tabulated points of segment 2 of doc_with's document, on (0.5, 0.75): the
+# first four pass the reader's guard, the others go the checked way
+SAMPLE_FORMS = [
+    [[0.55, 0.0], [0.6, 1.0]], [[0.55, 1.0], [0.6, 0.0], [0.7, 0.0]], [[0.55, 1.0], [0.6, 1.0]],
+    [[0.51, -0.0], [0.52, 5e-324], [0.74, 2.0]],
+    [[0.55, 0.0], [0.6, 1.0], [0.7, 0.5]], [[0.55, 0.0]], [], None, {"a": 1}, "points",
+    [[0.6, 0.0], [0.55, 1.0]], [[0.55, 0.0], [0.55, 1.0]], [[0.5, 0.0], [0.6, 1.0]],
+    [[0.55, 0.0], [0.75, 1.0]], [[0.55, 0.0], [0.6, 1.0, 2.0]], [[0.55, 0.0], [0.6]],
+    [[0.55, 0.0], "x"], [[0.55, 0], [0.6, 1]], [[0.55, 0.0], [0.6, True]],
+    [[0.55, float("nan")], [0.6, 1.0]], [[0.55, 0.0], [0.6, float("inf")]],
+    [[0.55, 1e308], [0.6, -1e308]], [[0.55, 1e308], [0.6, 1e308]], [[0.55, 0.0], [0.6, 10 ** 400]],
+]
+
+
+def read_outcome(doc):
+    try:
+        return specio.parse_derivator(doc)
+    except SpecValidationError as exc:
+        return exc.path, str(exc)
+
+
+@pytest.mark.parametrize("form", range(len(SAMPLE_FORMS)))
+@pytest.mark.parametrize("fields", [{}, {"direction": "nondecreasing"}, {"hi": 0.58}])
+def test_tabulated_segments_read_as_the_checked_way_reads_them(monkeypatch, form, fields):
+    profile = {"kind": "tabulated", "points": SAMPLE_FORMS[form]}
+    doc = doc_with(("segments", 2, {"profile": profile, **fields}))
+    got = read_outcome(doc)
+    monkeypatch.setattr(specio, "_samples", lambda rows: None)  # every segment the checked way
+    want = read_outcome(doc)
+    if isinstance(want, Derivator) and isinstance(got, Derivator):
+        assert_same_table(got, table_of(want))
+    else:
+        assert got == want
+    # the first four forms with no other field pass the guard: no checked reader runs
+    monkeypatch.undo()
+    checked = []
+    monkeypatch.setattr(specio, "_check_samples",
+                        lambda pts, check=specio._check_samples: checked.append(pts) or check(pts))
+    read_outcome(doc)
+    if form < 4:
+        assert bool(checked) == bool(fields)

@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Time two checkouts against each other, op by op, in one process.
 
-    python3 tools/op_ab.py --parent DIR --change DIR [--seed 7] [--passes 5] [--family F ...]
+    python3 tools/op_ab.py --parent DIR --change DIR [--seed N [N ...]] [--passes 5] [--family F ...]
 
 Two benchmark processes on one machine can differ by more than a small
 change's gain even when their work is the same, so this tool runs both
 checkouts in one process instead. Each checkout's ``src/stieltjes`` is copied
 into a temporary directory as the package ``stieltjes_parent`` or
 ``stieltjes_change`` (the package imports its own modules only relatively).
-The timed ops of both workloads in ``bench/workloads.py`` for the seed, or of
-the chosen families, then go through the two ``cli.main``s by
-``bench/run.py``'s ``run_op``: op by op, the two sides one after the other,
+The timed ops of both workloads in ``bench/workloads.py`` for each seed (7
+by default), or of the chosen families, then go through the two ``cli.main``s
+by ``bench/run.py``'s ``run_op``: op by op, the two sides one after the other,
 with the side that goes first switching from op to op and from pass to pass.
-The warm-up ops run once on both sides before any timing.
+The warm-up ops run once on both sides before any timing. Op ids repeat
+across seeds, so each seed's documents are written to a directory of their own.
 
 Each op must give both sides the same outcome (exit code, any exception
 raised out of ``main``, stdout, stderr and the output file, with the package
 directory masked in warning paths); the ids of ops that differ are printed
-and the exit code is then 1. The table gives per workload, family and
-subcommand the number of samples, each side's median latency and the
-change-to-parent ratios of the medians (``p50``) and of the summed latencies
-(``sum``).
+and the exit code is then 1 (with several seeds, each id after its seed). The
+table gives per workload, family and subcommand, over all seeds, and with
+several seeds also per seed and workload, the number of samples, each side's
+median latency and the change-to-parent ratios of the medians (``p50``) and
+of the summed latencies (``sum``).
 
 ``bench/workloads.py`` and ``bench/run.py`` are imported from the checkout
 this tool lives in and are only read.
@@ -51,16 +53,19 @@ def _load(checkout: str, side: str, packages: Path):
     return importlib.import_module(f"stieltjes_{side}.cli"), str(copy)
 
 
-def _groups(workload: str, op) -> tuple[tuple[int, str], ...]:
-    """The table rows an op counts in, as (rank, label): workload, family, subcommand."""
-    return (0, f"workload {workload}"), (1, f"family {op.family}"), (2, f"subcommand {op.argv[0]}")
+def _groups(seed: int | None, workload: str, op) -> tuple[tuple[int, str], ...]:
+    """The table rows an op counts in, as (rank, label): workload, family,
+    subcommand and, unless ``seed`` is None, seed and workload."""
+    groups = ((0, f"workload {workload}"), (1, f"family {op.family}"),
+              (2, f"subcommand {op.argv[0]}"))
+    return groups if seed is None else (*groups, (3, f"seed {seed} {workload}"))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout to compare against")
     parser.add_argument("--change", required=True, help="checkout with the change")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, nargs="+", default=[7])
     parser.add_argument("--passes", type=int, default=5, help="timed passes over the ops")
     parser.add_argument("--family", action="append",
                         help="time only this op family (repeatable); default all")
@@ -73,49 +78,53 @@ def main(argv=None) -> int:
     from run import run_op
     from workloads import WORKLOADS
 
-    def chosen(ops):
-        return [op for op in ops if not args.family or op.family in args.family]
+    def chosen(seed, part):
+        return [(seed, name, op) for name, build in WORKLOADS.items()
+                for op in build(seed, part) if not args.family or op.family in args.family]
 
-    timed = [(name, op) for name, build in WORKLOADS.items() for op in chosen(build(args.seed))]
-    warm = [op for build in WORKLOADS.values() for op in chosen(build(args.seed, "warmup"))]
+    several = len(args.seed) > 1
+    timed = [item for seed in args.seed for item in chosen(seed, "timed")]
+    warm = [item for seed in args.seed for item in chosen(seed, "warmup")]
     if not timed:
         parser.error(f"no op of family {args.family}")
 
     with tempfile.TemporaryDirectory(prefix="op_ab-") as tmp:
-        packages, workdir = Path(tmp, "packages"), Path(tmp, "work")
+        packages = Path(tmp, "packages")
         packages.mkdir()
-        workdir.mkdir()
+        workdirs = {seed: Path(tmp, f"work-{seed}") for seed in args.seed}
+        for workdir in workdirs.values():
+            workdir.mkdir(exist_ok=True)
         sys.path.insert(0, str(packages))
         loaded = {side: _load(checkout, side, packages)
                   for side, checkout in zip(SIDES, (args.parent, args.change))}
-        for op in warm + [op for _, op in timed]:
+        for seed, _, op in warm + timed:
             for name, text in op.file_texts().items():
-                (workdir / name).write_text(text, encoding="utf-8")
+                (workdirs[seed] / name).write_text(text, encoding="utf-8")
 
-        def run(side, op):
+        def run(side, seed, op):
             cli, copy = loaded[side]
             # entering catch_warnings clears every once-per-location record, so
             # an op's stderr holds the warnings a fresh CLI call would print
             with warnings.catch_warnings():
-                latency, outcome = run_op(cli, op, str(workdir))
+                latency, outcome = run_op(cli, op, str(workdirs[seed]))
             return latency, [text.replace(copy, "<package>") if isinstance(text, str) else text
                              for text in outcome]
 
         differ = {}
         latencies = {side: {} for side in SIDES}
-        for op in warm:
+        for seed, _, op in warm:
             for side in SIDES:
-                run(side, op)
+                run(side, seed, op)
         for p in range(args.passes):
             gc.collect()
-            for i, (workload, op) in enumerate(timed):
+            for i, (seed, workload, op) in enumerate(timed):
                 order = SIDES if (i + p) % 2 == 0 else SIDES[::-1]
-                results = {side: run(side, op) for side in order}
+                results = {side: run(side, seed, op) for side in order}
                 (lat_a, out_a), (lat_b, out_b) = results["parent"], results["change"]
                 fields = [f for f, a, b in zip(FIELDS, out_a, out_b) if a != b]
                 if fields:
-                    differ.setdefault(op.id, fields)
-                for group in _groups(workload, op):
+                    differ.setdefault(f"seed {seed} {op.id}" if several else op.id, fields)
+                for group in _groups(seed if several else None, workload, op):
                     latencies["parent"].setdefault(group, []).append(lat_a)
                     latencies["change"].setdefault(group, []).append(lat_b)
 
