@@ -411,6 +411,8 @@ def g_derivative_fn(func: Callable, d: Derivator, t: float, rel_tol: float = 1e-
     or the flat head or tail of a tabulated one. At a jump the right quotient
     converges to the exact jump expression.
     """
+    if not rel_tol > 0:
+        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
     t = float(t)
     kind, payload = d.classify_point(t)
     if kind == "excluded":

@@ -18,7 +18,8 @@ the subcommand parser's own actions: positionals in order and options spelled
 out in full, each with its value in the next token. Anything else (an
 abbreviation, ``--opt=value``, ``--``, ``-h``, a repeated store option, a
 value that starts with ``-``, a missing value or positional, a bad type or
-choice) goes to argparse, which prints every usage and error text.
+choice) goes to the full argparse parser, which prints every usage and error
+text.
 """
 
 from __future__ import annotations
@@ -444,18 +445,14 @@ def _quick_args(parser: argparse.ArgumentParser, tokens):
 def main(argv=None) -> int:
     """Run the subcommand ``argv`` (default ``sys.argv[1:]``) names. The argv fast
     path (:func:`_quick_args`) reads the rest from the subcommand parser's actions;
-    when it cannot, the subcommand's own parser reads it, as the full parser
-    would. The full parser reads all of argv (and prints its texts) when argv is
-    empty, starts with no subcommand or has leftovers."""
+    when it cannot, or argv names no subcommand, the full parser reads all of
+    argv and prints its usage and error texts."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = _PARSER.commands.get(argv[0]) if argv else None
     args = _quick_args(sub, argv[1:]) if sub else None
-    if sub and args is None:
-        args, rest = sub.parse_known_args(argv[1:])
-        args = None if rest else args
     if args is None:
         args = _PARSER.parse_args(argv)
     else:

@@ -537,17 +537,10 @@ class Derivator:
         return float(out[0]) if np.isscalar(t) else out.reshape(arr.shape)
 
     def eval_right(self, t):
-        """Right limit g(t+); equals ``eval(t) + delta`` at a jump, ``eval(t)`` otherwise."""
-        if np.isscalar(t):
-            value = self.eval(t)
-            if self._jump_at.size:  # as the array path: no padded 0.0 without jumps
-                value += float(self._jump_delta_padded[self._jump_pos(float(t))])
-            return value
-        arr = np.asarray(t, dtype=float)
-        base = self.eval(arr)
-        if self._jump_at.size:
-            base = base + self._jump_delta_padded[self._jump_index(arr)]
-        return base
+        """Right limit g(t+): ``eval(t)`` plus the jump mass at t, the padded 0.0
+        off the jumps (eval never gives -0.0, so adding it keeps the bits)."""
+        value = self.eval(t) + self._jump_delta_padded[self._jump_index(np.asarray(t, dtype=float))]
+        return float(value) if np.isscalar(t) else value
 
     def jump_index(self, times) -> np.ndarray:
         """Index into ``jumps`` of the jump at each time, -1 where g is continuous."""
@@ -655,11 +648,8 @@ class Derivator:
         inside a rising/falling run, or ``("excluded", reason)`` for run
         boundaries and anything in the closure of a constancy interval.
         """
-        if not np.isscalar(t):
-            code = int(self.classify(t))
-            if code == JUMP_POINT:
-                return ("jump", float(self._jump_delta_padded[self._jump_index(t)]))
-            return _POINT_KINDS[code]
+        if not np.isscalar(t):  # one time in an array, checked as arrays are
+            t = self._check_domain(np.asarray(t, dtype=float)).item()
         t = self._point(t)
         j = self._jump_pos(t)
         if j >= 0:

@@ -220,6 +220,8 @@ class StieltjesMeasure:
     def integrate(self, f: Integrand | Callable, lo: float, hi: float,
                   rel_tol: float = 1e-10) -> float:
         """Integral of f over [lo, hi) against this measure; QuadratureError if not finite."""
+        if not rel_tol > 0:
+            raise DomainError(f"rel_tol must be positive, got {rel_tol}")
         with np.errstate(over="ignore", invalid="ignore"):
             value = self._integrate_continuous(f, lo, hi, rel_tol) + self._integrate_atoms(f, lo, hi)
         if not np.isfinite(value):

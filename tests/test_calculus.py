@@ -180,6 +180,14 @@ class TestDerivative:
         val = g_derivative_fn(lambda t: t ** 2, d, 0.3)
         assert val == pytest.approx(0.6, abs=1e-10)
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1.0])
+    def test_a_relative_tolerance_not_positive_is_rejected_before_any_work(self, rel_tol):
+        calls = []
+        with pytest.raises(DomainError, match=f"^rel_tol must be positive, got {rel_tol}$"):
+            g_derivative_fn(lambda t: calls.append(t) or t, identity_with_jump(), 0.3,
+                            rel_tol=rel_tol)
+        assert calls == []
+
     def test_jump_quotient_is_one_sided_and_exact(self):
         d = identity_with_jump(delta=2.0, at=0.5)
         # h = g^2: the quotient telescopes to g(t+) + g(t)

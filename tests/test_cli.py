@@ -286,6 +286,23 @@ class TestDerive:
             assert json.loads(out)["points"] == [{"t": float(at), "derivative": 1.5e308}]
 
 
+@pytest.mark.parametrize("command", ["integrate", "derive"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_a_relative_tolerance_not_positive_is_an_input_error(tmp_path, capsys, deriv_path,
+                                                             ident_integrand_path, command, tol):
+    out = tmp_path / "r.json"
+    at = ["--at", "0.25"] if command == "derive" else []
+    code = cli.main([command, deriv_path, ident_integrand_path, *at, "--rel-tol", tol,
+                     "-o", str(out)])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "type": "DomainError", "message": f"rel_tol must be positive, got {float(tol)}",
+        "path": None}}
+
+
 class TestFtcCheck:
     def test_passes_on_a_smooth_integrand(self, tmp_path, deriv_path):
         vpath = write(tmp_path, "v.json",
@@ -497,7 +514,7 @@ def exit_texts(capsys, call):
 
 
 class TestDispatch:
-    """main parses with the subcommand's own parser, with the full parser's texts."""
+    """main reads argv by the fast path or else the full parser, with the full parser's texts."""
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["nope"], ["nope", "x.json"], ["exp", "-h"], ["derive", "-h"],

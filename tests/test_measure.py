@@ -141,6 +141,15 @@ class TestIntegration:
         ora = rs_integral_oracle(f, d, 0.0, 1.0, "signed")
         assert lib == pytest.approx(ora, rel=1e-7)
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), 0.0, -1.0])
+    def test_a_relative_tolerance_not_positive_is_rejected_before_any_work(self, rel_tol):
+        # nan stopped after one Kronrod panel; 0 and -1 ran to the quadrature stall
+        calls = []
+        with pytest.raises(DomainError, match=f"^rel_tol must be positive, got {rel_tol}$"):
+            signed(identity_with_jump()).integrate(lambda t: calls.append(t) or t, 0.0, 1.0,
+                                                   rel_tol=rel_tol)
+        assert calls == []
+
 
 class TestHahn:
     def test_desk_example_residual_zero(self):

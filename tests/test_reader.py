@@ -20,7 +20,19 @@ from helpers import (
     reference_table,
     same_bits,
 )
-from stieltjes import Derivator, Jump, Segment, SpecValidationError, cli, specio
+from stieltjes import (
+    ConstantProfile,
+    Derivator,
+    DomainError,
+    Jump,
+    LinearProfile,
+    PowerProfile,
+    Segment,
+    SpecValidationError,
+    TabulatedProfile,
+    cli,
+    specio,
+)
 
 
 def assert_same_table(d, want):
@@ -260,7 +272,7 @@ def test_directions_extra_keys_and_the_wrapper_read_as_the_plain_document():
 
 
 # tabulated points of segment 2 of doc_with's document, on (0.5, 0.75): the
-# first four pass the reader's guard, the others go the checked way
+# first four and the integer pairs are valid as they stand
 SAMPLE_FORMS = [
     [[0.55, 0.0], [0.6, 1.0]], [[0.55, 1.0], [0.6, 0.0], [0.7, 0.0]], [[0.55, 1.0], [0.6, 1.0]],
     [[0.51, -0.0], [0.52, 5e-324], [0.74, 2.0]],
@@ -272,6 +284,17 @@ SAMPLE_FORMS = [
     [[0.55, 1e308], [0.6, -1e308]], [[0.55, 1e308], [0.6, 1e308]], [[0.55, 0.0], [0.6, 10 ** 400]],
 ]
 
+# the forms no TabulatedProfile holds: where under the profile the reader
+# reports each, and its text
+JSON_FAULTS = {
+    7: ("points", "expected a list, got NoneType"), 8: ("points", "expected a list, got dict"),
+    9: ("points", "expected a list, got str"), 14: ("points[1]", "expected a [t, value] pair"),
+    15: ("points[1]", "expected a [t, value] pair"), 16: ("points[1]", "expected a list, got str"),
+    18: ("points[1][1]", "expected a number, got bool"),
+    19: ("points[0][1]", "number must be finite"), 20: ("points[1][1]", "number must be finite"),
+    23: ("points[1][1]", "number must be finite"),
+}
+
 
 def read_outcome(doc):
     try:
@@ -280,23 +303,36 @@ def read_outcome(doc):
         return exc.path, str(exc)
 
 
+def built_outcome(points, fields):
+    """doc_with's derivator built from Segment objects, segment 2 tabulated on
+    ``points`` with ``fields``; a DomainError at the path of the object that
+    raised it, with the reader's text."""
+    where = "derivator.segments[2]"
+    path = f"{where}.profile"
+    try:
+        profile = TabulatedProfile(points)
+        path = where
+        seg = Segment(0.5, fields.get("hi", 0.75), profile, fields.get("direction"))
+        path = "derivator"
+        return Derivator((0.0, 1.0), [
+            Segment(0.0, 0.25, LinearProfile(1.0)), Segment(0.25, 0.5, PowerProfile(0.5, 2.0)),
+            seg, Segment(0.75, 1.0, ConstantProfile())], [Jump(0.25, 1.0), Jump(0.5, -1.0)])
+    except DomainError as exc:
+        return path, f"{path}: {exc}"
+
+
 @pytest.mark.parametrize("form", range(len(SAMPLE_FORMS)))
 @pytest.mark.parametrize("fields", [{}, {"direction": "nondecreasing"}, {"hi": 0.58}])
-def test_tabulated_segments_read_as_the_checked_way_reads_them(monkeypatch, form, fields):
+def test_tabulated_segments_read_as_segment_objects_build_them(form, fields):
     profile = {"kind": "tabulated", "points": SAMPLE_FORMS[form]}
-    doc = doc_with(("segments", 2, {"profile": profile, **fields}))
-    got = read_outcome(doc)
-    monkeypatch.setattr(specio, "_samples", lambda rows: None)  # every segment the checked way
-    want = read_outcome(doc)
-    if isinstance(want, Derivator) and isinstance(got, Derivator):
+    got = read_outcome(doc_with(("segments", 2, {"profile": profile, **fields})))
+    if form in JSON_FAULTS:
+        path = f"derivator.segments[2].profile.{JSON_FAULTS[form][0]}"
+        assert got == (path, f"{path}: {JSON_FAULTS[form][1]}")
+        return
+    want = built_outcome(SAMPLE_FORMS[form], fields)
+    if isinstance(want, Derivator):
+        assert isinstance(got, Derivator), got
         assert_same_table(got, table_of(want))
     else:
         assert got == want
-    # the first four forms with no other field pass the guard: no checked reader runs
-    monkeypatch.undo()
-    checked = []
-    monkeypatch.setattr(specio, "_check_samples",
-                        lambda pts, check=specio._check_samples: checked.append(pts) or check(pts))
-    read_outcome(doc)
-    if form < 4:
-        assert bool(checked) == bool(fields)

@@ -259,3 +259,95 @@ def test_anchor_shift_leaves_the_linear_checks_bits():
         want = verify_linear_solution(LinearCoefficient(d, c), grid_hint=MESH)
         got = verify_linear_solution(LinearCoefficient(shifted(d, 2.0 ** 40), c), grid_hint=MESH)
         assert same_bits(got.max_residual, want.max_residual) and got.passed == want.passed
+
+
+# Time dilation t -> 2t: g~(s) = g(s / 2) on [2a, 2b]. Doubling a time and
+# halving a slope are exact, and so is every quotient and product of them
+# (the linspace grids, np.interp's knot cells, Horner's steps with c_k / 2^k),
+# so the measure, the grids and each scheme's arithmetic keep their bits.
+# Power segments are left out: scale / 2^p is not exact.
+
+def dilated_profile(p):
+    if isinstance(p, LinearProfile):
+        return LinearProfile(p.slope / 2.0)
+    if isinstance(p, TabulatedProfile):
+        return TabulatedProfile(tuple((2.0 * x, y) for x, y in p.points))
+    assert isinstance(p, ConstantProfile)
+    return p
+
+
+def dilated(d):
+    """g(t / 2): bounds, knots and jump sites doubled, slopes halved."""
+    return Derivator((2.0 * d.a, 2.0 * d.b),
+                     [Segment(2.0 * s.lo, 2.0 * s.hi, dilated_profile(s.profile))
+                      for s in d.segments],
+                     [Jump(2.0 * j.at, j.delta) for j in d.jumps], anchor=d.anchor)
+
+
+def dilation_draws(seed=5):
+    """Linear, constant and tabulated segments (a power profile's draw taken as
+    a linear one), on [0, 1] and on intervals starting below 0."""
+    rng = np.random.default_rng(seed)
+    for k in range(DRAWS):
+        a = 0.0 if k % 2 else float(rng.uniform(-2.0, 0.0))
+        d = random_derivator(rng, a, a + float(rng.uniform(0.5, 3.0)))
+        segments = [Segment(s.lo, s.hi, LinearProfile(s.profile.scale)
+                            if isinstance(s.profile, PowerProfile) else s.profile)
+                    for s in d.segments]
+        yield rng, Derivator(d.interval, segments, d.jumps, anchor=d.anchor)
+
+
+def halved_powers(coeffs):
+    """c_k / 2^k: the polynomial of t / 2."""
+    return [c / 2.0 ** k for k, c in enumerate(coeffs)]
+
+
+def assert_dilated(got, want):
+    assert same_bits(got.grid, 2.0 * want.grid)
+    assert same_bits(got.left_values, want.left_values)
+    assert same_bits(got.right_values, want.right_values)
+
+
+def dilation_system(d, rhs):
+    return SystemSpec([d], rhs, [1.0], rhs_batch=lambda ts, X: np.array(
+        [rhs(t, x) for t, x in zip(ts.tolist(), X)]))
+
+
+@pytest.mark.parametrize("scheme", [solve_euler, solve_picard])
+@pytest.mark.parametrize("time_kind", ["autonomous", "tabulated"])
+def test_time_dilation_leaves_the_solvers_bits(scheme, time_kind):
+    for rng, d in dilation_draws():
+        if time_kind == "autonomous":
+            rhs = rhs_dilated = lambda t, x: np.sin(x) + 0.3
+        else:
+            ts = np.sort(rng.uniform(d.a, d.b, 6))
+            vs = rng.uniform(-1.0, 1.0, 6)
+            tab = Integrand.tabulated(list(zip(ts, vs)))
+            tab_dilated = Integrand.tabulated(list(zip(2.0 * ts, vs)))
+            rhs = lambda t, x, tab=tab: tab(t) * x + 0.3
+            rhs_dilated = lambda t, x, tab=tab_dilated: tab(t) * x + 0.3
+        grid = system_grid([d], d.b, MESH)
+        d2 = dilated(d)
+        grid_dilated = system_grid([d2], d2.b, MESH)
+        assert same_bits(grid_dilated, 2.0 * grid)
+        want = scheme(dilation_system(d, rhs), grid)
+        got = scheme(dilation_system(d2, rhs_dilated), grid_dilated)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_time_dilation_leaves_the_primitives_bits():
+    for rng, d in dilation_draws(6):
+        coeffs = rng.uniform(-2.0, 2.0, int(rng.integers(1, 5))).tolist()
+        want = primitive(StieltjesMeasure(d), Integrand.polynomial(coeffs), grid_hint=MESH)
+        got = primitive(StieltjesMeasure(dilated(d)), Integrand.polynomial(halved_powers(coeffs)),
+                        grid_hint=MESH)
+        assert_dilated(got, want)
+
+
+def test_time_dilation_leaves_the_exponentials_bits():
+    for rng, d in dilation_draws(7):
+        coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 4))).tolist()
+        want = GExponential(LinearCoefficient(d, Integrand.polynomial(coeffs))).trajectory(MESH)
+        got = GExponential(LinearCoefficient(
+            dilated(d), Integrand.polynomial(halved_powers(coeffs)))).trajectory(MESH)
+        assert_dilated(got, want)

@@ -74,10 +74,10 @@ def test_each_op_prints_its_warnings_as_a_fresh_call_would(tmp_path):
     assert proc.stdout.splitlines() == ["seed 7: 0 of 590 ops differ"]
 
 
-def op_ab(parent, change, seeds=("7",)):
+def op_ab(parent, change, seeds=("7",), passes="1"):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "op_ab.py"), "--parent", str(parent),
-         "--change", str(change), "--seed", *seeds, "--family", "pointwise", "--passes", "1"],
+         "--change", str(change), "--seed", *seeds, "--family", "pointwise", "--passes", passes],
         capture_output=True, text=True,
     )
 
@@ -86,12 +86,24 @@ def test_op_ab_times_a_checkout_against_itself():
     proc = op_ab(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["group", "samples", "parent_p50_ms", "change_p50_ms", "p50", "sum"]
+    assert lines[0].split() == ["group", "samples", "parent_p50_ms", "change_p50_ms", "p50", "sum",
+                                "sum_min", "sum_max"]
     rows = {" ".join(line.split()[:2]): line.split()[2:] for line in lines[1:]}
     assert list(rows) == ["workload ftc-pointwise", "family pointwise", "subcommand decompose",
                           "subcommand derive", "subcommand integrate"]
     assert rows["family pointwise"][0] == "240"
-    assert all(float(p50) > 0.0 and float(total) > 0.0 for *_, p50, total in rows.values())
+    assert all(float(p50) > 0.0 and float(total) > 0.0 for *_, p50, total, _, _ in rows.values())
+    # one pass: its ratio is the pooled one
+    assert all(total == low == high for *_, total, low, high in rows.values())
+
+
+def test_op_ab_bounds_the_pooled_sum_ratio_by_the_passes():
+    # the pooled ratio is a mediant of the per-pass ratios
+    proc = op_ab(ROOT, ROOT, passes="3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for line in proc.stdout.splitlines()[1:]:
+        total, low, high = map(float, line.split()[-3:])
+        assert low <= total <= high, line
 
 
 def test_op_ab_names_the_ops_whose_outcomes_differ(tmp_path):
@@ -106,7 +118,7 @@ def test_op_ab_times_several_seeds_in_one_run(tmp_path):
     # the pooled rows count every seed's samples, and each seed gets its own row
     proc = op_ab(ROOT, ROOT, ("7", "11"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = {" ".join(line.split()[:-5]): line.split()[-5:] for line in proc.stdout.splitlines()[1:]}
+    rows = {" ".join(line.split()[:-7]): line.split()[-7:] for line in proc.stdout.splitlines()[1:]}
     assert list(rows) == ["workload ftc-pointwise", "family pointwise", "subcommand decompose",
                           "subcommand derive", "subcommand integrate",
                           "seed 11 ftc-pointwise", "seed 7 ftc-pointwise"]

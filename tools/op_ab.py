@@ -22,7 +22,10 @@ and the exit code is then 1 (with several seeds, each id after its seed). The
 table gives per workload, family and subcommand, over all seeds, and with
 several seeds also per seed and workload, the number of samples, each side's
 median latency and the change-to-parent ratios of the medians (``p50``) and
-of the summed latencies (``sum``).
+of the summed latencies (``sum``), and the smallest and largest ratio of one
+pass's summed latencies (``sum_min``, ``sum_max``). ``sum`` is a mediant of
+the per-pass ratios, so it lies between the two; their spread is the
+pass-to-pass noise a ``sum`` reading is to be set against.
 
 ``bench/workloads.py`` and ``bench/run.py`` are imported from the checkout
 this tool lives in and are only read.
@@ -112,6 +115,7 @@ def main(argv=None) -> int:
 
         differ = {}
         latencies = {side: {} for side in SIDES}
+        pass_sums = {side: {} for side in SIDES}
         for seed, _, op in warm:
             for side in SIDES:
                 run(side, seed, op)
@@ -125,16 +129,19 @@ def main(argv=None) -> int:
                 if fields:
                     differ.setdefault(f"seed {seed} {op.id}" if several else op.id, fields)
                 for group in _groups(seed if several else None, workload, op):
-                    latencies["parent"].setdefault(group, []).append(lat_a)
-                    latencies["change"].setdefault(group, []).append(lat_b)
+                    for side, latency in (("parent", lat_a), ("change", lat_b)):
+                        latencies[side].setdefault(group, []).append(latency)
+                        pass_sums[side].setdefault(group, [0.0] * args.passes)[p] += latency
 
     print(f"{'group':<32} {'samples':>7} {'parent_p50_ms':>13} {'change_p50_ms':>13} "
-          f"{'p50':>6} {'sum':>6}")
+          f"{'p50':>6} {'sum':>6} {'sum_min':>7} {'sum_max':>7}")
     for group, before in sorted(latencies["parent"].items()):
         after = latencies["change"][group]
         p50_a, p50_b = statistics.median(before), statistics.median(after)
+        per_pass = [b / a for a, b in zip(pass_sums["parent"][group], pass_sums["change"][group])]
         print(f"{group[1]:<32} {len(before):>7} {1000 * p50_a:>13.3f} {1000 * p50_b:>13.3f} "
-              f"{p50_b / p50_a:>6.3f} {sum(after) / sum(before):>6.3f}")
+              f"{p50_b / p50_a:>6.3f} {sum(after) / sum(before):>6.3f} "
+              f"{min(per_pass):>7.3f} {max(per_pass):>7.3f}")
     for op_id, fields in sorted(differ.items()):
         print(f"{op_id}: {', '.join(fields)} differ")
     return 1 if differ else 0
